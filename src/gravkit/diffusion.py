@@ -87,42 +87,17 @@ def make_schedule(kind: str = SCALED_LINEAR, steps: int = DEFAULT_STEPS,
                          alpha_bar=np.cumprod(alpha))
 
 
-@dataclass
-class PoseNoiseState:
-    """A (possibly noisy) pose at diffusion step k; k = 0 is clean."""
+def add_noise(x0, k, eps, sched: NoiseSchedule):
+    """Forward process: x_k = sqrt(abar_k) * x0 + sqrt(1 - abar_k) * eps.
 
-    pos: np.ndarray
-    rot6d: np.ndarray
-    step: int
-
-    def __post_init__(self):
-        self.pos = np.asarray(self.pos, dtype=float)
-        self.rot6d = np.asarray(self.rot6d, dtype=float)
-
-
-@dataclass
-class NoiseSample:
-    eps_pos: np.ndarray
-    eps_rot: np.ndarray
-
-    def __post_init__(self):
-        self.eps_pos = np.asarray(self.eps_pos, dtype=float)
-        self.eps_rot = np.asarray(self.eps_rot, dtype=float)
-
-
-def add_noise(x0, k: int, eps, sched: NoiseSchedule):
-    """Forward process: x_k = sqrt(abar_k) * x0 + sqrt(1 - abar_k) * eps."""
-    if not 0 <= k <= sched.steps:
+    `k` is one step for a single pose, or a (B,) array of steps, one per row
+    of (B, d) `x0` and `eps`.
+    """
+    k = np.asarray(k)
+    if np.any((k < 0) | (k > sched.steps)):
         raise StepOutOfRange(f"step {k} outside 0..{sched.steps}")
-    ab = sched.abar(k)
+    ab = np.where(k == 0, 1.0, sched.alpha_bar[k - 1])[..., None]
     return np.sqrt(ab) * np.asarray(x0, dtype=float) + np.sqrt(1.0 - ab) * np.asarray(eps, dtype=float)
-
-
-def _reverse_mean(x, eps_hat, k, sched: NoiseSchedule):
-    beta = sched.beta[k - 1]
-    alpha = sched.alpha[k - 1]
-    ab = sched.abar(k)
-    return (x - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(alpha)
 
 
 def posterior_sigma(k: int, sched: NoiseSchedule) -> float:
@@ -131,53 +106,55 @@ def posterior_sigma(k: int, sched: NoiseSchedule) -> float:
     return float(np.sqrt(var))
 
 
-def denoise_step(state: PoseNoiseState, eps_hat: NoiseSample,
-                 sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
-                 stochastic: bool = True, rng=None) -> PoseNoiseState:
-    """One reverse update from step k to k-1.
+_CHANNEL_SCHEDULE = np.repeat([0, 1], (3, 6))   # 0: position channel, 1: rotation
 
-    Both channels compute the posterior mean from their own schedule; noise
-    with the posterior variance is added only when stochastic and k > 1.
+
+def _per_channel(pos_value, rot_value) -> np.ndarray:
+    """Spread one coefficient per schedule over the pose vector's 3 position
+    and 6 rotation channels."""
+    return np.array((pos_value, rot_value))[_CHANNEL_SCHEDULE]
+
+
+def denoise_step(x, k: int, eps_hat, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
+                 stochastic: bool = True, rng=None) -> np.ndarray:
+    """One reverse update of the pose vector x (9,) from step k to k-1.
+
+    Both channel groups compute the posterior mean from their own schedule;
+    noise with the posterior variance is added only when stochastic and k > 1.
     """
-    k = state.step
     sched_pos._check_step(k)
     sched_rot._check_step(k)
-    pos = _reverse_mean(state.pos, eps_hat.eps_pos, k, sched_pos)
-    rot = _reverse_mean(state.rot6d, eps_hat.eps_rot, k, sched_rot)
+    mean_coef = _per_channel(sched_pos.beta[k - 1] / np.sqrt(1.0 - sched_pos.abar(k)),
+                             sched_rot.beta[k - 1] / np.sqrt(1.0 - sched_rot.abar(k)))
+    root_alpha = _per_channel(np.sqrt(sched_pos.alpha[k - 1]), np.sqrt(sched_rot.alpha[k - 1]))
+    x = (np.asarray(x, dtype=float) - mean_coef * eps_hat) / root_alpha
     if stochastic and k > 1:
         if rng is None:
             raise ValueError("stochastic denoise_step needs an rng")
-        pos = pos + posterior_sigma(k, sched_pos) * rng.standard_normal(3)
-        rot = rot + posterior_sigma(k, sched_rot) * rng.standard_normal(6)
-    return PoseNoiseState(pos=pos, rot6d=rot, step=k - 1)
+        sigma = _per_channel(posterior_sigma(k, sched_pos), posterior_sigma(k, sched_rot))
+        x = x + sigma * rng.standard_normal(9)
+    return x
 
 
 def sample(denoiser, conditioning, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
            seed=None, stochastic: bool = True):
     """Run the full reverse chain and return (Pose, openness).
 
-    `denoiser` is called as denoiser(state, conditioning) and must return an
-    object with eps_pos (3,), eps_rot (6,) and open (scalar in (0,1))
-    attributes. The chain starts from standard normal noise at step K, the
+    `denoiser` is called as denoiser(x, k, conditioning) with the noisy pose
+    vector x (9,), 3 position then 6 rotation channels, at step k, and must
+    return (eps_hat, open_prob): the predicted noise (9,) and the openness
+    probability. The chain starts from standard normal noise at step K, the
     openness is read from the final (k = 1) prediction and thresholded at
     0.5, and the final rotation is orthonormalized via Gram-Schmidt.
     """
     if sched_pos.steps != sched_rot.steps:
         raise InvalidRange("position and rotation schedules must share K")
     rng = np.random.default_rng(seed)
-    state = PoseNoiseState(pos=rng.standard_normal(3),
-                           rot6d=rng.standard_normal(6),
-                           step=sched_pos.steps)
-    open_prob = 0.5
-    while state.step >= 1:
-        out = denoiser(state, conditioning)
-        if state.step == 1:
-            open_prob = float(np.asarray(out.open).reshape(()))
-        eps_hat = NoiseSample(eps_pos=out.eps_pos, eps_rot=out.eps_rot)
-        state = denoise_step(state, eps_hat, sched_pos, sched_rot,
-                             stochastic=stochastic, rng=rng)
-    rot_mat = rot6d_to_matrix(state.rot6d)
-    pose = Pose(pos=state.pos, rot6d=matrix_to_rot6d(rot_mat))
+    x = rng.standard_normal(9)
+    for k in range(sched_pos.steps, 0, -1):
+        eps_hat, open_prob = denoiser(x, k, conditioning)
+        x = denoise_step(x, k, eps_hat, sched_pos, sched_rot, stochastic=stochastic, rng=rng)
+    pose = Pose(pos=x[:3], rot6d=matrix_to_rot6d(rot6d_to_matrix(x[3:])))
     return pose, int(open_prob > 0.5)
 
 

@@ -22,6 +22,10 @@ class DimMismatch(GravkitError):
     pass
 
 
+class NonFiniteLoss(GravkitError, ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class LossWeights:
     w_pos: float = 30.0
@@ -38,7 +42,7 @@ DEFAULT_LOSS_WEIGHTS = LossWeights()
 
 
 def noise_l1(pred, target) -> float:
-    """Mean absolute error over coordinates."""
+    """Mean absolute error over all coordinates of a (batch of) prediction(s)."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
@@ -46,34 +50,33 @@ def noise_l1(pred, target) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
-def noise_l1_grad(pred, target) -> np.ndarray:
-    """d noise_l1 / d pred; the subgradient at zero difference is 0."""
+def noise_l1_grad(pred, target, weight: float = 1.0) -> np.ndarray:
+    """d (weight * noise_l1) / d pred; the subgradient at zero difference is 0.
+
+    Computed as (weight * sign) / count: weight * (sign / count) can differ in
+    the last bit, and seeded training runs are pinned to this order.
+    """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise DimMismatch(f"{pred.shape} vs {target.shape}")
-    return np.sign(pred - target) / pred.size
+    return weight * np.sign(pred - target) / pred.size
 
 
 def bce(p, y) -> float:
-    """Binary cross-entropy with the probability clamped to
-    [1e-7, 1 - 1e-7], so p = 0 or 1 stays finite."""
-    p = float(np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP))
-    y = float(y)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    """Mean binary cross-entropy over a (batch of) probability(ies), each
+    clamped to [1e-7, 1 - 1e-7] so p = 0 or 1 stays finite."""
+    p = np.clip(np.asarray(p, dtype=float), BCE_CLAMP, 1.0 - BCE_CLAMP)
+    y = np.asarray(y, dtype=float)
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def bce_grad(p, y) -> float:
-    """d bce / d p; zero where the clamp is active (the loss is flat there)."""
-    pf = float(p)
-    if pf <= BCE_CLAMP or pf >= 1.0 - BCE_CLAMP:
-        return 0.0
-    return float(-float(y) / pf + (1.0 - float(y)) / (1.0 - pf))
-
-
-def aux_losses(pred_pos, g_pos, pred_open, g_open):
-    """(position term, openness term) for the sub-goal auxiliary heads."""
-    return noise_l1(pred_pos, g_pos), bce(pred_open, g_open)
+def bce_logit_grad(p, y) -> np.ndarray:
+    """d bce / d logit for p = sigmoid(logit): (p - y) / count inside the
+    clamp, 0 where the clamp is active (the loss is flat there)."""
+    p = np.asarray(p, dtype=float)
+    inside = (p > BCE_CLAMP) & (p < 1.0 - BCE_CLAMP)
+    return np.where(inside, p - np.asarray(y, dtype=float), 0.0) / p.size
 
 
 @dataclass
@@ -131,8 +134,9 @@ def contrastive_grad(batch: ContrastiveBatch):
 def total_loss(l_open, l_pos, l_rot, l_aux_pos, l_aux_open, l_con,
                weights: LossWeights = DEFAULT_LOSS_WEIGHTS) -> float:
     """Weighted objective; the openness terms carry unit weight."""
-    terms = (l_open, l_pos, l_rot, l_aux_pos, l_aux_open, l_con)
-    if not all(np.isfinite(v) for v in terms):
-        raise ValueError(f"non-finite loss term in {terms}")
-    return float(l_open + weights.w_pos * l_pos + weights.w_rot * l_rot
+    loss = float(l_open + weights.w_pos * l_pos + weights.w_rot * l_rot
                  + weights.w_aux_pos * l_aux_pos + l_aux_open + weights.w_con * l_con)
+    if not np.isfinite(loss):
+        terms = (l_open, l_pos, l_rot, l_aux_pos, l_aux_open, l_con)
+        raise NonFiniteLoss(f"non-finite loss {loss} from terms {terms}")
+    return loss

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffusion import PoseNoiseState
-
 POINT_DIM = 5
 ENC_H1 = 64
 ENC_H2 = 128
@@ -46,15 +44,6 @@ class Conditioning:
             got = getattr(self, name).shape
             if got != (want,):
                 raise ValueError(f"{name} must have shape ({want},), got {got}")
-
-
-@dataclass
-class DenoiserOut:
-    eps_pos: np.ndarray
-    eps_rot: np.ndarray
-    open: float
-    aux_pos: np.ndarray
-    aux_open: float
 
 
 def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:
@@ -266,12 +255,3 @@ def denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_ro
     d_in_a = d_a_h1 @ den.a_w1.T
     return d_in_a[:, IN_B:]
 
-
-def denoiser_forward(state: PoseNoiseState, cond: Conditioning, den: DenoiserParams) -> DenoiserOut:
-    """Single-sample forward pass used by the sampling loop."""
-    pose = np.concatenate([state.pos, state.rot6d])[None, :]
-    eps_pos, eps_rot, open_p, aux_pos, aux_open_p, _ = denoiser_forward_batch(
-        pose, np.array([state.step]), cond.proprio[None, :], cond.scene_feat[None, :],
-        cond.token[None, :], den)
-    return DenoiserOut(eps_pos=eps_pos[0], eps_rot=eps_rot[0], open=float(open_p[0, 0]),
-                       aux_pos=aux_pos[0], aux_open=float(aux_open_p[0, 0]))

@@ -15,7 +15,7 @@ from ..demos import Frame, TaskKind
 from ..gravmap import Workspace, generate_gravmap
 from ..sim import Command, check_success, make_world, next_subgoal, occupancy_grid, step
 from .model import ToyPolicy
-from .nets import TOKEN_DIM, Conditioning, denoiser_forward, encode_gravmap
+from .nets import TOKEN_DIM, Conditioning, denoiser_forward_batch, encode_gravmap
 
 MOVE_FRAME_CAP = 60   # straight-line frames per predicted keypose
 SETTLE_FRAMES = 3     # frames holding the target with the predicted openness
@@ -66,8 +66,11 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
     zero_token = np.zeros(TOKEN_DIM)
     token_cache: dict = {}
 
-    def denoiser(state, cond):
-        return denoiser_forward(state, cond, policy.denoiser)
+    def denoiser(x, k, cond):
+        eps_pos, eps_rot, open_p, _, _, _ = denoiser_forward_batch(
+            x[None, :], np.array([k]), cond.proprio[None, :], cond.scene_feat[None, :],
+            cond.token[None, :], policy.denoiser)
+        return np.concatenate([eps_pos[0], eps_rot[0]]), open_p[0, 0]
 
     for _ in range(max_steps):
         if check_success(world, task_kind):

@@ -14,19 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..demos import Demo, GravkitError, SubGoal
-from ..diffusion import NoiseSchedule
+from ..diffusion import add_noise
 from ..gravmap import generate_gravmap
 from ..keypose import KeyposeParams, distill_demo
-from ..losses import (ContrastiveBatch, DEFAULT_LOSS_WEIGHTS, BCE_CLAMP, LossWeights,
-                      contrastive, contrastive_grad, total_loss)
+from ..losses import (ContrastiveBatch, DEFAULT_LOSS_WEIGHTS, LossWeights, NonFiniteLoss, bce,
+                      bce_logit_grad, contrastive, contrastive_grad, noise_l1, noise_l1_grad,
+                      total_loss)
 from .model import ToyPolicy
 from .nets import denoiser_backward, denoiser_forward_batch, encoder_backward, encoder_forward, zeros_like_params
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
 
 
 class TrainingDiverged(GravkitError):
-    def __init__(self, iteration, loss):
-        super().__init__(f"non-finite loss {loss} at iteration {iteration}")
+    def __init__(self, iteration, detail):
+        super().__init__(f"training diverged at iteration {iteration}: {detail}")
         self.iteration = iteration
 
 
@@ -147,11 +148,6 @@ def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> list[np.ndarr
     return pool
 
 
-def _forward_noise(x0, k, eps, sched: NoiseSchedule):
-    ab = np.array([sched.abar(int(kk)) for kk in k])[:, None]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
 def compute_gradients(examples, contrast_maps, policy: ToyPolicy,
                       weights: LossWeights = DEFAULT_LOSS_WEIGHTS,
                       temperature: float = 0.1):
@@ -176,8 +172,8 @@ def compute_gradients(examples, contrast_maps, policy: ToyPolicy,
     eps = np.stack([ex.eps for ex in examples])
     x0_pos = np.stack([ex.x0_pos for ex in examples])
     x0_rot = np.stack([ex.x0_rot for ex in examples])
-    xk_pos = _forward_noise(x0_pos, k, eps[:, :3], sched_pos)
-    xk_rot = _forward_noise(x0_rot, k, eps[:, 3:], sched_rot)
+    xk_pos = add_noise(x0_pos, k, eps[:, :3], sched_pos)
+    xk_rot = add_noise(x0_rot, k, eps[:, 3:], sched_rot)
     pose = np.concatenate([xk_pos, xk_rot], axis=1)
     proprio = np.stack([ex.proprio for ex in examples])
     scene = np.stack([ex.scene for ex in examples])
@@ -188,17 +184,12 @@ def compute_gradients(examples, contrast_maps, policy: ToyPolicy,
     eps_pos_hat, eps_rot_hat, open_p, aux_pos_hat, auxo_p, den_cache = denoiser_forward_batch(
         pose, k, proprio, scene, tokens[:b], den)
 
-    d_pos = eps_pos_hat - eps[:, :3]
-    d_rot = eps_rot_hat - eps[:, 3:]
-    d_aux = aux_pos_hat - aux_pos_t
-    l_pos = float(np.mean(np.abs(d_pos)))
-    l_rot = float(np.mean(np.abs(d_rot)))
-    l_aux_pos = float(np.mean(np.abs(d_aux)))
-
-    open_c = np.clip(open_p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    auxo_c = np.clip(auxo_p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    l_open = float(np.mean(-(y_open * np.log(open_c) + (1 - y_open) * np.log(1 - open_c))))
-    l_auxo = float(np.mean(-(y_auxo * np.log(auxo_c) + (1 - y_auxo) * np.log(1 - auxo_c))))
+    eps_pos, eps_rot = eps[:, :3], eps[:, 3:]
+    l_pos = noise_l1(eps_pos_hat, eps_pos)
+    l_rot = noise_l1(eps_rot_hat, eps_rot)
+    l_aux_pos = noise_l1(aux_pos_hat, aux_pos_t)
+    l_open = bce(open_p, y_open)
+    l_auxo = bce(auxo_p, y_auxo)
 
     cbatch = ContrastiveBatch(features=features, positives=features, temperature=temperature)
     l_con = contrastive(cbatch)
@@ -208,14 +199,11 @@ def compute_gradients(examples, contrast_maps, policy: ToyPolicy,
              "aux_pos": l_aux_pos, "aux_open": l_auxo, "con": l_con}
 
     grads = zeros_like_params(enc, den)
-    d_eps_pos = weights.w_pos * np.sign(d_pos) / (3 * b)
-    d_eps_rot = weights.w_rot * np.sign(d_rot) / (6 * b)
-    d_aux_pos = weights.w_aux_pos * np.sign(d_aux) / (3 * b)
-    # d loss / d logit = p - y inside the clamp, 0 where the clamp is active
-    in_open = (open_p > BCE_CLAMP) & (open_p < 1.0 - BCE_CLAMP)
-    in_auxo = (auxo_p > BCE_CLAMP) & (auxo_p < 1.0 - BCE_CLAMP)
-    d_open_logit = np.where(in_open, open_p - y_open, 0.0) / b
-    d_auxo_logit = np.where(in_auxo, auxo_p - y_auxo, 0.0) / b
+    d_eps_pos = noise_l1_grad(eps_pos_hat, eps_pos, weights.w_pos)
+    d_eps_rot = noise_l1_grad(eps_rot_hat, eps_rot, weights.w_rot)
+    d_aux_pos = noise_l1_grad(aux_pos_hat, aux_pos_t, weights.w_aux_pos)
+    d_open_logit = bce_logit_grad(open_p, y_open)
+    d_auxo_logit = bce_logit_grad(auxo_p, y_auxo)
 
     d_tokens = np.zeros_like(tokens)
     d_tokens[:b] = denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit,
@@ -283,10 +271,11 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
                                             rng=rng, feature_noise=config.feature_noise)
             for i, v, kk, e in zip(idx, variants, ks, eps)
         ]
-        grads, loss, _ = compute_gradients(examples, [pool[j] for j in neg], policy,
-                                           config.weights, config.temperature)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(it, loss)
+        try:
+            grads, loss, _ = compute_gradients(examples, [pool[j] for j in neg], policy,
+                                               config.weights, config.temperature)
+        except NonFiniteLoss as exc:
+            raise TrainingDiverged(it, exc) from exc
         opt.step(params, grads)
         curve[it] = loss
     policy.quantize()

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from gravkit.demos import SubGoal, TaskKind
-from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, NoiseSample, PoseNoiseState,
-                               add_noise, denoise_step, make_schedule, matrix_to_rot6d,
-                               rot6d_to_matrix, sample)
+from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, add_noise, denoise_step,
+                               make_schedule, matrix_to_rot6d, rot6d_to_matrix, sample)
 from gravkit.gravmap import GravMapParams, Workspace, farthest_point_sampling, generate_gravmap
 from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
-from gravkit.losses import (ContrastiveBatch, LossWeights, bce, bce_grad, contrastive,
+from gravkit.losses import (ContrastiveBatch, LossWeights, bce, bce_logit_grad, contrastive,
                             contrastive_grad, noise_l1, noise_l1_grad, total_loss)
-from gravkit.policy import (Conditioning, ToyPolicy, TrainConfig, denoiser_forward,
-                            evaluate, load_policy, save_policy, train)
-from gravkit.policy.nets import TOKEN_DIM
+from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, evaluate,
+                            load_policy, save_policy, train)
+from gravkit.policy.nets import TOKEN_DIM, sigmoid
 from gravkit.sim import SceneObject, World, occupancy_grid, scripted_expert, scripted_long_demo
 
 from oracles import fps_oracle, subgoal_oracle
@@ -112,13 +111,11 @@ def test_criterion_4_diffusion_identities():
     for kind in (SCALED_LINEAR, SQUARED_COS):
         sched = make_schedule(kind, 1)
         for _ in range(25):
-            x0 = rng.standard_normal(3)
-            eps = rng.standard_normal(3)
+            x0 = rng.standard_normal(9)
+            eps = rng.standard_normal(9)
             x1 = add_noise(x0, 1, eps, sched)
-            state = PoseNoiseState(pos=x1, rot6d=np.zeros(6), step=1)
-            out = denoise_step(state, NoiseSample(eps, np.zeros(6)), sched, sched,
-                               stochastic=False)
-            worst = max(worst, float(np.abs(out.pos - x0).max()))
+            out = denoise_step(x1, 1, eps, sched, sched, stochastic=False)
+            worst = max(worst, float(np.abs(out - x0).max()))
     assert worst <= 1e-12
 
     for kind in (SCALED_LINEAR, SQUARED_COS):
@@ -158,19 +155,26 @@ def test_criterion_6_loss_correctness():
     rng = np.random.default_rng(3)
     h = 1e-5
 
-    for _ in range(100):  # noise term (covers position and rotation forms)
-        pred, target = rng.standard_normal(6), rng.standard_normal(6)
-        g = noise_l1_grad(pred, target)
-        i = int(rng.integers(6))
-        bump = np.zeros(6)
+    w = LossWeights()
+    for it in range(100):  # noise term, on training's (B, 3) position and (B, 6) rotation rows
+        shape, weight = ((8, 3), w.w_pos) if it % 2 else ((8, 6), w.w_rot)
+        pred, target = rng.standard_normal(shape), rng.standard_normal(shape)
+        g = noise_l1_grad(pred, target, weight)
+        i = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
+        bump = np.zeros(shape)
         bump[i] = h
-        fd = (noise_l1(pred + bump, target) - noise_l1(pred - bump, target)) / (2 * h)
+        fd = weight * (noise_l1(pred + bump, target) - noise_l1(pred - bump, target)) / (2 * h)
         assert _rel_err(g[i], fd) <= 1e-4
 
-    for _ in range(100):  # openness term (covers both BCE heads)
-        p, y = float(rng.uniform(0.02, 0.98)), int(rng.integers(2))
-        fd = (bce(p + h, y) - bce(p - h, y)) / (2 * h)
-        assert _rel_err(bce_grad(p, y), fd) <= 1e-4
+    for _ in range(100):  # openness term (covers both BCE heads), w.r.t. the logit
+        p = rng.uniform(0.02, 0.98, (8, 1))
+        y = rng.integers(2, size=(8, 1)).astype(float)
+        logit = np.log(p / (1.0 - p))
+        i = int(rng.integers(8))
+        bump = np.zeros((8, 1))
+        bump[i] = h
+        fd = (bce(sigmoid(logit + bump), y) - bce(sigmoid(logit - bump), y)) / (2 * h)
+        assert _rel_err(bce_logit_grad(sigmoid(logit), y)[i, 0], fd) <= 1e-4
 
     for _ in range(10):  # contrastive term, 10 coordinates per random batch
         f = rng.standard_normal((4, 5))
@@ -193,7 +197,6 @@ def test_criterion_6_loss_correctness():
                                            temperature=0.1))
         assert abs(val - np.log(n)) <= 1e-9
 
-    w = LossWeights()
     base = rng.random(6)
     t0 = total_loss(*base, w)
     for i, coeff in enumerate((1.0, 30.0, 10.0, 30.0, 1.0, 10.0)):
@@ -208,19 +211,21 @@ def test_criterion_6_loss_correctness():
 def test_criterion_7_conditioning_contract():
     policy = ToyPolicy.init(seed=0)
     rng = np.random.default_rng(1)
-    state = PoseNoiseState(pos=rng.standard_normal(3), rot6d=rng.standard_normal(6), step=60)
-    base = Conditioning(proprio=rng.standard_normal(8), scene_feat=rng.standard_normal(16),
-                        token=rng.standard_normal(TOKEN_DIM))
-    ref = denoiser_forward(state, base, policy.denoiser)
+    pose = rng.standard_normal((1, 9))
+    proprio, scene = rng.standard_normal((1, 8)), rng.standard_normal((1, 16))
+
+    def one_row(token):  # B = 1, as the sampling loop calls it
+        return denoiser_forward_batch(pose, np.array([60]), proprio, scene, token[None, :],
+                                      policy.denoiser)
+
+    ref = one_row(rng.standard_normal(TOKEN_DIM))
     for _ in range(20):
-        alt = Conditioning(proprio=base.proprio, scene_feat=base.scene_feat,
-                           token=rng.standard_normal(TOKEN_DIM))
-        out = denoiser_forward(state, alt, policy.denoiser)
-        assert np.array_equal(ref.eps_rot, out.eps_rot)  # bit-identical
-        assert np.any(ref.eps_pos != out.eps_pos)
-        assert ref.open != out.open
-        assert np.any(ref.aux_pos != out.aux_pos)
-        assert ref.aux_open != out.aux_open
+        eps_pos, eps_rot, open_p, aux_pos, aux_open, _ = one_row(rng.standard_normal(TOKEN_DIM))
+        assert np.array_equal(ref[1], eps_rot)  # bit-identical
+        assert np.any(ref[0] != eps_pos)
+        assert np.all(ref[2] != open_p)
+        assert np.any(ref[3] != aux_pos)
+        assert np.all(ref[4] != aux_open)
     report(7, True, "token perturbations leave rotation noise bit-identical while "
                     "position/openness/auxiliary outputs all move")
 

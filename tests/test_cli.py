@@ -199,3 +199,9 @@ class TestTrainEval:
             assert key in rec
         assert rec["episodes"] == 2
         assert 0.0 <= rec["guided"] <= 1.0 and 0.0 <= rec["unguided"] <= 1.0
+
+    def test_diverging_training_exit_2(self, tiny_demos, tmp_path):
+        res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "5",
+                      "--seed", "9", "--lr", "1e300", "--episodes", "1")
+        assert res.returncode == 2, res.stderr
+        assert "training diverged at iteration" in res.stderr

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, DegenerateRotation, InvalidRange,
-                               NoiseSample, NotARotation, PoseNoiseState, StepOutOfRange,
-                               add_noise, denoise_step, make_schedule, matrix_to_rot6d,
-                               posterior_sigma, rot6d_to_matrix, sample)
+                               NotARotation, StepOutOfRange, add_noise, denoise_step,
+                               make_schedule, matrix_to_rot6d, posterior_sigma,
+                               rot6d_to_matrix, sample)
 
 
 def random_rotation(rng):
@@ -82,42 +82,47 @@ class TestAddNoise:
                        for _ in range(10_000)])
         assert xs.var() == pytest.approx(1 - sched.abar(k), rel=0.05)
 
+    def test_step_array_noises_each_row_at_its_step(self, rng):
+        # training's call: a (B,) step array against (B, d) rows
+        sched = make_schedule(SQUARED_COS, 100)
+        k = np.array([0, 1, 37, 100])
+        x0, eps = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        rows = np.stack([add_noise(x0[i], int(k[i]), eps[i], sched) for i in range(4)])
+        np.testing.assert_array_equal(add_noise(x0, k, eps, sched), rows)
+        np.testing.assert_array_equal(rows[0], x0[0])
+
     def test_out_of_range_step(self):
         sched = make_schedule(SCALED_LINEAR, 10)
         with pytest.raises(StepOutOfRange):
             add_noise(np.zeros(3), 11, np.zeros(3), sched)
+        with pytest.raises(StepOutOfRange):
+            add_noise(np.zeros((2, 3)), np.array([3, -1]), np.zeros((2, 3)), sched)
 
 
 class TestDenoiseStep:
     def test_one_step_inversion_exact(self, rng):
         sp = make_schedule(SCALED_LINEAR, 1)
         sr = make_schedule(SQUARED_COS, 1)
-        x0_pos, x0_rot = rng.standard_normal(3), rng.standard_normal(6)
-        eps = NoiseSample(eps_pos=rng.standard_normal(3), eps_rot=rng.standard_normal(6))
-        state = PoseNoiseState(pos=add_noise(x0_pos, 1, eps.eps_pos, sp),
-                               rot6d=add_noise(x0_rot, 1, eps.eps_rot, sr), step=1)
-        out = denoise_step(state, eps, sp, sr, stochastic=False)
-        np.testing.assert_allclose(out.pos, x0_pos, atol=1e-12)
-        np.testing.assert_allclose(out.rot6d, x0_rot, atol=1e-12)
-        assert out.step == 0
+        x0, eps = rng.standard_normal(9), rng.standard_normal(9)
+        x1 = np.concatenate([add_noise(x0[:3], 1, eps[:3], sp), add_noise(x0[3:], 1, eps[3:], sr)])
+        out = denoise_step(x1, 1, eps, sp, sr, stochastic=False)
+        np.testing.assert_allclose(out[:3], x0[:3], atol=1e-12)
+        np.testing.assert_allclose(out[3:], x0[3:], atol=1e-12)
 
     def test_zero_eps_divides_by_sqrt_alpha(self, rng):
         sp = make_schedule(SCALED_LINEAR, 100)
         sr = make_schedule(SQUARED_COS, 100)
-        x = rng.standard_normal(3)
-        state = PoseNoiseState(pos=x, rot6d=np.zeros(6), step=42)
-        out = denoise_step(state, NoiseSample(np.zeros(3), np.zeros(6)), sp, sr, stochastic=False)
-        np.testing.assert_allclose(out.pos, x / np.sqrt(sp.alpha[41]), atol=1e-12)
+        x = np.concatenate([rng.standard_normal(3), np.zeros(6)])
+        out = denoise_step(x, 42, np.zeros(9), sp, sr, stochastic=False)
+        np.testing.assert_allclose(out[:3], x[:3] / np.sqrt(sp.alpha[41]), atol=1e-12)
 
     def test_final_step_adds_no_noise(self, rng):
         sp = make_schedule(SCALED_LINEAR, 100)
         sr = make_schedule(SQUARED_COS, 100)
-        state = PoseNoiseState(pos=rng.standard_normal(3), rot6d=rng.standard_normal(6), step=1)
-        eps = NoiseSample(rng.standard_normal(3), rng.standard_normal(6))
-        a = denoise_step(state, eps, sp, sr, stochastic=True, rng=np.random.default_rng(0))
-        b = denoise_step(state, eps, sp, sr, stochastic=False)
-        np.testing.assert_array_equal(a.pos, b.pos)
-        np.testing.assert_array_equal(a.rot6d, b.rot6d)
+        x, eps = rng.standard_normal(9), rng.standard_normal(9)
+        a = denoise_step(x, 1, eps, sp, sr, stochastic=True, rng=np.random.default_rng(0))
+        b = denoise_step(x, 1, eps, sp, sr, stochastic=False)
+        np.testing.assert_array_equal(a, b)
 
     def test_posterior_sigma_formula(self):
         sched = make_schedule(SCALED_LINEAR, 100)
@@ -127,20 +132,13 @@ class TestDenoiseStep:
 
     def test_step_out_of_range(self):
         sp = make_schedule(SCALED_LINEAR, 10)
-        state = PoseNoiseState(pos=np.zeros(3), rot6d=np.zeros(6), step=11)
         with pytest.raises(StepOutOfRange):
-            denoise_step(state, NoiseSample(np.zeros(3), np.zeros(6)), sp, sp, stochastic=False)
+            denoise_step(np.zeros(9), 11, np.zeros(9), sp, sp, stochastic=False)
 
 
 class _ZeroDenoiser:
-    def __call__(self, state, cond):
-        class Out:
-            eps_pos = np.zeros(3)
-            eps_rot = np.zeros(6)
-            open = 0.9
-            aux_pos = np.zeros(3)
-            aux_open = 0.5
-        return Out()
+    def __call__(self, x, k, cond):
+        return np.zeros(9), 0.9
 
 
 class TestSample:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gravkit.losses import (ContrastiveBatch, DimMismatch, LossWeights, aux_losses, bce,
-                            bce_grad, contrastive, contrastive_grad, noise_l1,
+from gravkit.losses import (ContrastiveBatch, DimMismatch, LossWeights, NonFiniteLoss, bce,
+                            bce_logit_grad, contrastive, contrastive_grad, noise_l1,
                             noise_l1_grad, total_loss)
+from gravkit.policy.nets import sigmoid
 
 
 def central_diff(f, x, h=1e-5):
@@ -39,11 +40,14 @@ class TestNoiseL1:
             noise_l1(np.zeros(3), np.zeros(4))
 
     def test_gradient_matches_fd(self, rng):
-        for _ in range(100):
-            pred = rng.standard_normal(5)
-            target = rng.standard_normal(5)
-            analytic = noise_l1_grad(pred, target)
-            numeric = central_diff(lambda p: noise_l1(p, target), pred.copy())
+        # training's shapes: a batch of 8 position (3) or rotation (6) rows,
+        # with the loss weight applied inside the gradient
+        for i in range(100):
+            shape = (8, 3 if i % 2 else 6)
+            pred = rng.standard_normal(shape)
+            target = rng.standard_normal(shape)
+            analytic = noise_l1_grad(pred, target, 30.0)
+            numeric = central_diff(lambda p: 30.0 * noise_l1(p, target), pred.copy())
             assert_grad_close(analytic, numeric)
 
     def test_subgradient_zero_at_kink(self):
@@ -65,25 +69,25 @@ class TestBce:
         assert bce(0.0, 1) == pytest.approx(16.118, abs=1e-3)
         assert np.isfinite(bce(1.0, 0))
 
+    def test_batch_is_mean_of_rows(self, rng):
+        p = rng.uniform(0.01, 0.99, (8, 1))
+        y = rng.integers(2, size=(8, 1)).astype(float)
+        rows = [bce(p[i, 0], y[i, 0]) for i in range(8)]
+        assert bce(p, y) == pytest.approx(np.mean(rows), rel=1e-12)
+
     def test_gradient_matches_fd(self, rng):
+        # w.r.t. the openness logit, the quantity training backpropagates
         for _ in range(100):
-            p = rng.uniform(0.01, 0.99)
-            y = int(rng.integers(2))
-            numeric = (bce(p + 1e-6, y) - bce(p - 1e-6, y)) / 2e-6
-            assert bce_grad(p, y) == pytest.approx(numeric, rel=1e-4)
+            p = rng.uniform(0.01, 0.99, (8, 1))
+            y = rng.integers(2, size=(8, 1)).astype(float)
+            logit = np.log(p / (1.0 - p))
+            numeric = central_diff(lambda z: bce(sigmoid(z), y), logit.copy(), h=1e-6)
+            assert_grad_close(bce_logit_grad(sigmoid(logit), y), numeric)
 
-
-class TestAux:
-    def test_exact_predictions(self, rng):
-        pos = rng.standard_normal(3)
-        l_pos, l_open = aux_losses(pos, pos, 1.0 - 1e-9, 1)
-        assert l_pos == 0.0 and l_open < 1e-6
-
-    def test_composition_semantics(self, rng):
-        pred, target = rng.standard_normal(3), rng.standard_normal(3)
-        l_pos, l_open = aux_losses(pred, target, 0.3, 1)
-        assert l_pos == noise_l1(pred, target)
-        assert l_open == bce(0.3, 1)
+    def test_gradient_zero_where_clamped(self):
+        p = np.array([[0.0], [1e-9], [0.5], [1.0 - 1e-9], [1.0]])
+        y = np.array([[1.0], [1.0], [1.0], [0.0], [0.0]])
+        np.testing.assert_array_equal(bce_logit_grad(p, y), [[0.0], [0.0], [-0.1], [0.0], [0.0]])
 
 
 class TestContrastive:
@@ -159,3 +163,7 @@ class TestTotalLoss:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             total_loss(np.nan, 0, 0, 0, 0, 0)
+
+    def test_rejects_overflowing_sum(self):
+        with pytest.raises(NonFiniteLoss):
+            total_loss(0, 1e308, 0, 0, 0, 0)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from gravkit.demos import TaskKind
-from gravkit.diffusion import PoseNoiseState
-from gravkit.policy import (Conditioning, ToyPolicy, TrainConfig, TrainingExample,
-                            compute_gradients, denoiser_forward, encode_gravmap,
+from gravkit.policy import (ToyPolicy, TrainConfig, TrainingDiverged, TrainingExample,
+                            compute_gradients, denoiser_forward_batch, encode_gravmap,
                             load_policy, save_policy, train)
 from gravkit.policy.nets import IN_A, IN_B, TOKEN_DIM, step_embedding
 from gravkit.policy.train import build_negative_pool, build_transitions
@@ -31,9 +30,10 @@ def tiny_setup(policy):
     return examples, pool[:3]
 
 
-def random_cond(rng, token=None):
-    return Conditioning(proprio=rng.standard_normal(8), scene_feat=rng.standard_normal(16),
-                        token=rng.standard_normal(TOKEN_DIM) if token is None else token)
+def one_row(pose, step, proprio, scene, token, den):
+    """The denoiser on a single (B = 1) row, as the sampling loop runs it."""
+    return denoiser_forward_batch(pose[None, :], np.array([step]), proprio[None, :],
+                                  scene[None, :], token[None, :], den)[:5]
 
 
 class TestEncoder:
@@ -56,32 +56,29 @@ class TestEncoder:
 
 class TestDenoiser:
     def test_output_shapes(self, policy, rng):
-        state = PoseNoiseState(pos=rng.standard_normal(3), rot6d=rng.standard_normal(6), step=17)
-        out = denoiser_forward(state, random_cond(rng), policy.denoiser)
-        assert out.eps_pos.shape == (3,)
-        assert out.eps_rot.shape == (6,)
-        assert out.aux_pos.shape == (3,)
-        assert np.isscalar(out.open) and np.isscalar(out.aux_open)
-        assert 0.0 < out.open < 1.0 and 0.0 < out.aux_open < 1.0
+        eps_pos, eps_rot, open_p, aux_pos, aux_open = one_row(
+            rng.standard_normal(9), 17, rng.standard_normal(8), rng.standard_normal(16),
+            rng.standard_normal(TOKEN_DIM), policy.denoiser)
+        assert eps_pos.shape == (1, 3)
+        assert eps_rot.shape == (1, 6)
+        assert aux_pos.shape == (1, 3)
+        assert open_p.shape == (1, 1) and aux_open.shape == (1, 1)
+        assert 0.0 < open_p[0, 0] < 1.0 and 0.0 < aux_open[0, 0] < 1.0
 
     def test_rot_head_ignores_token_bit_identical(self, policy, rng):
-        state = PoseNoiseState(pos=rng.standard_normal(3), rot6d=rng.standard_normal(6), step=50)
-        base = random_cond(rng)
-        out1 = denoiser_forward(state, base, policy.denoiser)
+        pose, proprio, scene = rng.standard_normal(9), rng.standard_normal(8), rng.standard_normal(16)
+        out1 = one_row(pose, 50, proprio, scene, rng.standard_normal(TOKEN_DIM), policy.denoiser)
         for _ in range(5):
-            alt = Conditioning(proprio=base.proprio, scene_feat=base.scene_feat,
-                               token=rng.standard_normal(TOKEN_DIM) * 10)
-            out2 = denoiser_forward(state, alt, policy.denoiser)
-            np.testing.assert_array_equal(out1.eps_rot, out2.eps_rot)
-            assert np.any(out1.eps_pos != out2.eps_pos)
+            out2 = one_row(pose, 50, proprio, scene, rng.standard_normal(TOKEN_DIM) * 10,
+                           policy.denoiser)
+            np.testing.assert_array_equal(out1[1], out2[1])
+            assert np.any(out1[0] != out2[0])
 
     def test_finite_on_large_inputs(self, policy):
         rng = np.random.default_rng(0)
-        state = PoseNoiseState(pos=rng.uniform(-10, 10, 3), rot6d=rng.uniform(-10, 10, 6), step=99)
-        cond = Conditioning(proprio=rng.uniform(-10, 10, 8), scene_feat=rng.uniform(-10, 10, 16),
-                            token=rng.uniform(-10, 10, TOKEN_DIM))
-        out = denoiser_forward(state, cond, policy.denoiser)
-        for v in (out.eps_pos, out.eps_rot, out.aux_pos, out.open, out.aux_open):
+        out = one_row(rng.uniform(-10, 10, 9), 99, rng.uniform(-10, 10, 8),
+                      rng.uniform(-10, 10, 16), rng.uniform(-10, 10, TOKEN_DIM), policy.denoiser)
+        for v in out:
             assert np.all(np.isfinite(v))
 
     def test_trunk_input_widths(self):
@@ -161,6 +158,13 @@ class TestTraining:
     def test_loss_decreases(self, demo_set):
         _, curve = train(TrainConfig(iters=400, seed=2, pool_size=8), demo_set)
         assert curve[-50:].mean() < curve[:50].mean()
+
+    def test_non_finite_loss_raises_training_diverged(self, demo_set):
+        policy = ToyPolicy.init(seed=0)
+        policy.denoiser.pos_b[:] = np.inf
+        with pytest.raises(TrainingDiverged) as info:
+            train(TrainConfig(iters=5, seed=0, pool_size=8), demo_set, policy)
+        assert info.value.iteration == 0
 
     def test_save_load_round_trip(self, demo_set, tmp_path):
         policy, _ = train(TrainConfig(iters=30, seed=4, pool_size=8), demo_set)
