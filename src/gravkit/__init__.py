@@ -2,8 +2,8 @@
 value-map-guided diffusion pose sampling, verified on a toy 3D manipulation
 simulator."""
 
-from . import cli, demos, diffusion, gravmap, keypose, losses, policy, sim
+from . import demos, diffusion, gravmap, keypose, losses, policy, sim
 
 __version__ = "0.1.0"
 
-__all__ = ["cli", "demos", "diffusion", "gravmap", "keypose", "losses", "policy", "sim", "__version__"]
+__all__ = ["demos", "diffusion", "gravmap", "keypose", "losses", "policy", "sim", "__version__"]

@@ -28,6 +28,10 @@ class EmptyInput(GravkitError):
     pass
 
 
+class CorruptFile(GravkitError):
+    """A binary file is truncated, padded or not in the format it claims."""
+
+
 class SchemaViolation(GravkitError):
     """A record is structurally wrong or breaks a demo invariant."""
 

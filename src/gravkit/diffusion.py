@@ -136,12 +136,12 @@ def denoise_step(x, k: int, eps_hat, sched_pos: NoiseSchedule, sched_rot: NoiseS
     return x
 
 
-def sample(denoiser, conditioning, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
+def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
            seed=None, stochastic: bool = True):
     """Run the full reverse chain and return (Pose, openness).
 
-    `denoiser` is called as denoiser(x, k, conditioning) with the noisy pose
-    vector x (9,), 3 position then 6 rotation channels, at step k, and must
+    `denoiser` is called as denoiser(x, k) with the noisy pose vector x (9,),
+    3 position then 6 rotation channels, at step k, and must
     return (eps_hat, open_prob): the predicted noise (9,) and the openness
     probability. The chain starts from standard normal noise at step K, the
     openness is read from the final (k = 1) prediction and thresholded at
@@ -152,7 +152,7 @@ def sample(denoiser, conditioning, sched_pos: NoiseSchedule, sched_rot: NoiseSch
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(9)
     for k in range(sched_pos.steps, 0, -1):
-        eps_hat, open_prob = denoiser(x, k, conditioning)
+        eps_hat, open_prob = denoiser(x, k)
         x = denoise_step(x, k, eps_hat, sched_pos, sched_rot, stochastic=stochastic, rng=rng)
     pose = Pose(pos=x[:3], rot6d=matrix_to_rot6d(rot6d_to_matrix(x[3:])))
     return pose, int(open_prob > 0.5)

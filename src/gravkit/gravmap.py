@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .demos import GravkitError, SubGoal
+from .demos import CorruptFile, GravkitError, SubGoal
 
 log = logging.getLogger(__name__)
 
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
+GMAP_HEADER = struct.Struct("<4sII6f")   # magic, version, point count, bounds
 
 
 class DegenerateWorkspace(GravkitError):
@@ -293,26 +294,33 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
 def save_gmap(gmap: GravMap, path):
     """Canonical binary format: magic, version, point count, workspace
     bounds, then rows of (x, y, z, cost, grip) — all little-endian f32."""
-    header = struct.pack(
-        "<4sII6f", GMAP_MAGIC, GMAP_VERSION, len(gmap),
-        *gmap.workspace.min, *gmap.workspace.max,
-    )
+    header = GMAP_HEADER.pack(GMAP_MAGIC, GMAP_VERSION, len(gmap),
+                              *gmap.workspace.min, *gmap.workspace.max)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(gmap.points.astype("<f4").tobytes())
 
 
 def load_gmap(path) -> GravMap:
+    """Read a `.gmap`; a truncated, padded or corrupt file raises CorruptFile."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, version, n = struct.unpack_from("<4sII", blob, 0)
+    if len(blob) < GMAP_HEADER.size:
+        raise CorruptFile(f"{path}: {len(blob)} bytes, shorter than the {GMAP_HEADER.size}-byte header")
+    magic, version, n, *bounds = GMAP_HEADER.unpack_from(blob)
     if magic != GMAP_MAGIC:
-        raise GravkitError(f"{path}: bad magic {magic!r}")
+        raise CorruptFile(f"{path}: bad magic {magic!r}")
     if version != GMAP_VERSION:
-        raise GravkitError(f"{path}: unsupported version {version}")
-    bounds = struct.unpack_from("<6f", blob, 12)
-    pts = np.frombuffer(blob, dtype="<f4", offset=36).reshape(n, 5).astype(float)
-    return GravMap(points=pts, workspace=Workspace(bounds[:3], bounds[3:]))
+        raise CorruptFile(f"{path}: unsupported version {version}")
+    size = GMAP_HEADER.size + 20 * n   # 5 f32 per point
+    if len(blob) != size:
+        raise CorruptFile(f"{path}: {n} points take {size} bytes, the file has {len(blob)}")
+    try:
+        ws = Workspace(bounds[:3], bounds[3:])
+    except DegenerateWorkspace as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
+    pts = np.frombuffer(blob, dtype="<f4", offset=GMAP_HEADER.size).reshape(n, 5)
+    return GravMap(points=pts.astype(float), workspace=ws)
 
 
 def gmap_to_json(gmap: GravMap) -> str:

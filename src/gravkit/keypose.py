@@ -8,7 +8,7 @@ sub-goal keypose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,28 +99,14 @@ def discover_subgoal_keyposes(demo: Demo, params: KeyposeParams = DEFAULT_KEYPOS
     return picked
 
 
-@dataclass
-class GoalAssignment:
-    """keypose frame index -> sub-goal built from the action at the nearest
-    future sub-goal keypose (the keypose itself when it is one)."""
-
-    mapping: dict = field(default_factory=dict)
-
-    def __getitem__(self, keypose):
-        return self.mapping[keypose]
-
-    def items(self):
-        return self.mapping.items()
-
-
 def _subgoal_at(demo: Demo, frame_idx: int) -> SubGoal:
     fr = demo.frames[frame_idx]
     return SubGoal(g_pos=fr.pose.pos.copy(), g_open=fr.open, g_rot=fr.pose.rot6d.copy())
 
 
-def assign_goal_actions(demo: Demo, keyposes, subgoal_keyposes) -> GoalAssignment:
-    """Map every keypose to the action at the smallest sub-goal keypose index
-    greater than or equal to its own."""
+def assign_goal_actions(demo: Demo, keyposes, subgoal_keyposes) -> dict[int, SubGoal]:
+    """Map every keypose frame index to the sub-goal built from the action at
+    the smallest sub-goal keypose index greater than or equal to its own."""
     sub = sorted(subgoal_keyposes)
     if not sub or keyposes[-1] not in sub:
         raise MissingTerminalSubgoal("last keypose is not a sub-goal keypose")
@@ -130,7 +116,7 @@ def assign_goal_actions(demo: Demo, keyposes, subgoal_keyposes) -> GoalAssignmen
         while sub[j] < k:
             j += 1
         mapping[k] = _subgoal_at(demo, sub[j])
-    return GoalAssignment(mapping)
+    return mapping
 
 
 def distill_demo(demo: Demo, params: KeyposeParams = DEFAULT_KEYPOSE_PARAMS):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..demos import GravkitError
+from ..demos import CorruptFile, GravkitError
 from ..diffusion import SCALED_LINEAR, SQUARED_COS, NoiseSchedule, make_schedule
 from ..gravmap import GravMapParams, Workspace
 from .nets import DenoiserParams, EncoderParams, param_items
@@ -65,16 +65,7 @@ def save_policy(policy: ToyPolicy, path):
         "sched_pos": policy.sched_pos_kind,
         "sched_rot": policy.sched_rot_kind,
         "workspace": {"min": list(policy.workspace.min), "max": list(policy.workspace.max)},
-        "gravmap": {
-            "map_size": policy.gravmap_params.map_size,
-            "offset_range": policy.gravmap_params.offset_range,
-            "gripper_radius": policy.gravmap_params.gripper_radius,
-            "downsample": policy.gravmap_params.downsample,
-            "num_points": policy.gravmap_params.num_points,
-            "sigma_avoid": policy.gravmap_params.sigma_avoid,
-            "avoid_clear_frac": policy.gravmap_params.avoid_clear_frac,
-            "closed_value": policy.gravmap_params.closed_value,
-        },
+        "gravmap": asdict(policy.gravmap_params),
         "meta": policy.meta,
         "layers": [{"name": name, "shape": list(arr.shape)} for name, arr in policy.params()],
     }
@@ -86,10 +77,27 @@ def save_policy(policy: ToyPolicy, path):
 
 
 def load_policy(path) -> ToyPolicy:
+    """Read a checkpoint; a truncated, padded or corrupt file raises
+    CorruptFile naming it."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _policy_from_bytes(raw)
+    except KeyError as exc:
+        raise CorruptFile(f"{path}: manifest field {exc} is missing") from exc
+    except (GravkitError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
+
+
+def _policy_from_bytes(raw: bytes) -> ToyPolicy:
+    if len(raw) < 4:
+        raise GravkitError(f"{len(raw)} bytes, too short for the manifest length")
     (mlen,) = struct.unpack_from("<I", raw, 0)
+    if 4 + mlen > len(raw):
+        raise GravkitError(f"{mlen}-byte manifest runs past the end of the {len(raw)}-byte file")
     manifest = json.loads(raw[4:4 + mlen].decode("utf-8"))
+    if not isinstance(manifest, dict):
+        raise GravkitError("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise GravkitError(f"unsupported checkpoint version {manifest.get('format_version')}")
     policy = ToyPolicy.init(
@@ -101,8 +109,11 @@ def load_policy(path) -> ToyPolicy:
         sched_rot_kind=manifest["sched_rot"],
         meta=manifest.get("meta", {}),
     )
+    policy.schedules()   # an unknown schedule kind fails here, not at first use
     offset = 4 + mlen
     by_name = dict(policy.params())
+    if [layer["name"] for layer in manifest["layers"]] != list(by_name):
+        raise GravkitError("manifest layers do not match the model's")
     for layer in manifest["layers"]:
         arr = by_name[layer["name"]]
         shape = tuple(layer["shape"])

@@ -11,8 +11,6 @@ backward functions consume.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 POINT_DIM = 5
@@ -28,22 +26,6 @@ HIDDEN = 256
 
 IN_A = POSE_DIM + PROPRIO_DIM + SCENE_DIM + STEP_EMBED_DIM + TOKEN_DIM
 IN_B = POSE_DIM + PROPRIO_DIM + SCENE_DIM + STEP_EMBED_DIM
-
-
-@dataclass
-class Conditioning:
-    proprio: np.ndarray   # (8,)
-    scene_feat: np.ndarray  # (16,)
-    token: np.ndarray     # (120,)
-
-    def __post_init__(self):
-        self.proprio = np.asarray(self.proprio, dtype=float)
-        self.scene_feat = np.asarray(self.scene_feat, dtype=float)
-        self.token = np.asarray(self.token, dtype=float)
-        for name, want in (("proprio", PROPRIO_DIM), ("scene_feat", SCENE_DIM), ("token", TOKEN_DIM)):
-            got = getattr(self, name).shape
-            if got != (want,):
-                raise ValueError(f"{name} must have shape ({want},), got {got}")
 
 
 def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:

@@ -21,7 +21,8 @@ from ..losses import (ContrastiveBatch, DEFAULT_LOSS_WEIGHTS, LossWeights, NonFi
                       bce_logit_grad, contrastive, contrastive_grad, noise_l1, noise_l1_grad,
                       total_loss)
 from .model import ToyPolicy
-from .nets import denoiser_backward, denoiser_forward_batch, encoder_backward, encoder_forward, zeros_like_params
+from .nets import (PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch, encoder_backward,
+                   encoder_forward, zeros_like_params)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
 
 
@@ -56,84 +57,48 @@ class TrainConfig:
             raise ValueError("need contrast_n >= 2 and a large enough pool")
 
 
-@dataclass
-class Transition:
-    maps: list                 # map_variants arrays of (num_points, 5)
-    proprio: np.ndarray        # (8,)
-    scene: np.ndarray          # (16,)
-    x0_pos: np.ndarray         # (3,) normalized target position
-    x0_rot: np.ndarray         # (6,) target rotation encoding
-    open_target: int
-    aux_pos: np.ndarray        # (3,) normalized assigned sub-goal position
-    aux_open: int
-
-
-@dataclass
-class TrainingExample:
-    """One batch element: a (possibly feature-noised) transition view with
-    its sampled diffusion step and sampled ground-truth noise."""
-
-    map_points: np.ndarray     # (num_points, 5)
-    proprio: np.ndarray        # (8,)
-    scene: np.ndarray          # (16,)
-    x0_pos: np.ndarray
-    x0_rot: np.ndarray
-    open_target: int
-    aux_pos: np.ndarray
-    aux_open: int
-    k: int
-    eps: np.ndarray            # (9,) = 3 position + 6 rotation noise
-
-    @classmethod
-    def from_transition(cls, tr: Transition, variant: int, k: int, eps, rng=None,
-                        feature_noise: float = 0.0):
-        proprio, scene = tr.proprio, tr.scene
-        if feature_noise > 0.0 and rng is not None:
-            proprio = proprio + rng.normal(0.0, feature_noise, proprio.shape)
-            scene = scene + rng.normal(0.0, feature_noise, scene.shape)
-        return cls(map_points=tr.maps[variant], proprio=proprio, scene=scene,
-                   x0_pos=tr.x0_pos, x0_rot=tr.x0_rot, open_target=tr.open_target,
-                   aux_pos=tr.aux_pos, aux_open=tr.aux_open, k=k, eps=np.asarray(eps, float))
-
-
-def build_transitions(demos, policy: ToyPolicy, config: TrainConfig) -> list[Transition]:
+def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
     """Distill demos into training transitions with pre-synthesized maps.
+
+    Returns stacked arrays with one row per transition: maps
+    (T, map_variants, num_points, 5), proprio (T, 8), scene (T, 16),
+    targets (T, 10) = normalized target position, target rotation encoding,
+    target openness, and aux (T, 4) = normalized assigned sub-goal position,
+    sub-goal openness.
 
     Demos carry no scene geometry, so training maps use empty occupancy;
     obstacle bumps only appear in inference-time maps.
     """
     ws, gp = policy.workspace, policy.gravmap_params
     empty = np.zeros((gp.map_size,) * 3, dtype=bool)
-    out = []
+    maps, proprio, scene, targets, aux = [], [], [], [], []
     for di, demo in enumerate(demos):
         keyposes, _, assignment = distill_demo(demo, config.keypose)
-        sources = ([0] if keyposes[0] != 0 else []) + keyposes[:-1]
-        targets = keyposes if keyposes[0] != 0 else keyposes[1:]
-        prev = sources[0]
-        for pi, (src, tgt) in enumerate(zip(sources, targets)):
+        src_keys = ([0] if keyposes[0] != 0 else []) + keyposes[:-1]
+        tgt_keys = keyposes if keyposes[0] != 0 else keyposes[1:]
+        prev = src_keys[0]
+        for pi, (src, tgt) in enumerate(zip(src_keys, tgt_keys)):
             src_fr, tgt_fr = demo.frames[src], demo.frames[tgt]
             sub = assignment[tgt]
-            maps = [
+            maps.append([
                 generate_gravmap(sub, empty, current_open=src_fr.open, ws=ws, params=gp,
                                  mode="train", seed=[config.seed, di, pi, v]).points
                 for v in range(config.map_variants)
-            ]
-            out.append(Transition(
-                maps=maps,
-                proprio=proprio_vec(demo.frames[prev], src_fr, ws),
-                scene=scene_feat_from_frame(src_fr, ws),
-                x0_pos=normalize_pos(tgt_fr.pose.pos, ws),
-                x0_rot=tgt_fr.pose.rot6d.copy(),
-                open_target=tgt_fr.open,
-                aux_pos=normalize_pos(sub.g_pos, ws),
-                aux_open=sub.g_open,
-            ))
+            ])
+            proprio.append(proprio_vec(demo.frames[prev], src_fr, ws))
+            scene.append(scene_feat_from_frame(src_fr, ws))
+            targets.append(np.concatenate([normalize_pos(tgt_fr.pose.pos, ws),
+                                           tgt_fr.pose.rot6d, [tgt_fr.open]]))
+            aux.append(np.concatenate([normalize_pos(sub.g_pos, ws), [sub.g_open]]))
             prev = src
-    return out
+    if not maps:
+        raise GravkitError("no training transitions distilled from demos")
+    return tuple(np.array(a, dtype=float) for a in (maps, proprio, scene, targets, aux))
 
 
-def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> list[np.ndarray]:
-    """Random in-workspace sub-goals with random openness, inference mode."""
+def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> np.ndarray:
+    """(pool_size, num_points, 5) maps of random in-workspace sub-goals with
+    random openness, inference mode."""
     ws, gp = policy.workspace, policy.gravmap_params
     empty = np.zeros((gp.map_size,) * 3, dtype=bool)
     rng = np.random.default_rng([config.seed, 909090])
@@ -145,41 +110,35 @@ def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> list[np.ndarr
                       g_rot=np.array([1.0, 0, 0, 0, 1.0, 0]))
         pool.append(generate_gravmap(sub, empty, current_open=int(rng.integers(2)),
                                      ws=ws, params=gp, mode="infer").points)
-    return pool
+    return np.array(pool)
 
 
-def compute_gradients(examples, contrast_maps, policy: ToyPolicy,
+def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, policy: ToyPolicy,
                       weights: LossWeights = DEFAULT_LOSS_WEIGHTS,
                       temperature: float = 0.1):
     """Exact reverse-mode gradients of the full objective for one batch.
 
-    The contrastive term compares the first example's map feature against
-    the generated negatives; positives are re-encodings of the same maps, so
-    their gradient path is added to the feature path.
+    The batch is B rows of `build_transitions` arrays, with one map variant
+    per row (maps (B, num_points, 5)), diffusion steps k (B,) and ground-truth
+    noise eps (B, 9), 3 position then 6 rotation channels. The contrastive
+    term compares the first row's map feature against the generated
+    `negatives` (n, num_points, 5); positives are re-encodings of the same
+    maps, so their gradient path is added to the feature path.
 
     Returns (grads, loss, terms).
     """
     sched_pos, sched_rot = policy.schedules()
     enc, den = policy.encoder, policy.denoiser
-    b = len(examples)
+    b = len(maps)
 
-    maps = np.stack([ex.map_points for ex in examples] + list(contrast_maps))
-    tokens, enc_cache = encoder_forward(maps, enc)
-    feat_idx = np.array([0] + list(range(b, maps.shape[0])))
+    tokens, enc_cache = encoder_forward(np.concatenate([maps, negatives]), enc)
+    feat_idx = np.array([0] + list(range(b, tokens.shape[0])))
     features = tokens[feat_idx]
 
-    k = np.array([ex.k for ex in examples])
-    eps = np.stack([ex.eps for ex in examples])
-    x0_pos = np.stack([ex.x0_pos for ex in examples])
-    x0_rot = np.stack([ex.x0_rot for ex in examples])
-    xk_pos = add_noise(x0_pos, k, eps[:, :3], sched_pos)
-    xk_rot = add_noise(x0_rot, k, eps[:, 3:], sched_rot)
+    xk_pos = add_noise(targets[:, :3], k, eps[:, :3], sched_pos)
+    xk_rot = add_noise(targets[:, 3:9], k, eps[:, 3:], sched_rot)
     pose = np.concatenate([xk_pos, xk_rot], axis=1)
-    proprio = np.stack([ex.proprio for ex in examples])
-    scene = np.stack([ex.scene for ex in examples])
-    y_open = np.array([ex.open_target for ex in examples], dtype=float)[:, None]
-    y_auxo = np.array([ex.aux_open for ex in examples], dtype=float)[:, None]
-    aux_pos_t = np.stack([ex.aux_pos for ex in examples])
+    y_open, aux_pos_t, y_auxo = targets[:, 9:], aux[:, :3], aux[:, 3:]
 
     eps_pos_hat, eps_rot_hat, open_p, aux_pos_hat, auxo_p, den_cache = denoiser_forward_batch(
         pose, k, proprio, scene, tokens[:b], den)
@@ -246,13 +205,12 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
 
     Returns (policy, loss_curve). Deterministic in (config.seed, demos);
     parameters are f32-quantized at the end so checkpoints round-trip
-    bit-exactly. Raises TrainingDiverged on a non-finite loss.
+    bit-exactly. Raises TrainingDiverged on a non-finite loss or a
+    floating-point overflow or invalid operation in an iteration.
     """
     if policy is None:
         policy = ToyPolicy.init(seed=config.seed)
-    transitions = build_transitions(demos, policy, config)
-    if not transitions:
-        raise GravkitError("no training transitions distilled from demos")
+    maps, proprio, scene, targets, aux = build_transitions(demos, policy, config)
     pool = build_negative_pool(policy, config)
 
     rng = np.random.default_rng([config.seed, 1])
@@ -261,24 +219,25 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
     curve = np.empty(config.iters)
     params = list(policy.params())
     for it in range(config.iters):
-        idx = rng.integers(len(transitions), size=config.batch)
+        idx = rng.integers(len(proprio), size=config.batch)
         variants = rng.integers(config.map_variants, size=config.batch)
         ks = rng.integers(1, steps + 1, size=config.batch)
         eps = rng.standard_normal((config.batch, 9))
         neg = rng.integers(len(pool), size=config.contrast_n - 1)
-        examples = [
-            TrainingExample.from_transition(transitions[i], int(v), int(kk), e,
-                                            rng=rng, feature_noise=config.feature_noise)
-            for i, v, kk, e in zip(idx, variants, ks, eps)
-        ]
+        p_rows, s_rows = proprio[idx], scene[idx]
+        if config.feature_noise > 0.0:
+            noise = rng.normal(0.0, config.feature_noise, (config.batch, PROPRIO_DIM + SCENE_DIM))
+            p_rows, s_rows = p_rows + noise[:, :PROPRIO_DIM], s_rows + noise[:, PROPRIO_DIM:]
         try:
-            grads, loss, _ = compute_gradients(examples, [pool[j] for j in neg], policy,
-                                               config.weights, config.temperature)
-        except NonFiniteLoss as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                grads, loss, _ = compute_gradients(maps[idx, variants], p_rows, s_rows,
+                                                   targets[idx], aux[idx], ks, eps, pool[neg],
+                                                   policy, config.weights, config.temperature)
+                opt.step(params, grads)
+        except (NonFiniteLoss, FloatingPointError) as exc:
             raise TrainingDiverged(it, exc) from exc
-        opt.step(params, grads)
         curve[it] = loss
     policy.quantize()
     policy.meta = {"iters": config.iters, "seed": config.seed,
-                   "transitions": len(transitions), "final_loss": float(curve[-100:].mean())}
+                   "transitions": len(proprio), "final_loss": float(curve[-100:].mean())}
     return policy, curve

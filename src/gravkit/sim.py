@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demos import Demo, Frame, Pose, SubGoal, TaskKind
+from .demos import Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _vec
 from .gravmap import Workspace
 
 MAX_SPEED = 0.05       # m per frame
@@ -369,12 +369,39 @@ def save_scene(world: World, path):
         fh.write("\n")
 
 
+def _scene_field(rec, key: str, where: str = ""):
+    """rec[key] of a scene record; SchemaViolation names the field when it
+    is missing."""
+    if not isinstance(rec, dict) or key not in rec:
+        raise SchemaViolation(f"scene missing field '{where}{key}'")
+    return rec[key]
+
+
+def _scene_number(rec, key: str, where: str) -> float:
+    value = _scene_field(rec, key, where)
+    if not isinstance(value, (int, float)):
+        raise SchemaViolation(f"scene field '{where}{key}' must be a number")
+    return float(value)
+
+
+def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
+    return _vec(_scene_field(rec, key, where), f"scene field '{where}{key}'", 3, None)
+
+
 def load_scene(path) -> World:
+    """Read a scene file; a missing or mistyped field raises SchemaViolation
+    naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         rec = json.load(fh)
-    ws = Workspace(tuple(rec["workspace"]["min"]), tuple(rec["workspace"]["max"]))
-    objs = [SceneObject(center=o["center"], radius=o["radius"], graspable=bool(o.get("graspable", False)))
-            for o in rec["objects"]]
-    return World(workspace=ws, objects=objs,
-                 goal_center=np.asarray(rec["goal"]["center"], dtype=float),
-                 goal_tol=float(rec["goal"]["tol"]))
+    ws, goal = _scene_field(rec, "workspace"), _scene_field(rec, "goal")
+    objects = _scene_field(rec, "objects")
+    if not isinstance(objects, list):
+        raise SchemaViolation("scene field 'objects' must be an array")
+    objs = [SceneObject(center=_scene_xyz(o, "center", f"objects[{i}]."),
+                        radius=_scene_number(o, "radius", f"objects[{i}]."),
+                        graspable=bool(o.get("graspable", False)))
+            for i, o in enumerate(objects)]
+    return World(workspace=Workspace(tuple(_scene_xyz(ws, "min", "workspace.")),
+                                     tuple(_scene_xyz(ws, "max", "workspace."))),
+                 objects=objs, goal_center=_scene_xyz(goal, "center", "goal."),
+                 goal_tol=_scene_number(goal, "tol", "goal."))

@@ -123,7 +123,7 @@ def test_criterion_4_diffusion_identities():
         assert np.all(np.diff(sched.alpha_bar) < 0.0)
 
     sp, sr = make_schedule(SCALED_LINEAR, 100), make_schedule(SQUARED_COS, 100)
-    pose, _ = sample(_ZeroDenoiser(), None, sp, sr, seed=5, stochastic=False)
+    pose, _ = sample(_ZeroDenoiser(), sp, sr, seed=5, stochastic=False)
     e_k = np.random.default_rng(5).standard_normal(9)
     closed_form = e_k[:3] * np.prod(1.0 / np.sqrt(sp.alpha))
     zero_err = float(np.abs(pose.pos - closed_form).max())

@@ -27,6 +27,7 @@ class TestGenDemos:
         res = run_cli("gen-demos", "--task", "grasp_place", "--n", "20", "--seed", "7",
                       "--out", str(out))
         assert res.returncode == 0
+        assert "RuntimeWarning" not in res.stderr
         assert len(out.read_text().splitlines()) == 20
 
     def test_zero_count_is_invalid(self, tmp_path):
@@ -158,6 +159,23 @@ class TestSynth:
                        "--out", str(without)).returncode == 0
         assert with_scene.read_bytes() != without.read_bytes()
 
+    @pytest.mark.parametrize("scene, field", [
+        ({"objects": []}, "workspace"),
+        ({"workspace": {"min": [0, 0, 0], "max": [1, 1, 1]}, "objects": 5,
+          "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}, "objects"),
+        ({"workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
+          "objects": [{"center": [0.8, 0.8, 0.8], "radius": "big"}],
+          "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}, "objects[0].radius"),
+    ])
+    def test_malformed_scene_exit_1(self, tmp_path, scene, field):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        res = run_cli("synth", "--subgoal", "0.2,0.2,0.2,1", "--scene", str(path),
+                      "--out", str(tmp_path / "m.gmap"))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"'{field}'" in res.stderr
+
     def test_unknown_flag_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--out",
                       str(tmp_path / "m.gmap"), "--frobnicate")
@@ -205,3 +223,4 @@ class TestTrainEval:
                       "--seed", "9", "--lr", "1e300", "--episodes", "1")
         assert res.returncode == 2, res.stderr
         assert "training diverged at iteration" in res.stderr
+        assert "RuntimeWarning" not in res.stderr

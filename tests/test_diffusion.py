@@ -137,7 +137,7 @@ class TestDenoiseStep:
 
 
 class _ZeroDenoiser:
-    def __call__(self, x, k, cond):
+    def __call__(self, x, k):
         return np.zeros(9), 0.9
 
 
@@ -145,7 +145,7 @@ class TestSample:
     def test_zero_denoiser_closed_form(self):
         sp = make_schedule(SCALED_LINEAR, 100)
         sr = make_schedule(SQUARED_COS, 100)
-        pose, open_state = sample(_ZeroDenoiser(), None, sp, sr, seed=7, stochastic=False)
+        pose, open_state = sample(_ZeroDenoiser(), sp, sr, seed=7, stochastic=False)
         e_k = np.random.default_rng(7).standard_normal(9)
         scale_pos = np.prod(1.0 / np.sqrt(sp.alpha))
         scale_rot = np.prod(1.0 / np.sqrt(sr.alpha))
@@ -159,8 +159,8 @@ class TestSample:
     def test_identical_seeds_identical_outputs(self):
         sp = make_schedule(SCALED_LINEAR, 50)
         sr = make_schedule(SQUARED_COS, 50)
-        a = sample(_ZeroDenoiser(), None, sp, sr, seed=3, stochastic=True)
-        b = sample(_ZeroDenoiser(), None, sp, sr, seed=3, stochastic=True)
+        a = sample(_ZeroDenoiser(), sp, sr, seed=3, stochastic=True)
+        b = sample(_ZeroDenoiser(), sp, sr, seed=3, stochastic=True)
         np.testing.assert_array_equal(a[0].pos, b[0].pos)
         np.testing.assert_array_equal(a[0].rot6d, b[0].rot6d)
         assert a[1] == b[1]
@@ -169,7 +169,7 @@ class TestSample:
         sp = make_schedule(SCALED_LINEAR, 30)
         sr = make_schedule(SQUARED_COS, 30)
         for seed in range(5):
-            pose, _ = sample(_ZeroDenoiser(), None, sp, sr, seed=seed, stochastic=True)
+            pose, _ = sample(_ZeroDenoiser(), sp, sr, seed=seed, stochastic=True)
             r = rot6d_to_matrix(pose.rot6d)
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)

@@ -13,8 +13,8 @@ import pytest
 
 from gravkit import diffusion
 from gravkit.demos import TaskKind
-from gravkit.policy import (Conditioning, ToyPolicy, TrainConfig, denoiser_forward_batch,
-                            evaluate, load_policy, train)
+from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, evaluate,
+                            load_policy, train)
 from gravkit.policy.nets import TOKEN_DIM
 from gravkit.sim import scripted_expert
 
@@ -47,16 +47,16 @@ def test_sample_with_policy_denoiser(stochastic, pose_hex):
     policy = ToyPolicy.init(seed=5)
     sp, sr = policy.schedules()
 
-    def denoiser(x, k, cond):
+    rng = np.random.default_rng(21)
+    rows = (rng.standard_normal((1, 8)), rng.standard_normal((1, 16)),
+            rng.standard_normal((1, TOKEN_DIM)))
+
+    def denoiser(x, k):
         eps_pos, eps_rot, open_p, _, _, _ = denoiser_forward_batch(
-            x[None, :], np.array([k]), cond.proprio[None, :], cond.scene_feat[None, :],
-            cond.token[None, :], policy.denoiser)
+            x[None, :], np.array([k]), *rows, policy.denoiser)
         return np.concatenate([eps_pos[0], eps_rot[0]]), open_p[0, 0]
 
-    rng = np.random.default_rng(21)
-    cond = Conditioning(proprio=rng.standard_normal(8), scene_feat=rng.standard_normal(16),
-                        token=rng.standard_normal(TOKEN_DIM))
-    pose, open_state = diffusion.sample(denoiser, cond, sp, sr, seed=13, stochastic=stochastic)
+    pose, open_state = diffusion.sample(denoiser, sp, sr, seed=13, stochastic=stochastic)
     assert (pose.pos.tobytes() + pose.rot6d.tobytes()).hex() == pose_hex
     assert open_state == 1
 

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gravkit.demos import SubGoal
-from gravkit.gravmap import (DegenerateWorkspace, GravMapParams, Workspace, augment_offset,
+from gravkit.demos import CorruptFile, SubGoal
+from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Workspace, augment_offset,
                              build_avoidance_map, build_cost_map, build_gripper_map,
                              distance_field, downsample, farthest_point_sampling,
                              gaussian_smooth, generate_gravmap, gmap_to_json, load_gmap,
@@ -294,6 +298,42 @@ class TestSerialization:
         assert blob.startswith(b"P5\n100 100\n255\n")
         img = np.frombuffer(blob.split(b"\n255\n", 1)[1], dtype=np.uint8).reshape(100, 100)
         assert divmod(int(np.argmin(img)), 100) == (ci, cj)
+
+
+@pytest.fixture(scope="module")
+def small_gmap(tmp_path_factory):
+    """An 8-point `.gmap` (196 bytes) and its bytes."""
+    path = tmp_path_factory.mktemp("gmap") / "small.gmap"
+    save_gmap(GravMap(points=np.random.default_rng(0).random((8, 5)), workspace=WS), path)
+    return path, path.read_bytes()
+
+
+class TestCorruptGmap:
+    def test_every_truncation_and_padding_named(self, small_gmap):
+        path, blob = small_gmap
+        try:
+            for bad in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0" * 4]:
+                path.write_bytes(bad)
+                with pytest.raises(CorruptFile, match=re.escape(str(path))):
+                    load_gmap(path)
+        finally:
+            path.write_bytes(blob)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte_loads_or_raises_corrupt_file(self, small_gmap, data):
+        path, blob = small_gmap
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        bad = bytearray(blob)
+        bad[pos] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(bad))
+        try:
+            with np.errstate(invalid="ignore"):   # a flipped f32 may read as a signalling NaN
+                assert len(load_gmap(path)) == 8
+        except CorruptFile:
+            pass
+        finally:
+            path.write_bytes(blob)
 
 
 def test_voxel_center_round_trip():

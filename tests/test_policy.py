@@ -1,10 +1,16 @@
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gravkit.demos import TaskKind
-from gravkit.policy import (ToyPolicy, TrainConfig, TrainingDiverged, TrainingExample,
-                            compute_gradients, denoiser_forward_batch, encode_gravmap,
-                            load_policy, save_policy, train)
+from gravkit.demos import CorruptFile, TaskKind
+from gravkit.policy import (ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
+                            denoiser_forward_batch, encode_gravmap, load_policy, save_policy,
+                            train)
 from gravkit.policy.nets import IN_A, IN_B, TOKEN_DIM, step_embedding
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
@@ -19,15 +25,15 @@ def policy():
 def tiny_setup(policy):
     demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(2)]
     config = TrainConfig(iters=10, seed=5, map_variants=1, pool_size=8)
-    transitions = build_transitions(demos, policy, config)
+    maps, proprio, scene, targets, aux = build_transitions(demos, policy, config)
     pool = build_negative_pool(policy, config)
     rng = np.random.default_rng(0)
-    examples = [
-        TrainingExample.from_transition(transitions[i % len(transitions)], 0,
-                                        int(rng.integers(1, 101)), rng.standard_normal(9))
-        for i in range(4)
-    ]
-    return examples, pool[:3]
+    draws = [(rng.integers(1, 101), rng.standard_normal(9)) for _ in range(4)]
+    k = np.array([kk for kk, _ in draws])
+    eps = np.stack([e for _, e in draws])
+    rows = np.arange(4) % len(proprio)
+    batch = (maps[rows, 0], proprio[rows], scene[rows], targets[rows], aux[rows], k, eps)
+    return batch, pool[:3]
 
 
 def one_row(pose, step, proprio, scene, token, den):
@@ -92,8 +98,8 @@ class TestDenoiser:
 
 class TestGradients:
     def test_fd_check_random_parameters(self, policy, tiny_setup):
-        examples, negs = tiny_setup
-        grads, loss, _ = compute_gradients(examples, negs, policy)
+        batch, negs = tiny_setup
+        grads, loss, _ = compute_gradients(*batch, negs, policy)
         assert np.isfinite(loss)
         params = dict(policy.params())
         rng = np.random.default_rng(99)
@@ -106,9 +112,9 @@ class TestGradients:
             idx = tuple(int(rng.integers(s)) for s in arr.shape)
             orig = arr[idx]
             arr[idx] = orig + h
-            _, hi, _ = compute_gradients(examples, negs, policy)
+            _, hi, _ = compute_gradients(*batch, negs, policy)
             arr[idx] = orig - h
-            _, lo, _ = compute_gradients(examples, negs, policy)
+            _, lo, _ = compute_gradients(*batch, negs, policy)
             arr[idx] = orig
             fd = (hi - lo) / (2 * h)
             an = grads[name][idx]
@@ -117,26 +123,20 @@ class TestGradients:
             checked += 1
 
     def test_gradients_deterministic(self, policy, tiny_setup):
-        examples, negs = tiny_setup
-        g1, l1, _ = compute_gradients(examples, negs, policy)
-        g2, l2, _ = compute_gradients(examples, negs, policy)
+        batch, negs = tiny_setup
+        g1, l1, _ = compute_gradients(*batch, negs, policy)
+        g2, l2, _ = compute_gradients(*batch, negs, policy)
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
 
     def test_rot_head_gradient_independent_of_token(self, policy, tiny_setup):
-        examples, negs = tiny_setup
-        g1, _, _ = compute_gradients(examples, negs, policy)
+        batch, negs = tiny_setup
+        g1, _, _ = compute_gradients(*batch, negs, policy)
         # change every map (hence every token); rotation-path grads must not move
-        perturbed = []
-        for ex in examples:
-            pts = ex.map_points.copy()
-            pts[:, 3] = 1.0 - pts[:, 3]
-            perturbed.append(TrainingExample(
-                map_points=pts, proprio=ex.proprio, scene=ex.scene, x0_pos=ex.x0_pos,
-                x0_rot=ex.x0_rot, open_target=ex.open_target, aux_pos=ex.aux_pos,
-                aux_open=ex.aux_open, k=ex.k, eps=ex.eps))
-        g2, _, _ = compute_gradients(perturbed, negs, policy)
+        maps = batch[0].copy()
+        maps[:, :, 3] = 1.0 - maps[:, :, 3]
+        g2, _, _ = compute_gradients(maps, *batch[1:], negs, policy)
         for name in ("den.rot_w", "den.rot_b", "den.b_w1", "den.b_b1", "den.b_w2", "den.b_b2"):
             np.testing.assert_array_equal(g1[name], g2[name])
         assert np.any(g1["den.pos_w"] != g2["den.pos_w"])
@@ -188,11 +188,64 @@ class TestTraining:
     def test_transitions_per_demo_structure(self, policy):
         demo = scripted_expert(TaskKind.TOUCH_ONLY, 0)
         cfg = TrainConfig(iters=10, seed=0, map_variants=2, pool_size=8)
-        transitions = build_transitions([demo], policy, cfg)
+        maps, proprio, scene, targets, aux = build_transitions([demo], policy, cfg)
         # frame0 -> k0 plus one per consecutive keypose pair
-        assert len(transitions) == 4
-        for tr in transitions:
-            assert len(tr.maps) == 2
-            assert tr.maps[0].shape == (1024, 5)
-            assert tr.proprio.shape == (8,) and tr.scene.shape == (16,)
-            assert np.all(np.abs(tr.x0_pos) <= 1.0)
+        assert maps.shape == (4, 2, 1024, 5)
+        assert proprio.shape == (4, 8) and scene.shape == (4, 16)
+        assert targets.shape == (4, 10) and aux.shape == (4, 4)
+        assert np.all(np.abs(targets[:, :3]) <= 1.0)
+        assert set(targets[:, 9]) <= {0.0, 1.0} and set(aux[:, 3]) <= {0.0, 1.0}
+
+
+FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A copy of the fixture checkpoint, its bytes and its header length."""
+    blob = FIXTURE_MODEL.read_bytes()
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    path.write_bytes(blob)
+    return path, blob, 4 + struct.unpack_from("<I", blob)[0]
+
+
+class TestCheckpointFile:
+    def test_save_of_loaded_fixture_is_byte_identical(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_policy(load_policy(FIXTURE_MODEL), path)
+        assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
+
+    def test_every_header_truncation_and_padding_named(self, checkpoint):
+        path, blob, header = checkpoint
+        cuts = list(range(header + 1)) + [len(blob) - 4, len(blob) - 1]
+        try:
+            for bad in [blob[:cut] for cut in cuts] + [blob + b"\0" * 4]:
+                path.write_bytes(bad)
+                with pytest.raises(CorruptFile, match=re.escape(str(path))):
+                    load_policy(path)
+        finally:
+            path.write_bytes(blob)
+
+    def test_unknown_schedule_kind_named(self, checkpoint):
+        path, blob, _ = checkpoint
+        path.write_bytes(blob.replace(b'"sched_pos":"scaled_linear"', b'"sched_pos":"scaled_lineaX"'))
+        try:
+            with pytest.raises(CorruptFile, match="unknown schedule kind 'scaled_lineaX'"):
+                load_policy(path)
+        finally:
+            path.write_bytes(blob)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flipped_header_byte_loads_or_raises_corrupt_file(self, checkpoint, data):
+        path, blob, header = checkpoint
+        pos = data.draw(st.integers(0, header - 1))
+        bad = bytearray(blob)
+        bad[pos] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(bad))
+        try:
+            assert load_policy(path).param_bytes() == blob[header:]
+        except CorruptFile:
+            pass
+        finally:
+            path.write_bytes(blob)
