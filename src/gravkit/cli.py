@@ -156,9 +156,11 @@ def cmd_synth(args) -> int:
     if args.mode == "train":
         seed = _require_seed(seed)
     sub = SubGoal(g_pos=vals[:3], g_open=int(vals[3]), g_rot=[1, 0, 0, 0, 1, 0])
-    gmap, fields = generate_gravmap(sub, occ, current_open=args.current_open, ws=ws,
-                                    params=params, mode=args.mode, seed=seed,
-                                    with_fields=True)
+    # full-resolution fields only for the --pgm slice; the map bytes are the same
+    result = generate_gravmap(sub, occ, current_open=args.current_open, ws=ws,
+                              params=params, mode=args.mode, seed=seed,
+                              with_fields=bool(args.pgm))
+    gmap = result[0] if args.pgm else result
     save_gmap(gmap, args.out)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -173,7 +175,7 @@ def cmd_synth(args) -> int:
         axis, index = "xyz".index(axis_name), int(idx)
         if not 0 <= index < params.map_size:
             raise ValueError(f"slice index {index} outside 0..{params.map_size - 1}")
-        save_field_slice_pgm(fields["cost"], axis, index, args.pgm)
+        save_field_slice_pgm(result[1]["cost"], axis, index, args.pgm)
     print(f"wrote {len(gmap)} map points to {args.out}", file=sys.stderr)
     return EXIT_OK
 

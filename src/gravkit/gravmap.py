@@ -4,10 +4,12 @@ A sub-goal (position + desired gripper openness) is turned into a sampled
 point set over the workspace: a cost channel that is low near the sub-goal
 and high far away (obstacles add a smoothed penalty bump), and a gripper
 channel that carries the desired openness near the sub-goal and the current
-openness elsewhere. The dense voxel fields are stride-downsampled and reduced
-to a fixed number of points with farthest point sampling.
+openness elsewhere. The channels are read on a fixed point set: the
+stride-downsampled voxel lattice reduced by farthest point sampling.
 
-Voxel fields are plain float ndarrays of shape (S, S, S).
+Voxel fields are plain float ndarrays of shape (S, S, S). They are built
+only when an obstacle survives clearing or the caller asks for them; without
+obstacles both channels have a closed form on the sampled points.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ GMAP_VERSION = 1
 GMAP_HEADER = struct.Struct("<4sII6f")   # magic, version, point count, bounds
 
 
-class DegenerateWorkspace(GravkitError):
+class DegenerateWorkspace(GravkitError, ValueError):
     pass
 
 
@@ -113,11 +115,17 @@ def voxel_center(idx, ws: Workspace, map_size: int):
     return np.asarray(ws.min) + (np.asarray(idx, dtype=float) + 0.5) * cell
 
 
-def distance_field(map_size: int, center) -> np.ndarray:
-    """Euclidean distance (in voxels) from every voxel to the center voxel."""
-    u, v, w = np.ogrid[:map_size, :map_size, :map_size]
+def _voxel_distance(u, v, w, center) -> np.ndarray:
+    """Euclidean distance (in voxels) from integer voxel indices u, v, w
+    (broadcastable arrays) to the center voxel. The squared sum is an exact
+    integer in float64, so every caller gets the same bits for a voxel."""
     ci, cj, ck = center
     return np.sqrt((u - ci) ** 2.0 + (v - cj) ** 2.0 + (w - ck) ** 2.0)
+
+
+def distance_field(map_size: int, center) -> np.ndarray:
+    """Euclidean distance (in voxels) from every voxel to the center voxel."""
+    return _voxel_distance(*np.ogrid[:map_size, :map_size, :map_size], center)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -142,12 +150,13 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def build_avoidance_map(occupancy: np.ndarray, center, params: GravMapParams = DEFAULT_GRAVMAP_PARAMS) -> np.ndarray:
-    """Obstacle penalty field: 1 on occupied voxels, cleared within
-    avoid_clear_frac * map_size of the sub-goal voxel, then Gaussian-smoothed."""
+def build_avoidance_map(occupancy: np.ndarray, dist: np.ndarray,
+                        params: GravMapParams = DEFAULT_GRAVMAP_PARAMS) -> np.ndarray:
+    """Obstacle penalty field: 1 on occupied voxels, cleared where `dist`
+    (the sub-goal's distance_field) is below avoid_clear_frac * map_size,
+    then Gaussian-smoothed."""
     m_a = occupancy.astype(float)
-    d = distance_field(occupancy.shape[0], center)
-    m_a[d < params.avoid_clear_frac * occupancy.shape[0]] = 0.0
+    m_a[dist < params.avoid_clear_frac * occupancy.shape[0]] = 0.0
     if not m_a.any():
         return m_a  # nothing left to smooth
     return gaussian_smooth(m_a, params.sigma_avoid)
@@ -174,14 +183,6 @@ def build_gripper_map(dist: np.ndarray, g_open, g_open_init,
     out = np.full_like(dist, params.encode_open(g_open_init), dtype=float)
     out[dist <= params.gripper_radius] = params.encode_open(g_open)
     return out
-
-
-def downsample(field: np.ndarray, stride: int) -> np.ndarray:
-    """Stride subsampling: output[u, v, w] = input[stride*u, stride*v, stride*w].
-    Keeps binary gripper values exact."""
-    if field.shape[0] % stride != 0:
-        raise ValueError("field size not divisible by stride")
-    return field[::stride, ::stride, ::stride].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,8 @@ def augment_offset(voxel, offset_range: int, map_size: int, rng: np.random.Gener
 
 
 # The downsampled lattice and its farthest-point ordering depend only on
-# (workspace, map_size, downsample, num_points), so both are memoized.
+# (workspace, map_size, downsample, num_points), so the sampled points are
+# memoized: world coordinates and voxel indices, both in FPS order.
 _lattice_cache: dict = {}
 
 
@@ -237,10 +239,34 @@ def _sample_lattice(ws: Workspace, params: GravMapParams):
         cell = ws.extent / params.map_size
         axes = [ws.min[a] + (idx + 0.5) * cell[a] for a in range(3)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        vox = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)
         order = farthest_point_sampling(grid, params.num_points)
-        hit = (grid, order)
+        hit = (grid[order], vox[order])
         _lattice_cache[key] = hit
     return hit
+
+
+def _obstacle_survives(occupancy: np.ndarray, center, params: GravMapParams) -> bool:
+    """Whether build_avoidance_map would leave an occupied voxel uncleared,
+    decided on the occupied voxels alone."""
+    # np.nonzero on the 3-D array is ~30x slower than on its flat view
+    occupied = np.unravel_index(np.flatnonzero(occupancy), occupancy.shape)
+    d = _voxel_distance(*occupied, center)
+    return bool((d >= params.avoid_clear_frac * occupancy.shape[0]).any())
+
+
+def _cost_without_obstacles(dist: np.ndarray, map_size: int, center) -> np.ndarray:
+    """build_cost_map with an all-zero avoidance map, on sampled distances.
+
+    The full field's dmax sits at one of the 8 corners; its min-max bounds
+    are exactly 0 (the center voxel) and 2 (that corner), and scaling by 2
+    and back is exact, so dist / dmax has the full-field bits."""
+    corners = np.array(np.meshgrid(*[[0, map_size - 1]] * 3, indexing="ij")).reshape(3, -1)
+    dmax = _voxel_distance(*corners, center).max()
+    if dmax == 0:
+        log.warning("degenerate cost field (constant 0); returning zeros")
+        return np.zeros_like(dist)
+    return dist / dmax
 
 
 def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
@@ -250,12 +276,18 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
     """Full synthesis pipeline for one sub-goal.
 
     In train mode the sub-goal voxel is jittered by a few voxels before the
-    fields are built (rng seeded from `seed`); inference never perturbs it.
-    Occupancy must be a boolean field of shape (map_size,)*3; the non-goal
-    region of the gripper channel carries `current_open`.
+    channels are computed (rng seeded from `seed`); inference never perturbs
+    it. Occupancy must be a boolean field of shape (map_size,)*3; the
+    non-goal region of the gripper channel carries `current_open`.
 
-    Returns the GravMap, or (GravMap, fields) with the pre-downsampling
-    fields and the (possibly jittered) center voxel when with_fields is set.
+    When every occupied voxel lies inside the cleared radius around the
+    sub-goal (always so for empty occupancy), cost and grip are computed on
+    the sampled points alone; otherwise, or when with_fields is set, the full
+    (map_size,)*3 fields are built and read at those points. Both paths give
+    the same bits.
+
+    Returns the GravMap, or (GravMap, fields) with the full-resolution fields
+    and the (possibly jittered) center voxel when with_fields is set.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -268,19 +300,21 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
         rng = np.random.default_rng(seed)
         center = augment_offset(center, params.offset_range, s, rng)
 
-    dist = distance_field(s, center)
-    m_a = build_avoidance_map(occupancy, center, params)
-    m_c = build_cost_map(dist, m_a)
-    m_g = build_gripper_map(dist, subgoal.g_open, current_open, params)
-
-    cost = downsample(m_c, params.downsample).reshape(-1)
-    grip = downsample(m_g, params.downsample).reshape(-1)
-    grid, order = _sample_lattice(ws, params)
-
+    xyz, vox = _sample_lattice(ws, params)
     points = np.empty((params.num_points, 5), dtype=float)
-    points[:, :3] = grid[order]
-    points[:, 3] = cost[order]
-    points[:, 4] = grip[order]
+    points[:, :3] = xyz
+    if with_fields or _obstacle_survives(occupancy, center, params):
+        dist = distance_field(s, center)
+        m_a = build_avoidance_map(occupancy, dist, params)
+        m_c = build_cost_map(dist, m_a)
+        m_g = build_gripper_map(dist, subgoal.g_open, current_open, params)
+        at = tuple(vox.T)
+        points[:, 3] = m_c[at]
+        points[:, 4] = m_g[at]
+    else:
+        dist = _voxel_distance(*vox.T, center)
+        points[:, 3] = _cost_without_obstacles(dist, s, center)
+        points[:, 4] = build_gripper_map(dist, subgoal.g_open, current_open, params)
     gmap = GravMap(points=points, workspace=ws)
     if with_fields:
         return gmap, {"center": center, "dist": dist, "avoid": m_a, "cost": m_c, "grip": m_g}

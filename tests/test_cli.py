@@ -176,6 +176,21 @@ class TestSynth:
         assert "Traceback" not in res.stderr
         assert f"'{field}'" in res.stderr
 
+    def test_degenerate_workspace_exit_1(self, tmp_path):
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--workspace", "0,0,0,1,1,0",
+                      "--out", str(tmp_path / "m.gmap"))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "workspace": {"min": [0, 0, 0], "max": [1, 0, 1]}, "objects": [],
+            "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05},
+        }))
+        res = run_cli("synth", "--subgoal", "0.2,0.2,0.2,1", "--scene", str(scene),
+                      "--out", str(tmp_path / "m.gmap"))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+
     def test_unknown_flag_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--out",
                       str(tmp_path / "m.gmap"), "--frobnicate")

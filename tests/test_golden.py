@@ -16,6 +16,7 @@ from gravkit.demos import TaskKind
 from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, evaluate,
                             load_policy, train)
 from gravkit.policy.nets import TOKEN_DIM
+from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
 
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
@@ -33,6 +34,18 @@ def test_short_training_run():
     # the float64 loss curve also sees changes the f32 parameters round away
     assert _sha(curve.tobytes()) == \
         "7083d39b66004baffe7662f208bd300e4d1887cd6d5f06cc48296f49d9163f5f"
+
+
+def test_training_maps_and_pool():
+    """The set-up of test_short_training_run: every transition array (maps
+    included) and the negative pool."""
+    demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(3)]
+    config = TrainConfig(iters=20, seed=7, pool_size=8)
+    policy = ToyPolicy.init(seed=config.seed)
+    assert _sha(b"".join(a.tobytes() for a in build_transitions(demos, policy, config))) == \
+        "fe69c0a4b1ef61eb13fb13c1bfd66f275de529f577694ddf25f6c7e6a5721c4e"
+    assert _sha(build_negative_pool(policy, config).tobytes()) == \
+        "214b14ba81838fbfd88cb7641e62034a3e70c0eb6e31ce00d9f6dd8a84547cfd"
 
 
 @pytest.mark.parametrize("stochastic, pose_hex", [

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravkit import gravmap
 from gravkit.demos import CorruptFile, SubGoal
 from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Workspace, augment_offset,
                              build_avoidance_map, build_cost_map, build_gripper_map,
-                             distance_field, downsample, farthest_point_sampling,
+                             distance_field, farthest_point_sampling,
                              gaussian_smooth, generate_gravmap, gmap_to_json, load_gmap,
                              save_field_slice_pgm, save_gmap, voxel_center, world_to_voxel)
 
@@ -86,7 +87,7 @@ class TestGaussianSmooth:
 class TestAvoidanceMap:
     def test_empty_occupancy(self):
         params = small_params()
-        out = build_avoidance_map(empty_occ(20), (10, 10, 10), params)
+        out = build_avoidance_map(empty_occ(20), distance_field(20, (10, 10, 10)), params)
         assert not out.any()
 
     def test_occupied_voxel_inside_clear_radius_cleared(self):
@@ -94,14 +95,14 @@ class TestAvoidanceMap:
         params = GravMapParams()
         occ = empty_occ(100)
         occ[60, 50, 50] = True
-        out = build_avoidance_map(occ, (50, 50, 50), params)
+        out = build_avoidance_map(occ, distance_field(100, (50, 50, 50)), params)
         assert not out.any()
 
     def test_far_voxel_smoothed_bump(self):
         params = small_params(sigma_avoid=1.5, avoid_clear_frac=0.15)
         occ = empty_occ(20)
         occ[16, 16, 16] = True
-        out = build_avoidance_map(occ, (2, 2, 2), params)
+        out = build_avoidance_map(occ, distance_field(20, (2, 2, 2)), params)
         raw = empty_occ(20).astype(float)
         raw[16, 16, 16] = 1.0
         np.testing.assert_allclose(out, gaussian3d_oracle(raw, 1.5), atol=1e-6)
@@ -154,21 +155,6 @@ class TestGripperMap:
         d = distance_field(20, (10, 10, 10))
         out = build_gripper_map(d, g_open=0, g_open_init=1, params=params)
         assert np.all(out[d <= 3.0] == -1.0)
-
-
-class TestDownsample:
-    def test_shape_100_to_25(self):
-        out = downsample(np.zeros((100, 100, 100)), 4)
-        assert out.shape == (25, 25, 25)
-
-    def test_constant_stays_constant(self):
-        out = downsample(np.full((20, 20, 20), 3.5), 4)
-        assert np.all(out == 3.5)
-
-    def test_index_arithmetic(self, rng):
-        field = rng.random((20, 20, 20))
-        out = downsample(field, 4)
-        assert out[1, 2, 3] == field[4, 8, 12]
 
 
 class TestFPS:
@@ -262,6 +248,109 @@ class TestGenerate:
     def test_occupancy_shape_checked(self):
         with pytest.raises(ValueError):
             generate_gravmap(SUB, empty_occ(50), 1, WS, GravMapParams(), "infer")
+
+
+def both_paths(sub, occ, current, ws, params, mode="infer", seed=None):
+    """Points of the plain call and of the with_fields call."""
+    plain = generate_gravmap(sub, occ, current, ws, params, mode, seed=seed)
+    full, _ = generate_gravmap(sub, occ, current, ws, params, mode, seed=seed, with_fields=True)
+    return plain.points, full.points
+
+
+@pytest.fixture
+def distance_field_calls(monkeypatch):
+    calls = []
+    real = gravmap.distance_field
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gravmap, "distance_field", counting)
+    return calls
+
+
+class TestSampledPointsMatchFields:
+    """Maps computed on the sampled points carry the bytes of the maps read
+    off the full-resolution fields."""
+
+    @pytest.mark.parametrize("g_pos", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.5),
+                                       (0.5, 0.5, 0.999), (-0.4, 1.7, 0.5), (0.31, 0.62, 0.18)])
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_empty_scene_default_params(self, g_pos, mode):
+        sub = SubGoal(g_pos=g_pos, g_open=0, g_rot=[1, 0, 0, 0, 1, 0])
+        plain, full = both_paths(sub, empty_occ(100), 1, WS, GravMapParams(), mode, seed=11)
+        assert plain.tobytes() == full.tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(shape=st.sampled_from([(8, 1, 40), (12, 2, 27), (12, 4, 20), (20, 2, 50), (20, 4, 32)]),
+           closed_value=st.sampled_from([0.0, -1.0]),
+           clear_frac=st.sampled_from([0.0, 0.15, 0.5]),
+           ws=st.sampled_from([WS, Workspace((-0.3, 0.1, 0.0), (0.7, 1.6, 0.4))]),
+           frac=st.tuples(*[st.floats(-0.5, 1.5)] * 3),
+           occupied=st.lists(st.tuples(*[st.integers(0, 19)] * 3), max_size=6),
+           opens=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+           mode=st.sampled_from(["infer", "train"]))
+    def test_any_scene_small_params(self, shape, closed_value, clear_frac, ws, frac, occupied,
+                                    opens, mode):
+        s, stride, n = shape
+        params = GravMapParams(map_size=s, downsample=stride, num_points=n, closed_value=closed_value,
+                               avoid_clear_frac=clear_frac, sigma_avoid=1.0, gripper_radius=2.0)
+        occ = empty_occ(s)
+        for idx in occupied:
+            occ[tuple(v % s for v in idx)] = True
+        g_pos = np.asarray(ws.min) + np.asarray(frac) * ws.extent
+        sub = SubGoal(g_pos=g_pos, g_open=opens[0], g_rot=[1, 0, 0, 0, 1, 0])
+        plain, full = both_paths(sub, occ, opens[1], ws, params, mode, seed=len(occupied))
+        assert plain.tobytes() == full.tobytes()
+
+    def test_points_read_the_fields_at_stride_voxels(self):
+        ws = Workspace((-0.3, 0.1, 0.0), (0.7, 1.6, 0.4))
+        params = small_params()
+        gmap, fields = generate_gravmap(SUB, empty_occ(20), 0, ws, params, "infer", with_fields=True)
+        vox = np.floor((gmap.points[:, :3] - ws.min) / (ws.extent / params.map_size)).astype(int)
+        assert np.all(vox % params.downsample == 0)
+        assert len(np.unique(vox, axis=0)) == params.num_points
+        np.testing.assert_array_equal(gmap.points[:, 3], fields["cost"][tuple(vox.T)])
+        np.testing.assert_array_equal(gmap.points[:, 4], fields["grip"][tuple(vox.T)])
+
+    def test_cleared_scene_builds_no_field(self, distance_field_calls):
+        # a sphere around the sub-goal lies wholly inside the cleared radius
+        occ = empty_occ(100)
+        occ[45:56, 45:56, 45:56] = True
+        plain = generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
+        assert distance_field_calls == []
+        empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
+        assert plain.points.tobytes() == empty.points.tobytes()
+        _, full = both_paths(SUB, occ, 0, WS, GravMapParams())
+        assert plain.points.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("block", [np.s_[80:84, 20:24, 50:54],
+                                       np.s_[65, 50, 50]])  # exactly at the cleared radius
+    def test_surviving_obstacle_builds_one_distance_field(self, distance_field_calls, block):
+        occ = empty_occ(100)
+        occ[block] = True
+        plain = generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
+        assert len(distance_field_calls) == 1
+        empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
+        assert plain.points.tobytes() != empty.points.tobytes()
+        _, full = both_paths(SUB, occ, 0, WS, GravMapParams())
+        assert plain.points.tobytes() == full.tobytes()
+
+    def test_empty_scene_builds_no_field(self, distance_field_calls):
+        for mode, seed in (("infer", None), ("train", 4)):
+            generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), mode, seed=seed)
+        assert distance_field_calls == []
+        generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), "infer", with_fields=True)
+        assert len(distance_field_calls) == 1
+
+    def test_degenerate_single_voxel_map_is_zero_cost(self, caplog):
+        params = GravMapParams(map_size=1, downsample=1, num_points=1)
+        with caplog.at_level("WARNING", logger="gravkit.gravmap"):
+            plain, full = both_paths(SUB, empty_occ(1), 1, WS, params)
+        assert plain.tobytes() == full.tobytes()
+        assert plain[0, 3] == 0.0
+        assert sum("degenerate cost field" in r.getMessage() for r in caplog.records) == 2
 
 
 class TestSerialization:
