@@ -145,6 +145,15 @@ def cmd_synth(args) -> int:
     if vals[3] not in (0.0, 1.0):
         raise ValueError("--subgoal openness must be 0 or 1")
     params = _gravmap_params_from(args)
+    if args.pgm:
+        if not args.slice:
+            raise ValueError("--pgm needs --slice AXIS=INDEX")
+        axis_name, _, idx = args.slice.partition("=")
+        if axis_name not in ("x", "y", "z") or not idx.lstrip("-").isdigit():
+            raise ValueError(f"malformed --slice {args.slice!r}, expected e.g. z=50")
+        axis, index = "xyz".index(axis_name), int(idx)
+        if not 0 <= index < params.map_size:
+            raise ValueError(f"slice index {index} outside 0..{params.map_size - 1}")
     if args.scene:
         world = sim.load_scene(args.scene)
         ws = world.workspace if not args.workspace else _workspace_from(args)
@@ -167,14 +176,6 @@ def cmd_synth(args) -> int:
             fh.write(gmap_to_json(gmap))
             fh.write("\n")
     if args.pgm:
-        if not args.slice:
-            raise ValueError("--pgm needs --slice AXIS=INDEX")
-        axis_name, _, idx = args.slice.partition("=")
-        if axis_name not in ("x", "y", "z") or not idx.lstrip("-").isdigit():
-            raise ValueError(f"malformed --slice {args.slice!r}, expected e.g. z=50")
-        axis, index = "xyz".index(axis_name), int(idx)
-        if not 0 <= index < params.map_size:
-            raise ValueError(f"slice index {index} outside 0..{params.map_size - 1}")
         save_field_slice_pgm(result[1]["cost"], axis, index, args.pgm)
     print(f"wrote {len(gmap)} map points to {args.out}", file=sys.stderr)
     return EXIT_OK

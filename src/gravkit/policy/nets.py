@@ -119,16 +119,30 @@ def sigmoid(x):
 # ---------------------------------------------------------------------------
 
 def encoder_forward(maps: np.ndarray, enc: EncoderParams):
-    """maps: (M, N, 5) -> tokens (M, TOKEN_DIM) plus a backward cache."""
+    """maps: (M, N, 5) -> tokens (M, TOKEN_DIM) plus a backward cache.
+
+    The cache keeps the post-ReLU activations h1 (M*N, 64) and h2
+    (M*N, 128); the backward pass takes its ReLU masks from them, since an
+    activation is positive exactly when its pre-activation was. Bias and
+    ReLU run in place on the matmul outputs, so each layer allocates one
+    (M*N, width) array.
+    """
     m, n, d = maps.shape
     x = maps.reshape(m * n, d)
-    h1 = np.maximum(x @ enc.w1 + enc.b1, 0.0)
-    pre2 = h1 @ enc.w2 + enc.b2
-    h2 = np.maximum(pre2, 0.0).reshape(m, n, ENC_H2)
-    arg = h2.argmax(axis=1)                       # (M, 128)
-    pooled = np.take_along_axis(h2, arg[:, None, :], axis=1)[:, 0, :]
+    h1 = x @ enc.w1
+    h1 += enc.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ enc.w2
+    h2 += enc.b2
+    np.maximum(h2, 0.0, out=h2)
+    per_map = h2.reshape(m, n, ENC_H2)
+    pooled = per_map.max(axis=1)                  # (M, 128)
+    # first point attaining each channel's maximum, as argmax would pick it
+    # (ties: dead channels at 0, duplicate points), without argmax's slow
+    # strided reduction over the point axis
+    arg = (per_map == pooled[:, None, :]).argmax(axis=1)
     tokens = pooled @ enc.w3 + enc.b3
-    cache = {"x": x, "h1": h1, "pre2": pre2, "arg": arg,
+    cache = {"x": x, "h1": h1, "h2": h2, "arg": arg,
              "pooled": pooled, "shape": (m, n)}
     return tokens, cache
 
@@ -145,7 +159,7 @@ def encoder_backward(d_tokens: np.ndarray, cache, enc: EncoderParams, grads: dic
     d_pre2 = np.zeros((rows.size, ENC_H2))
     cols = np.tile(np.arange(ENC_H2), m)
     np.add.at(d_pre2, (inverse, cols), d_pooled.ravel())
-    d_pre2[cache["pre2"][rows] <= 0] = 0.0
+    d_pre2[cache["h2"][rows] <= 0] = 0.0    # h2 > 0 iff pre2 > 0
     h1_rows = cache["h1"][rows]
     grads["enc.w2"] += h1_rows.T @ d_pre2
     grads["enc.b2"] += d_pre2.sum(axis=0)

@@ -191,8 +191,9 @@ class Adam:
         c2 = 1.0 - self.b2**self.t
         for name, arr in params:
             g = grads[name] + self.wd * arr
-            m = self.m.setdefault(name, np.zeros_like(arr))
-            v = self.v.setdefault(name, np.zeros_like(arr))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(arr), np.zeros_like(arr)
+            m, v = self.m[name], self.v[name]
             m *= self.b1
             m += (1 - self.b1) * g
             v *= self.b2

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is written as plain loops, sharing no code with the package
-under test, so agreement is meaningful.
+Everything here is written as plain loops, or as the most direct numpy
+form where the library's version is an optimisation of it (the encoder),
+sharing no code with the package under test, so agreement is meaningful.
 """
 import numpy as np
 
@@ -123,3 +124,41 @@ def gaussian3d_oracle(field, sigma):
             for c, dz in enumerate(offs):
                 out += kern[a, b, c] * padded[a:a + nx, b:b + ny, c:c + nz]
     return out
+
+
+def encoder_oracle(maps, enc):
+    """The point-set encoder written the straightforward way: fresh arrays
+    for every step, `argmax` + `take_along_axis` for the max-pool and ReLU
+    masks taken from the pre-activations. Returns (tokens, arg, pooled,
+    forward state for `encoder_backward_oracle`)."""
+    m, n, d = maps.shape
+    x = maps.reshape(m * n, d)
+    h1 = np.maximum(x @ enc.w1 + enc.b1, 0.0)
+    pre2 = h1 @ enc.w2 + enc.b2
+    h2 = np.maximum(pre2, 0.0).reshape(m, n, -1)
+    arg = h2.argmax(axis=1)
+    pooled = np.take_along_axis(h2, arg[:, None, :], axis=1)[:, 0, :]
+    tokens = pooled @ enc.w3 + enc.b3
+    return tokens, arg, pooled, (x, h1, pre2, arg, pooled, m, n)
+
+
+def encoder_backward_oracle(d_tokens, state, enc, grads):
+    """Adds the gradients of `encoder_oracle` into `grads` ("enc.*" keys),
+    the max-pool passing gradient to each channel's winning row and the
+    layer-2 mask taken from `pre2 <= 0`."""
+    x, h1, pre2, arg, pooled, m, n = state
+    width = pre2.shape[1]
+    grads["enc.w3"] += pooled.T @ d_tokens
+    grads["enc.b3"] += d_tokens.sum(axis=0)
+    d_pooled = d_tokens @ enc.w3.T
+    flat_rows = (arg + (np.arange(m) * n)[:, None]).ravel()
+    rows, inverse = np.unique(flat_rows, return_inverse=True)
+    d_pre2 = np.zeros((rows.size, width))
+    np.add.at(d_pre2, (inverse, np.tile(np.arange(width), m)), d_pooled.ravel())
+    d_pre2[pre2[rows] <= 0] = 0.0
+    grads["enc.w2"] += h1[rows].T @ d_pre2
+    grads["enc.b2"] += d_pre2.sum(axis=0)
+    d_pre1 = d_pre2 @ enc.w2.T
+    d_pre1[h1[rows] <= 0] = 0.0
+    grads["enc.w1"] += x[rows].T @ d_pre1
+    grads["enc.b1"] += d_pre1.sum(axis=0)

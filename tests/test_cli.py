@@ -145,6 +145,15 @@ class TestSynth:
         img = np.frombuffer(blob.split(b"\n255\n", 1)[1], dtype=np.uint8).reshape(100, 100)
         assert divmod(int(np.argmin(img)), 100) == (35, 70)
 
+    @pytest.mark.parametrize("slice_args", [[], ["--slice", "z=500"]])
+    def test_bad_pgm_slice_exit_1_writes_nothing(self, tmp_path, slice_args):
+        out, mirror, pgm = tmp_path / "m.gmap", tmp_path / "m.json", tmp_path / "s.pgm"
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--out", str(out),
+                      "--json", str(mirror), "--pgm", str(pgm), *slice_args)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert not out.exists() and not mirror.exists() and not pgm.exists()
+
     def test_scene_occupancy_consumed(self, tmp_path):
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps({

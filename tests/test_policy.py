@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravkit.demos import CorruptFile, TaskKind
-from gravkit.policy import (ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
-                            denoiser_forward_batch, encode_gravmap, load_policy, save_policy,
-                            train)
-from gravkit.policy.nets import IN_A, IN_B, TOKEN_DIM, step_embedding
+from gravkit.policy import (Adam, EncoderParams, ToyPolicy, TrainConfig, TrainingDiverged,
+                            compute_gradients, denoiser_forward_batch, encode_gravmap,
+                            load_policy, save_policy, train)
+from gravkit.policy.nets import (ENC_H2, IN_A, IN_B, TOKEN_DIM, encoder_backward, encoder_forward,
+                                 step_embedding)
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
+from oracles import encoder_backward_oracle, encoder_oracle
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +197,76 @@ class TestTraining:
         assert targets.shape == (4, 10) and aux.shape == (4, 4)
         assert np.all(np.abs(targets[:, :3]) <= 1.0)
         assert set(targets[:, 9]) <= {0.0, 1.0} and set(aux[:, 3]) <= {0.0, 1.0}
+
+
+def _enc_grads(enc):
+    return {"enc." + f: np.zeros_like(getattr(enc, f)) for f in EncoderParams.FIELDS}
+
+
+class TestEncoderMatchesOracle:
+    @pytest.mark.parametrize("m", [1, 2, 15])
+    @pytest.mark.parametrize("n", [1, 7, 128, 145, 1024])
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), distinct=st.sampled_from([None, 1, 3, 40]),
+           dead_frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_tokens_pool_and_gradients_bit_identical(self, m, n, seed, distinct, dead_frac):
+        """`distinct` limits each map to that many distinct points (None: all
+        distinct), so the winning point of a channel appears several times;
+        `dead_frac` of the channels get a bias that keeps them at 0 on every
+        point, so their maximum is a tie across the whole map."""
+        rng = np.random.default_rng(seed)
+        enc = EncoderParams.init(rng)
+        enc.b1 = 0.3 * rng.standard_normal(enc.b1.shape)
+        enc.b2 = 0.3 * rng.standard_normal(ENC_H2)
+        enc.b2[rng.random(ENC_H2) < dead_frac] = -1e6
+        maps = rng.standard_normal((m, n, 5))
+        if distinct is not None:
+            maps = maps[:, rng.integers(0, min(distinct, n), n)]
+        d_tokens = rng.standard_normal((m, TOKEN_DIM))
+
+        tokens, cache = encoder_forward(maps, enc)
+        want_tokens, want_arg, want_pooled, state = encoder_oracle(maps, enc)
+        assert tokens.tobytes() == want_tokens.tobytes()
+        np.testing.assert_array_equal(cache["arg"], want_arg)
+        assert cache["pooled"].tobytes() == want_pooled.tobytes()
+
+        got, want = _enc_grads(enc), _enc_grads(enc)
+        encoder_backward(d_tokens, cache, enc, got)
+        encoder_backward_oracle(d_tokens, state, enc, want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestAdam:
+    def test_moments_allocated_once_and_steps_match_formula(self, monkeypatch):
+        zeros_like, allocated = np.zeros_like, []
+        monkeypatch.setattr(np, "zeros_like", lambda a: allocated.append(a.shape) or zeros_like(a))
+        config = TrainConfig(iters=1, lr=1e-2)
+        rng = np.random.default_rng(7)
+        params = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
+        ref_v = {k: np.zeros(v.shape) for k, v in params.items()}
+        opt = Adam(config)
+        first = None
+        for t in range(1, 4):
+            grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+            opt.step(list(params.items()), grads)
+            if first is None:
+                first = {k: (opt.m[k], opt.v[k]) for k in params}
+            for k in params:
+                assert opt.m[k] is first[k][0] and opt.v[k] is first[k][1]
+                g = grads[k] + config.weight_decay * ref[k]
+                ref_m[k] *= config.adam_beta1
+                ref_m[k] += (1 - config.adam_beta1) * g
+                ref_v[k] *= config.adam_beta2
+                ref_v[k] += (1 - config.adam_beta2) * g * g
+                c1, c2 = 1.0 - config.adam_beta1**t, 1.0 - config.adam_beta2**t
+                ref[k] -= config.lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + config.adam_eps)
+                assert params[k].tobytes() == ref[k].tobytes()
+                assert opt.m[k].tobytes() == ref_m[k].tobytes()
+                assert opt.v[k].tobytes() == ref_v[k].tobytes()
+        assert sorted(allocated) == sorted([(5,), (5,), (4, 3), (4, 3)])
 
 
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
