@@ -110,7 +110,8 @@ def world_to_voxel(pos, ws: Workspace, map_size: int):
 
 
 def voxel_center(idx, ws: Workspace, map_size: int):
-    """World coordinates of a voxel center."""
+    """World coordinates of voxel centers, min + (i + 0.5) * extent / S per
+    axis; idx is one (i, j, k) triple or an (..., 3) array of them."""
     cell = ws.extent / map_size
     return np.asarray(ws.min) + (np.asarray(idx, dtype=float) + 0.5) * cell
 
@@ -236,10 +237,8 @@ def _sample_lattice(ws: Workspace, params: GravMapParams):
     if hit is None:
         stride = params.downsample
         idx = np.arange(0, params.map_size, stride)
-        cell = ws.extent / params.map_size
-        axes = [ws.min[a] + (idx + 0.5) * cell[a] for a in range(3)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         vox = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = voxel_center(vox, ws, params.map_size)
         order = farthest_point_sampling(grid, params.num_points)
         hit = (grid[order], vox[order])
         _lattice_cache[key] = hit

@@ -81,17 +81,15 @@ def bce_logit_grad(p, y) -> np.ndarray:
 
 @dataclass
 class ContrastiveBatch:
-    """Anchor features with their positives and a softmax temperature."""
+    """Features, each its own positive, and a softmax temperature."""
 
     features: np.ndarray   # (N, d)
-    positives: np.ndarray  # (N, d)
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.positives = np.asarray(self.positives, dtype=float)
-        if self.features.ndim != 2 or self.features.shape != self.positives.shape:
-            raise DimMismatch("features and positives must share an (N, d) shape")
+        if self.features.ndim != 2:
+            raise DimMismatch("features must be an (N, d) array")
         if self.features.shape[0] < 2:
             raise ValueError("contrastive batch needs N >= 2")
         if self.temperature <= 0:
@@ -99,36 +97,33 @@ class ContrastiveBatch:
 
 
 def _contrastive_terms(batch: ContrastiveBatch):
-    f, fp, t = batch.features, batch.positives, batch.temperature
+    f, t = batch.features, batch.temperature
     sim = f @ f.T / t                          # (N, N), includes self-similarity
-    pos = np.einsum("ij,ij->i", f, fp) / t     # (N,)
+    pos = np.einsum("ij,ij->i", f, f) / t      # (N,)
     m = sim.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(sim - m).sum(axis=1))
     return sim, pos, lse, m
 
 
 def contrastive(batch: ContrastiveBatch) -> float:
-    """-(1/N) sum_i log( exp(f_i . f_i+ / T) / sum_j exp(f_i . f_j / T) ),
+    """-(1/N) sum_i log( exp(f_i . f_i / T) / sum_j exp(f_i . f_j / T) ),
     log-sum-exp stabilized. The denominator runs over all batch features,
     self included."""
     _, pos, lse, _ = _contrastive_terms(batch)
     return float(np.mean(lse - pos))
 
 
-def contrastive_grad(batch: ContrastiveBatch):
-    """(d loss / d features, d loss / d positives).
-
-    When positives are numerically the same tensor as the features the
-    caller should add the two gradients together.
-    """
-    f, fp, t = batch.features, batch.positives, batch.temperature
+def contrastive_grad(batch: ContrastiveBatch) -> np.ndarray:
+    """d loss / d features, (N, d). Each feature enters as an anchor and as
+    its own positive; the two paths are summed in that order."""
+    f, t = batch.features, batch.temperature
     n = f.shape[0]
     sim, _, _, m = _contrastive_terms(batch)
     e = np.exp(sim - m)
     p = e / e.sum(axis=1, keepdims=True)       # row-softmax of similarities
-    d_f = (-fp + p @ f + p.T @ f) / (n * t)
-    d_fp = -f / (n * t)
-    return d_f, d_fp
+    d_anchor = (-f + p @ f + p.T @ f) / (n * t)
+    d_positive = -f / (n * t)
+    return d_anchor + d_positive
 
 
 def total_loss(l_open, l_pos, l_rot, l_aux_pos, l_aux_open, l_con,

@@ -16,15 +16,14 @@ import numpy as np
 from ..demos import CorruptFile, GravkitError
 from ..diffusion import SCALED_LINEAR, SQUARED_COS, NoiseSchedule, make_schedule
 from ..gravmap import GravMapParams, Workspace
-from .nets import DenoiserParams, EncoderParams, param_items
+from .nets import LAYERS
 
 FORMAT_VERSION = 1
 
 
 @dataclass
 class ToyPolicy:
-    encoder: EncoderParams
-    denoiser: DenoiserParams
+    params: dict    # name -> array, in LAYERS (checkpoint) order
     workspace: Workspace = Workspace()
     gravmap_params: GravMapParams = GravMapParams()
     steps: int = 100
@@ -36,8 +35,15 @@ class ToyPolicy:
 
     @classmethod
     def init(cls, seed, **kw):
+        """He-scaled normal weights for layers that feed a ReLU, 1/fan_in
+        variance for the others, zero biases; drawn in LAYERS order."""
         rng = np.random.default_rng(seed)
-        return cls(encoder=EncoderParams.init(rng), denoiser=DenoiserParams.init(rng), **kw)
+        params = {}
+        for w, b, fan_in, fan_out, feeds_relu in LAYERS:
+            scale = np.sqrt(2.0 / fan_in) if feeds_relu else np.sqrt(1.0 / fan_in)
+            params[w] = rng.standard_normal((fan_in, fan_out)) * scale
+            params[b] = np.zeros(fan_out)
+        return cls(params=params, **kw)
 
     def schedules(self) -> tuple[NoiseSchedule, NoiseSchedule]:
         if self._scheds is None:
@@ -45,17 +51,14 @@ class ToyPolicy:
                             make_schedule(self.sched_rot_kind, self.steps))
         return self._scheds
 
-    def params(self):
-        return param_items(self.encoder, self.denoiser)
-
     def quantize(self):
         """Round every parameter to its f32 value (in-place) so that the
         serialized model evaluates identically to the in-memory one."""
-        for _, arr in self.params():
+        for arr in self.params.values():
             arr[...] = arr.astype("<f4").astype(float)
 
     def param_bytes(self) -> bytes:
-        return b"".join(arr.astype("<f4").tobytes() for _, arr in self.params())
+        return b"".join(arr.astype("<f4").tobytes() for arr in self.params.values())
 
 
 def save_policy(policy: ToyPolicy, path):
@@ -67,7 +70,7 @@ def save_policy(policy: ToyPolicy, path):
         "workspace": {"min": list(policy.workspace.min), "max": list(policy.workspace.max)},
         "gravmap": asdict(policy.gravmap_params),
         "meta": policy.meta,
-        "layers": [{"name": name, "shape": list(arr.shape)} for name, arr in policy.params()],
+        "layers": [{"name": name, "shape": list(arr.shape)} for name, arr in policy.params.items()],
     }
     blob = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -111,11 +114,10 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
     )
     policy.schedules()   # an unknown schedule kind fails here, not at first use
     offset = 4 + mlen
-    by_name = dict(policy.params())
-    if [layer["name"] for layer in manifest["layers"]] != list(by_name):
+    if [layer["name"] for layer in manifest["layers"]] != list(policy.params):
         raise GravkitError("manifest layers do not match the model's")
     for layer in manifest["layers"]:
-        arr = by_name[layer["name"]]
+        arr = policy.params[layer["name"]]
         shape = tuple(layer["shape"])
         if arr.shape != shape:
             raise GravkitError(f"layer {layer['name']}: shape {shape} != expected {arr.shape}")

@@ -6,8 +6,12 @@ the map token and feeds the position-noise, openness and auxiliary heads;
 trunk B never sees the token and feeds the rotation-noise head, so rotation
 predictions are independent of the map by construction.
 
-All math is float64 numpy; forwards return caches that the corresponding
-backward functions consume.
+Every weight and bias lives in one `{name: array}` dict whose names, shapes
+and order come from `LAYERS`. The encoder's point MLP and both trunks are
+the same two-layer ReLU MLP, so one forward and one backward serve all
+three, and every weight gradient is accumulated in one place. All math is
+float64 numpy; forwards return caches that the corresponding backward
+functions consume.
 """
 from __future__ import annotations
 
@@ -27,6 +31,24 @@ HIDDEN = 256
 IN_A = POSE_DIM + PROPRIO_DIM + SCENE_DIM + STEP_EMBED_DIM + TOKEN_DIM
 IN_B = POSE_DIM + PROPRIO_DIM + SCENE_DIM + STEP_EMBED_DIM
 
+# (weight, bias, fan_in, fan_out, feeds_relu). The order is the checkpoint's
+# layer order and the order init draws the weights, so changing it changes
+# every seeded model.
+LAYERS = (
+    ENC1 := ("enc.w1", "enc.b1", POINT_DIM, ENC_H1, True),
+    ENC2 := ("enc.w2", "enc.b2", ENC_H1, ENC_H2, True),
+    ENC3 := ("enc.w3", "enc.b3", ENC_H2, TOKEN_DIM, False),
+    A1 := ("den.a_w1", "den.a_b1", IN_A, HIDDEN, True),
+    A2 := ("den.a_w2", "den.a_b2", HIDDEN, HIDDEN, True),
+    POS := ("den.pos_w", "den.pos_b", HIDDEN, 3, False),
+    OPEN := ("den.open_w", "den.open_b", HIDDEN, 1, False),
+    AUXP := ("den.auxp_w", "den.auxp_b", HIDDEN, 3, False),
+    AUXO := ("den.auxo_w", "den.auxo_b", HIDDEN, 1, False),
+    B1 := ("den.b_w1", "den.b_b1", IN_B, HIDDEN, True),
+    B2 := ("den.b_w2", "den.b_b2", HIDDEN, HIDDEN, True),
+    ROT := ("den.rot_w", "den.rot_b", HIDDEN, 6, False),
+)
+
 
 def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:
     """Sinusoidal embedding of the diffusion step: half sines, half cosines
@@ -36,73 +58,6 @@ def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = steps[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-def _linear_init(rng, fan_in, fan_out, relu=True):
-    scale = np.sqrt(2.0 / fan_in) if relu else np.sqrt(1.0 / fan_in)
-    return rng.standard_normal((fan_in, fan_out)) * scale
-
-
-class EncoderParams:
-    """5 -> 64 -> 128 per-point MLP, channelwise max over points, 128 -> 120
-    linear projection."""
-
-    FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-    def __init__(self, w1, b1, w2, b2, w3, b3):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w3, self.b3 = w3, b3
-
-    @classmethod
-    def init(cls, rng):
-        return cls(
-            w1=_linear_init(rng, POINT_DIM, ENC_H1), b1=np.zeros(ENC_H1),
-            w2=_linear_init(rng, ENC_H1, ENC_H2), b2=np.zeros(ENC_H2),
-            w3=_linear_init(rng, ENC_H2, TOKEN_DIM, relu=False), b3=np.zeros(TOKEN_DIM),
-        )
-
-
-class DenoiserParams:
-    """Trunk A (token-conditioned) with four heads, trunk B (no token) with
-    the rotation head."""
-
-    FIELDS = (
-        "a_w1", "a_b1", "a_w2", "a_b2",
-        "pos_w", "pos_b", "open_w", "open_b",
-        "auxp_w", "auxp_b", "auxo_w", "auxo_b",
-        "b_w1", "b_b1", "b_w2", "b_b2", "rot_w", "rot_b",
-    )
-
-    def __init__(self, **kw):
-        for name in self.FIELDS:
-            setattr(self, name, kw[name])
-
-    @classmethod
-    def init(cls, rng):
-        return cls(
-            a_w1=_linear_init(rng, IN_A, HIDDEN), a_b1=np.zeros(HIDDEN),
-            a_w2=_linear_init(rng, HIDDEN, HIDDEN), a_b2=np.zeros(HIDDEN),
-            pos_w=_linear_init(rng, HIDDEN, 3, relu=False), pos_b=np.zeros(3),
-            open_w=_linear_init(rng, HIDDEN, 1, relu=False), open_b=np.zeros(1),
-            auxp_w=_linear_init(rng, HIDDEN, 3, relu=False), auxp_b=np.zeros(3),
-            auxo_w=_linear_init(rng, HIDDEN, 1, relu=False), auxo_b=np.zeros(1),
-            b_w1=_linear_init(rng, IN_B, HIDDEN), b_b1=np.zeros(HIDDEN),
-            b_w2=_linear_init(rng, HIDDEN, HIDDEN), b_b2=np.zeros(HIDDEN),
-            rot_w=_linear_init(rng, HIDDEN, 6, relu=False), rot_b=np.zeros(6),
-        )
-
-
-def param_items(enc: EncoderParams, den: DenoiserParams):
-    """Stable (name, array) listing across both parameter sets."""
-    for f in EncoderParams.FIELDS:
-        yield "enc." + f, getattr(enc, f)
-    for f in DenoiserParams.FIELDS:
-        yield "den." + f, getattr(den, f)
-
-
-def zeros_like_params(enc: EncoderParams, den: DenoiserParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in param_items(enc, den)}
 
 
 def sigmoid(x):
@@ -115,64 +70,90 @@ def sigmoid(x):
 
 
 # ---------------------------------------------------------------------------
+# shared layers
+# ---------------------------------------------------------------------------
+
+def _dense(x, params, layer):
+    """x @ w + b, then ReLU if the layer feeds one. Bias and ReLU run in
+    place on the matmul output, so a layer allocates one array."""
+    w, b, _, _, feeds_relu = layer
+    h = x @ params[w]
+    h += params[b]
+    if feeds_relu:
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _mlp_forward(x, params, layer1, layer2):
+    """Two ReLU layers; returns both post-ReLU activations."""
+    h1 = _dense(x, params, layer1)
+    return h1, _dense(h1, params, layer2)
+
+
+def _accumulate(grads, layer, x, d_out):
+    """Adds the weight and bias gradients of one layer with input x."""
+    w, b = layer[:2]
+    grads[w] += x.T @ d_out
+    grads[b] += d_out.sum(axis=0)
+
+
+def _mlp_backward(d_h2, x, h1, h2, params, layer1, layer2, grads):
+    """Backward through `_mlp_forward` from d loss / d h2 (masked in place).
+    The ReLU masks come from the post-ReLU activations: h > 0 exactly when
+    its pre-activation was. Returns d loss / d (layer-1 pre-activation)."""
+    d_h2[h2 <= 0] = 0.0
+    _accumulate(grads, layer2, h1, d_h2)
+    d_h1 = d_h2 @ params[layer2[0]].T
+    d_h1[h1 <= 0] = 0.0
+    _accumulate(grads, layer1, x, d_h1)
+    return d_h1
+
+
+# ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
 
-def encoder_forward(maps: np.ndarray, enc: EncoderParams):
+def encoder_forward(maps: np.ndarray, params: dict):
     """maps: (M, N, 5) -> tokens (M, TOKEN_DIM) plus a backward cache.
 
-    The cache keeps the post-ReLU activations h1 (M*N, 64) and h2
-    (M*N, 128); the backward pass takes its ReLU masks from them, since an
-    activation is positive exactly when its pre-activation was. Bias and
-    ReLU run in place on the matmul outputs, so each layer allocates one
-    (M*N, width) array.
+    5 -> 64 -> 128 per-point MLP, channelwise max over points, 128 -> 120
+    linear projection. The cache keeps the post-ReLU activations h1
+    (M*N, 64) and h2 (M*N, 128) for the backward's ReLU masks.
     """
     m, n, d = maps.shape
     x = maps.reshape(m * n, d)
-    h1 = x @ enc.w1
-    h1 += enc.b1
-    np.maximum(h1, 0.0, out=h1)
-    h2 = h1 @ enc.w2
-    h2 += enc.b2
-    np.maximum(h2, 0.0, out=h2)
+    h1, h2 = _mlp_forward(x, params, ENC1, ENC2)
     per_map = h2.reshape(m, n, ENC_H2)
     pooled = per_map.max(axis=1)                  # (M, 128)
     # first point attaining each channel's maximum, as argmax would pick it
     # (ties: dead channels at 0, duplicate points), without argmax's slow
     # strided reduction over the point axis
     arg = (per_map == pooled[:, None, :]).argmax(axis=1)
-    tokens = pooled @ enc.w3 + enc.b3
+    tokens = _dense(pooled, params, ENC3)
     cache = {"x": x, "h1": h1, "h2": h2, "arg": arg,
              "pooled": pooled, "shape": (m, n)}
     return tokens, cache
 
 
-def encoder_backward(d_tokens: np.ndarray, cache, enc: EncoderParams, grads: dict):
+def encoder_backward(d_tokens: np.ndarray, cache, params: dict, grads: dict):
     m, n = cache["shape"]
-    grads["enc.w3"] += cache["pooled"].T @ d_tokens
-    grads["enc.b3"] += d_tokens.sum(axis=0)
-    d_pooled = d_tokens @ enc.w3.T                # (M, 128)
+    _accumulate(grads, ENC3, cache["pooled"], d_tokens)
+    d_pooled = d_tokens @ params["enc.w3"].T      # (M, 128)
     # the max-pool passes gradient only to each channel's winning point, so
     # backprop touches at most M * 128 rows instead of all M * N
     flat_rows = (cache["arg"] + (np.arange(m) * n)[:, None]).ravel()
     rows, inverse = np.unique(flat_rows, return_inverse=True)
-    d_pre2 = np.zeros((rows.size, ENC_H2))
+    d_h2 = np.zeros((rows.size, ENC_H2))
     cols = np.tile(np.arange(ENC_H2), m)
-    np.add.at(d_pre2, (inverse, cols), d_pooled.ravel())
-    d_pre2[cache["h2"][rows] <= 0] = 0.0    # h2 > 0 iff pre2 > 0
-    h1_rows = cache["h1"][rows]
-    grads["enc.w2"] += h1_rows.T @ d_pre2
-    grads["enc.b2"] += d_pre2.sum(axis=0)
-    d_pre1 = d_pre2 @ enc.w2.T
-    d_pre1[h1_rows <= 0] = 0.0    # h1 > 0 iff its pre-activation was
-    grads["enc.w1"] += cache["x"][rows].T @ d_pre1
-    grads["enc.b1"] += d_pre1.sum(axis=0)
+    np.add.at(d_h2, (inverse, cols), d_pooled.ravel())
+    _mlp_backward(d_h2, cache["x"][rows], cache["h1"][rows], cache["h2"][rows],
+                  params, ENC1, ENC2, grads)
 
 
-def encode_gravmap(points: np.ndarray, enc: EncoderParams) -> np.ndarray:
+def encode_gravmap(points: np.ndarray, params: dict) -> np.ndarray:
     """Token for one sampled map, rows of (x, y, z, cost, grip)."""
     pts = np.asarray(points, dtype=float)
-    tokens, _ = encoder_forward(pts[None, :, :], enc)
+    tokens, _ = encoder_forward(pts[None, :, :], params)
     return tokens[0]
 
 
@@ -181,7 +162,7 @@ def encode_gravmap(points: np.ndarray, enc: EncoderParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def denoiser_forward_batch(pose: np.ndarray, steps: np.ndarray, proprio: np.ndarray,
-                           scene: np.ndarray, tokens: np.ndarray, den: DenoiserParams):
+                           scene: np.ndarray, tokens: np.ndarray, params: dict):
     """Batched forward pass.
 
     pose (B, 9), steps (B,), proprio (B, 8), scene (B, 16), tokens (B, 120).
@@ -192,62 +173,35 @@ def denoiser_forward_batch(pose: np.ndarray, steps: np.ndarray, proprio: np.ndar
     in_b = np.concatenate([pose, proprio, scene, emb], axis=1)
     in_a = np.concatenate([in_b, tokens], axis=1)
 
-    a_pre1 = in_a @ den.a_w1 + den.a_b1
-    a_h1 = np.maximum(a_pre1, 0.0)
-    a_pre2 = a_h1 @ den.a_w2 + den.a_b2
-    a_h2 = np.maximum(a_pre2, 0.0)
-    eps_pos = a_h2 @ den.pos_w + den.pos_b
-    open_logit = a_h2 @ den.open_w + den.open_b
-    aux_pos = a_h2 @ den.auxp_w + den.auxp_b
-    auxo_logit = a_h2 @ den.auxo_w + den.auxo_b
+    a_h1, a_h2 = _mlp_forward(in_a, params, A1, A2)
+    eps_pos = _dense(a_h2, params, POS)
+    open_logit = _dense(a_h2, params, OPEN)
+    aux_pos = _dense(a_h2, params, AUXP)
+    auxo_logit = _dense(a_h2, params, AUXO)
 
-    b_pre1 = in_b @ den.b_w1 + den.b_b1
-    b_h1 = np.maximum(b_pre1, 0.0)
-    b_pre2 = b_h1 @ den.b_w2 + den.b_b2
-    b_h2 = np.maximum(b_pre2, 0.0)
-    eps_rot = b_h2 @ den.rot_w + den.rot_b
+    b_h1, b_h2 = _mlp_forward(in_b, params, B1, B2)
+    eps_rot = _dense(b_h2, params, ROT)
 
-    cache = {"in_a": in_a, "in_b": in_b, "a_pre1": a_pre1, "a_h1": a_h1,
-             "a_pre2": a_pre2, "a_h2": a_h2, "b_pre1": b_pre1, "b_h1": b_h1,
-             "b_pre2": b_pre2, "b_h2": b_h2}
+    cache = {"in_a": in_a, "in_b": in_b, "a_h1": a_h1, "a_h2": a_h2,
+             "b_h1": b_h1, "b_h2": b_h2}
     return eps_pos, eps_rot, sigmoid(open_logit), aux_pos, sigmoid(auxo_logit), cache
 
 
 def denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_rot,
-                      cache, den: DenoiserParams, grads: dict) -> np.ndarray:
+                      cache, params: dict, grads: dict) -> np.ndarray:
     """Backward pass from head gradients (openness grads are w.r.t. logits).
     Returns the gradient w.r.t. the tokens, (B, TOKEN_DIM)."""
     a_h2, b_h2 = cache["a_h2"], cache["b_h2"]
-    grads["den.pos_w"] += a_h2.T @ d_eps_pos
-    grads["den.pos_b"] += d_eps_pos.sum(axis=0)
-    grads["den.open_w"] += a_h2.T @ d_open_logit
-    grads["den.open_b"] += d_open_logit.sum(axis=0)
-    grads["den.auxp_w"] += a_h2.T @ d_aux_pos
-    grads["den.auxp_b"] += d_aux_pos.sum(axis=0)
-    grads["den.auxo_w"] += a_h2.T @ d_auxo_logit
-    grads["den.auxo_b"] += d_auxo_logit.sum(axis=0)
+    heads = ((POS, d_eps_pos), (OPEN, d_open_logit), (AUXP, d_aux_pos), (AUXO, d_auxo_logit))
+    for layer, d_out in heads:
+        _accumulate(grads, layer, a_h2, d_out)
+    d_a_h2 = (d_eps_pos @ params["den.pos_w"].T + d_open_logit @ params["den.open_w"].T
+              + d_aux_pos @ params["den.auxp_w"].T + d_auxo_logit @ params["den.auxo_w"].T)
+    d_a_h1 = _mlp_backward(d_a_h2, cache["in_a"], cache["a_h1"], a_h2, params, A1, A2, grads)
 
-    d_a_h2 = (d_eps_pos @ den.pos_w.T + d_open_logit @ den.open_w.T
-              + d_aux_pos @ den.auxp_w.T + d_auxo_logit @ den.auxo_w.T)
-    d_a_h2[cache["a_pre2"] <= 0] = 0.0
-    grads["den.a_w2"] += cache["a_h1"].T @ d_a_h2
-    grads["den.a_b2"] += d_a_h2.sum(axis=0)
-    d_a_h1 = d_a_h2 @ den.a_w2.T
-    d_a_h1[cache["a_pre1"] <= 0] = 0.0
-    grads["den.a_w1"] += cache["in_a"].T @ d_a_h1
-    grads["den.a_b1"] += d_a_h1.sum(axis=0)
+    _accumulate(grads, ROT, b_h2, d_eps_rot)
+    _mlp_backward(d_eps_rot @ params["den.rot_w"].T, cache["in_b"], cache["b_h1"], b_h2,
+                  params, B1, B2, grads)
 
-    grads["den.rot_w"] += b_h2.T @ d_eps_rot
-    grads["den.rot_b"] += d_eps_rot.sum(axis=0)
-    d_b_h2 = d_eps_rot @ den.rot_w.T
-    d_b_h2[cache["b_pre2"] <= 0] = 0.0
-    grads["den.b_w2"] += cache["b_h1"].T @ d_b_h2
-    grads["den.b_b2"] += d_b_h2.sum(axis=0)
-    d_b_h1 = d_b_h2 @ den.b_w2.T
-    d_b_h1[cache["b_pre1"] <= 0] = 0.0
-    grads["den.b_w1"] += cache["in_b"].T @ d_b_h1
-    grads["den.b_b1"] += d_b_h1.sum(axis=0)
-
-    d_in_a = d_a_h1 @ den.a_w1.T
+    d_in_a = d_a_h1 @ params["den.a_w1"].T
     return d_in_a[:, IN_B:]
-

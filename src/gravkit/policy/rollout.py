@@ -78,7 +78,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
                 occ = occupancy_grid(world, gp.map_size, ws)
                 gmap = generate_gravmap(sub, occ, current_open=world.gripper_open,
                                         ws=ws, params=gp, mode="infer")
-                token = encode_gravmap(gmap.points, policy.encoder)
+                token = encode_gravmap(gmap.points, policy.params)
                 token_cache[key] = token
         else:
             token = zero_token
@@ -87,7 +87,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
 
         def denoiser(x, k):
             eps_pos, eps_rot, open_p, _, _, _ = denoiser_forward_batch(
-                x[None, :], np.array([k]), *rows, policy.denoiser)
+                x[None, :], np.array([k]), *rows, policy.params)
             return np.concatenate([eps_pos[0], eps_rot[0]]), open_p[0, 0]
 
         pose, open_pred = diffusion.sample(denoiser, sched_pos, sched_rot,

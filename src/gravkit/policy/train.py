@@ -22,7 +22,7 @@ from ..losses import (ContrastiveBatch, DEFAULT_LOSS_WEIGHTS, LossWeights, NonFi
                       total_loss)
 from .model import ToyPolicy
 from .nets import (PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch, encoder_backward,
-                   encoder_forward, zeros_like_params)
+                   encoder_forward)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
 
 
@@ -122,16 +122,15 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     per row (maps (B, num_points, 5)), diffusion steps k (B,) and ground-truth
     noise eps (B, 9), 3 position then 6 rotation channels. The contrastive
     term compares the first row's map feature against the generated
-    `negatives` (n, num_points, 5); positives are re-encodings of the same
-    maps, so their gradient path is added to the feature path.
+    `negatives` (n, num_points, 5), each feature being its own positive.
 
     Returns (grads, loss, terms).
     """
     sched_pos, sched_rot = policy.schedules()
-    enc, den = policy.encoder, policy.denoiser
+    params = policy.params
     b = len(maps)
 
-    tokens, enc_cache = encoder_forward(np.concatenate([maps, negatives]), enc)
+    tokens, enc_cache = encoder_forward(np.concatenate([maps, negatives]), params)
     feat_idx = np.array([0] + list(range(b, tokens.shape[0])))
     features = tokens[feat_idx]
 
@@ -141,7 +140,7 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     y_open, aux_pos_t, y_auxo = targets[:, 9:], aux[:, :3], aux[:, 3:]
 
     eps_pos_hat, eps_rot_hat, open_p, aux_pos_hat, auxo_p, den_cache = denoiser_forward_batch(
-        pose, k, proprio, scene, tokens[:b], den)
+        pose, k, proprio, scene, tokens[:b], params)
 
     eps_pos, eps_rot = eps[:, :3], eps[:, 3:]
     l_pos = noise_l1(eps_pos_hat, eps_pos)
@@ -150,14 +149,14 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     l_open = bce(open_p, y_open)
     l_auxo = bce(auxo_p, y_auxo)
 
-    cbatch = ContrastiveBatch(features=features, positives=features, temperature=temperature)
+    cbatch = ContrastiveBatch(features=features, temperature=temperature)
     l_con = contrastive(cbatch)
 
     loss = total_loss(l_open, l_pos, l_rot, l_aux_pos, l_auxo, l_con, weights)
     terms = {"open": l_open, "pos": l_pos, "rot": l_rot,
              "aux_pos": l_aux_pos, "aux_open": l_auxo, "con": l_con}
 
-    grads = zeros_like_params(enc, den)
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     d_eps_pos = noise_l1_grad(eps_pos_hat, eps_pos, weights.w_pos)
     d_eps_rot = noise_l1_grad(eps_rot_hat, eps_rot, weights.w_rot)
     d_aux_pos = noise_l1_grad(aux_pos_hat, aux_pos_t, weights.w_aux_pos)
@@ -166,10 +165,9 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
 
     d_tokens = np.zeros_like(tokens)
     d_tokens[:b] = denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit,
-                                     d_eps_rot, den_cache, den, grads)
-    d_f, d_fp = contrastive_grad(cbatch)
-    np.add.at(d_tokens, feat_idx, weights.w_con * (d_f + d_fp))
-    encoder_backward(d_tokens, enc_cache, enc, grads)
+                                     d_eps_rot, den_cache, params, grads)
+    np.add.at(d_tokens, feat_idx, weights.w_con * contrastive_grad(cbatch))
+    encoder_backward(d_tokens, enc_cache, params, grads)
     return grads, loss, terms
 
 
@@ -185,11 +183,11 @@ class Adam:
         self.m: dict = {}
         self.v: dict = {}
 
-    def step(self, params, grads):
+    def step(self, params: dict, grads: dict):
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for name, arr in params:
+        for name, arr in params.items():
             g = grads[name] + self.wd * arr
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(arr), np.zeros_like(arr)
@@ -218,7 +216,6 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
     opt = Adam(config)
     steps = policy.steps
     curve = np.empty(config.iters)
-    params = list(policy.params())
     for it in range(config.iters):
         idx = rng.integers(len(proprio), size=config.batch)
         variants = rng.integers(config.map_variants, size=config.batch)
@@ -234,7 +231,7 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
                 grads, loss, _ = compute_gradients(maps[idx, variants], p_rows, s_rows,
                                                    targets[idx], aux[idx], ks, eps, pool[neg],
                                                    policy, config.weights, config.temperature)
-                opt.step(params, grads)
+                opt.step(policy.params, grads)
         except (NonFiniteLoss, FloatingPointError) as exc:
             raise TrainingDiverged(it, exc) from exc
         curve[it] = loss

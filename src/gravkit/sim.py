@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _vec
-from .gravmap import Workspace
+from .gravmap import Workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
 CONTACT_RADIUS = 0.02  # m; force ramps up inside this shell
@@ -156,11 +156,10 @@ def occupancy_grid(world: World, map_size: int, ws: Workspace | None = None) -> 
     """Boolean field: a voxel is occupied iff its center lies inside (or on)
     any object sphere. The gripper body never marks voxels."""
     ws = ws or world.workspace
-    cell = ws.extent / map_size
-    ax = [ws.min[a] + (np.arange(map_size) + 0.5) * cell[a] for a in range(3)]
-    xs = ax[0][:, None, None]
-    ys = ax[1][None, :, None]
-    zs = ax[2][None, None, :]
+    ax = voxel_center(np.arange(map_size)[:, None], ws, map_size)   # (S, 3)
+    xs = ax[:, 0, None, None]
+    ys = ax[None, :, 1, None]
+    zs = ax[None, None, :, 2]
     occ = np.zeros((map_size, map_size, map_size), dtype=bool)
     for obj in world.objects:
         c = obj.center

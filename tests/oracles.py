@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written as plain loops, or as the most direct numpy
-form where the library's version is an optimisation of it (the encoder),
-sharing no code with the package under test, so agreement is meaningful.
+form where the library's version is an optimisation or a refactoring of it
+(the encoder, the denoiser), sharing no code with the package under test,
+so agreement is meaningful.
 """
 import numpy as np
 
@@ -126,23 +127,23 @@ def gaussian3d_oracle(field, sigma):
     return out
 
 
-def encoder_oracle(maps, enc):
+def encoder_oracle(maps, params):
     """The point-set encoder written the straightforward way: fresh arrays
     for every step, `argmax` + `take_along_axis` for the max-pool and ReLU
     masks taken from the pre-activations. Returns (tokens, arg, pooled,
     forward state for `encoder_backward_oracle`)."""
     m, n, d = maps.shape
     x = maps.reshape(m * n, d)
-    h1 = np.maximum(x @ enc.w1 + enc.b1, 0.0)
-    pre2 = h1 @ enc.w2 + enc.b2
+    h1 = np.maximum(x @ params["enc.w1"] + params["enc.b1"], 0.0)
+    pre2 = h1 @ params["enc.w2"] + params["enc.b2"]
     h2 = np.maximum(pre2, 0.0).reshape(m, n, -1)
     arg = h2.argmax(axis=1)
     pooled = np.take_along_axis(h2, arg[:, None, :], axis=1)[:, 0, :]
-    tokens = pooled @ enc.w3 + enc.b3
+    tokens = pooled @ params["enc.w3"] + params["enc.b3"]
     return tokens, arg, pooled, (x, h1, pre2, arg, pooled, m, n)
 
 
-def encoder_backward_oracle(d_tokens, state, enc, grads):
+def encoder_backward_oracle(d_tokens, state, params, grads):
     """Adds the gradients of `encoder_oracle` into `grads` ("enc.*" keys),
     the max-pool passing gradient to each channel's winning row and the
     layer-2 mask taken from `pre2 <= 0`."""
@@ -150,7 +151,7 @@ def encoder_backward_oracle(d_tokens, state, enc, grads):
     width = pre2.shape[1]
     grads["enc.w3"] += pooled.T @ d_tokens
     grads["enc.b3"] += d_tokens.sum(axis=0)
-    d_pooled = d_tokens @ enc.w3.T
+    d_pooled = d_tokens @ params["enc.w3"].T
     flat_rows = (arg + (np.arange(m) * n)[:, None]).ravel()
     rows, inverse = np.unique(flat_rows, return_inverse=True)
     d_pre2 = np.zeros((rows.size, width))
@@ -158,7 +159,79 @@ def encoder_backward_oracle(d_tokens, state, enc, grads):
     d_pre2[pre2[rows] <= 0] = 0.0
     grads["enc.w2"] += h1[rows].T @ d_pre2
     grads["enc.b2"] += d_pre2.sum(axis=0)
-    d_pre1 = d_pre2 @ enc.w2.T
+    d_pre1 = d_pre2 @ params["enc.w2"].T
     d_pre1[h1[rows] <= 0] = 0.0
     grads["enc.w1"] += x[rows].T @ d_pre1
     grads["enc.b1"] += d_pre1.sum(axis=0)
+
+
+def _sigmoid_oracle(z):
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
+def denoiser_oracle(pose, proprio, scene, emb, tokens, params):
+    """The dual-trunk denoiser unrolled layer by layer, given the step
+    embedding rows `emb`: fresh arrays for every step and pre-activations
+    kept for the ReLU masks. Returns (eps_pos, eps_rot, open_p, aux_pos,
+    aux_open_p, forward state for `denoiser_backward_oracle`)."""
+    p = params
+    in_b = np.concatenate([pose, proprio, scene, emb], axis=1)
+    in_a = np.concatenate([in_b, tokens], axis=1)
+    a_pre1 = in_a @ p["den.a_w1"] + p["den.a_b1"]
+    a_h1 = np.maximum(a_pre1, 0.0)
+    a_pre2 = a_h1 @ p["den.a_w2"] + p["den.a_b2"]
+    a_h2 = np.maximum(a_pre2, 0.0)
+    eps_pos = a_h2 @ p["den.pos_w"] + p["den.pos_b"]
+    open_logit = a_h2 @ p["den.open_w"] + p["den.open_b"]
+    aux_pos = a_h2 @ p["den.auxp_w"] + p["den.auxp_b"]
+    auxo_logit = a_h2 @ p["den.auxo_w"] + p["den.auxo_b"]
+
+    b_pre1 = in_b @ p["den.b_w1"] + p["den.b_b1"]
+    b_h1 = np.maximum(b_pre1, 0.0)
+    b_pre2 = b_h1 @ p["den.b_w2"] + p["den.b_b2"]
+    b_h2 = np.maximum(b_pre2, 0.0)
+    eps_rot = b_h2 @ p["den.rot_w"] + p["den.rot_b"]
+
+    state = (in_a, in_b, a_pre1, a_h1, a_pre2, a_h2, b_pre1, b_h1, b_pre2, b_h2)
+    return (eps_pos, eps_rot, _sigmoid_oracle(open_logit), aux_pos,
+            _sigmoid_oracle(auxo_logit), state)
+
+
+def denoiser_backward_oracle(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_rot,
+                             state, params, grads):
+    """Adds the gradients of `denoiser_oracle` into `grads` ("den.*" keys),
+    masks taken from the pre-activations, and returns d loss / d tokens."""
+    p = params
+    in_a, in_b, a_pre1, a_h1, a_pre2, a_h2, b_pre1, b_h1, b_pre2, b_h2 = state
+    grads["den.pos_w"] += a_h2.T @ d_eps_pos
+    grads["den.pos_b"] += d_eps_pos.sum(axis=0)
+    grads["den.open_w"] += a_h2.T @ d_open_logit
+    grads["den.open_b"] += d_open_logit.sum(axis=0)
+    grads["den.auxp_w"] += a_h2.T @ d_aux_pos
+    grads["den.auxp_b"] += d_aux_pos.sum(axis=0)
+    grads["den.auxo_w"] += a_h2.T @ d_auxo_logit
+    grads["den.auxo_b"] += d_auxo_logit.sum(axis=0)
+
+    d_a_h2 = (d_eps_pos @ p["den.pos_w"].T + d_open_logit @ p["den.open_w"].T
+              + d_aux_pos @ p["den.auxp_w"].T + d_auxo_logit @ p["den.auxo_w"].T)
+    d_a_h2[a_pre2 <= 0] = 0.0
+    grads["den.a_w2"] += a_h1.T @ d_a_h2
+    grads["den.a_b2"] += d_a_h2.sum(axis=0)
+    d_a_h1 = d_a_h2 @ p["den.a_w2"].T
+    d_a_h1[a_pre1 <= 0] = 0.0
+    grads["den.a_w1"] += in_a.T @ d_a_h1
+    grads["den.a_b1"] += d_a_h1.sum(axis=0)
+
+    grads["den.rot_w"] += b_h2.T @ d_eps_rot
+    grads["den.rot_b"] += d_eps_rot.sum(axis=0)
+    d_b_h2 = d_eps_rot @ p["den.rot_w"].T
+    d_b_h2[b_pre2 <= 0] = 0.0
+    grads["den.b_w2"] += b_h1.T @ d_b_h2
+    grads["den.b_b2"] += d_b_h2.sum(axis=0)
+    d_b_h1 = d_b_h2 @ p["den.b_w2"].T
+    d_b_h1[b_pre1 <= 0] = 0.0
+    grads["den.b_w1"] += in_b.T @ d_b_h1
+    grads["den.b_b1"] += d_b_h1.sum(axis=0)
+
+    return (d_a_h1 @ p["den.a_w1"].T)[:, in_b.shape[1]:]

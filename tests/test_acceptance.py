@@ -177,24 +177,21 @@ def test_criterion_6_loss_correctness():
         assert _rel_err(bce_logit_grad(sigmoid(logit), y)[i, 0], fd) <= 1e-4
 
     for _ in range(10):  # contrastive term, 10 coordinates per random batch
-        f = rng.standard_normal((4, 5))
-        fp = rng.standard_normal((4, 5))
-        batch = ContrastiveBatch(features=f, positives=fp, temperature=0.3)
-        d_f, _ = contrastive_grad(batch)
+        f = 0.3 * rng.standard_normal((4, 5))   # unsaturated softmax rows, as in test_losses
+        d_f = contrastive_grad(ContrastiveBatch(features=f, temperature=0.3))
         for _ in range(10):
             i, j = int(rng.integers(4)), int(rng.integers(5))
             orig = f[i, j]
             f[i, j] = orig + h
-            hi = contrastive(ContrastiveBatch(features=f, positives=fp, temperature=0.3))
+            hi = contrastive(ContrastiveBatch(features=f, temperature=0.3))
             f[i, j] = orig - h
-            lo = contrastive(ContrastiveBatch(features=f, positives=fp, temperature=0.3))
+            lo = contrastive(ContrastiveBatch(features=f, temperature=0.3))
             f[i, j] = orig
             assert _rel_err(d_f[i, j], (hi - lo) / (2 * h)) <= 1e-4
 
     for n in (2, 4, 8):  # identical features collapse to ln N
         feats = np.tile(rng.standard_normal(16), (n, 1))
-        val = contrastive(ContrastiveBatch(features=feats, positives=feats.copy(),
-                                           temperature=0.1))
+        val = contrastive(ContrastiveBatch(features=feats, temperature=0.1))
         assert abs(val - np.log(n)) <= 1e-9
 
     base = rng.random(6)
@@ -216,7 +213,7 @@ def test_criterion_7_conditioning_contract():
 
     def one_row(token):  # B = 1, as the sampling loop calls it
         return denoiser_forward_batch(pose, np.array([60]), proprio, scene, token[None, :],
-                                      policy.denoiser)
+                                      policy.params)
 
     ref = one_row(rng.standard_normal(TOKEN_DIM))
     for _ in range(20):

@@ -26,6 +26,21 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("seed, param_sha", [
+    (0, "6dda25b1f4febf464d1ff5d2ffd13a630b0e3883a84784c4dfc5e1a14beb731e"),
+    (5, "9fd25c5423adf0d67ffd9c8a21d822aae325bc389b7d0da81aeb2b8a09bc4a55"),
+])
+def test_init_draw_order(seed, param_sha):
+    """Seeded init draws the weights layer by layer in checkpoint order."""
+    policy = ToyPolicy.init(seed=seed)
+    assert list(policy.params) == [
+        "enc.w1", "enc.b1", "enc.w2", "enc.b2", "enc.w3", "enc.b3",
+        "den.a_w1", "den.a_b1", "den.a_w2", "den.a_b2", "den.pos_w", "den.pos_b",
+        "den.open_w", "den.open_b", "den.auxp_w", "den.auxp_b", "den.auxo_w", "den.auxo_b",
+        "den.b_w1", "den.b_b1", "den.b_w2", "den.b_b2", "den.rot_w", "den.rot_b"]
+    assert _sha(policy.param_bytes()) == param_sha
+
+
 def test_short_training_run():
     demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(3)]
     policy, curve = train(TrainConfig(iters=20, seed=7, pool_size=8), demos)
@@ -66,7 +81,7 @@ def test_sample_with_policy_denoiser(stochastic, pose_hex):
 
     def denoiser(x, k):
         eps_pos, eps_rot, open_p, _, _, _ = denoiser_forward_batch(
-            x[None, :], np.array([k]), *rows, policy.denoiser)
+            x[None, :], np.array([k]), *rows, policy.params)
         return np.concatenate([eps_pos[0], eps_rot[0]]), open_p[0, 0]
 
     pose, open_state = diffusion.sample(denoiser, sp, sr, seed=13, stochastic=stochastic)

@@ -94,12 +94,12 @@ class TestContrastive:
     def test_identical_features_give_ln_n(self, rng):
         for n in (2, 5, 8):
             f = np.tile(rng.standard_normal(16), (n, 1))
-            batch = ContrastiveBatch(features=f, positives=f.copy(), temperature=0.1)
+            batch = ContrastiveBatch(features=f, temperature=0.1)
             assert contrastive(batch) == pytest.approx(np.log(n), abs=1e-9)
 
     def test_hand_case_n2(self):
         f = np.eye(2)
-        batch = ContrastiveBatch(features=f, positives=f.copy(), temperature=1.0)
+        batch = ContrastiveBatch(features=f, temperature=1.0)
         assert contrastive(batch) == pytest.approx(np.log(1 + np.exp(-1.0)), abs=1e-12)
         assert contrastive(batch) == pytest.approx(0.3133, abs=1e-4)
 
@@ -110,35 +110,33 @@ class TestContrastive:
         f = np.zeros((4, d))
         for i in range(4):
             f[i, i] = 10.0
-        batch = ContrastiveBatch(features=f, positives=f.copy(), temperature=1.0)
+        batch = ContrastiveBatch(features=f, temperature=1.0)
         expect = np.log(1 + 3 * np.exp(-100.0)) + 0.0  # ~0 floor
         assert contrastive(batch) == pytest.approx(expect, abs=1e-9)
         assert contrastive(batch) < 1e-6
 
     def test_permutation_invariance(self, rng):
         f = rng.standard_normal((6, 12))
-        fp = rng.standard_normal((6, 12))
-        batch = ContrastiveBatch(features=f, positives=fp, temperature=0.2)
+        batch = ContrastiveBatch(features=f, temperature=0.2)
         perm = rng.permutation(6)
-        permuted = ContrastiveBatch(features=f[perm], positives=fp[perm], temperature=0.2)
+        permuted = ContrastiveBatch(features=f[perm], temperature=0.2)
         assert contrastive(permuted) == pytest.approx(contrastive(batch), rel=1e-12)
 
     def test_gradient_matches_fd(self, rng):
-        f = rng.standard_normal((4, 6))
-        fp = rng.standard_normal((4, 6))
-        d_f, d_fp = contrastive_grad(ContrastiveBatch(features=f, positives=fp, temperature=0.3))
-        num_f = central_diff(
-            lambda x: contrastive(ContrastiveBatch(features=x, positives=fp, temperature=0.3)), f.copy())
-        num_fp = central_diff(
-            lambda x: contrastive(ContrastiveBatch(features=f, positives=x, temperature=0.3)), fp.copy())
-        assert_grad_close(d_f, num_f)
-        assert_grad_close(d_fp, num_fp)
+        # each feature is its own positive, so the difference moves both.
+        # At unit scale and T = 0.3 the self term saturates some softmax rows,
+        # leaving gradients of ~1e-11 that central differences cannot resolve
+        f = 0.3 * rng.standard_normal((4, 6))
+        grad = contrastive_grad(ContrastiveBatch(features=f, temperature=0.3))
+        num = central_diff(lambda x: contrastive(ContrastiveBatch(features=x, temperature=0.3)),
+                           f.copy())
+        assert_grad_close(grad, num)
 
     def test_batch_invariants(self):
         with pytest.raises(ValueError):
-            ContrastiveBatch(features=np.zeros((1, 4)), positives=np.zeros((1, 4)))
+            ContrastiveBatch(features=np.zeros((1, 4)))
         with pytest.raises(DimMismatch):
-            ContrastiveBatch(features=np.zeros((3, 4)), positives=np.zeros((3, 5)))
+            ContrastiveBatch(features=np.zeros(4))
 
 
 class TestTotalLoss:

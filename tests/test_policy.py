@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravkit.demos import CorruptFile, TaskKind
-from gravkit.policy import (Adam, EncoderParams, ToyPolicy, TrainConfig, TrainingDiverged,
-                            compute_gradients, denoiser_forward_batch, encode_gravmap,
-                            load_policy, save_policy, train)
-from gravkit.policy.nets import (ENC_H2, IN_A, IN_B, TOKEN_DIM, encoder_backward, encoder_forward,
-                                 step_embedding)
+from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
+                            denoiser_forward_batch, encode_gravmap, load_policy, save_policy,
+                            train)
+from gravkit.policy.nets import (ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B, TOKEN_DIM, denoiser_backward,
+                                 encoder_backward, encoder_forward, step_embedding)
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
-from oracles import encoder_backward_oracle, encoder_oracle
+from oracles import (denoiser_backward_oracle, denoiser_oracle, encoder_backward_oracle,
+                     encoder_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +39,27 @@ def tiny_setup(policy):
     return batch, pool[:3]
 
 
-def one_row(pose, step, proprio, scene, token, den):
+def one_row(pose, step, proprio, scene, token, params):
     """The denoiser on a single (B = 1) row, as the sampling loop runs it."""
     return denoiser_forward_batch(pose[None, :], np.array([step]), proprio[None, :],
-                                  scene[None, :], token[None, :], den)[:5]
+                                  scene[None, :], token[None, :], params)[:5]
 
 
 class TestEncoder:
     def test_token_dimension(self, policy, rng):
         pts = rng.random((1024, 5))
-        assert encode_gravmap(pts, policy.encoder).shape == (TOKEN_DIM,)
+        assert encode_gravmap(pts, policy.params).shape == (TOKEN_DIM,)
 
     def test_permutation_invariance_exact(self, policy, rng):
         pts = rng.random((256, 5))
-        token = encode_gravmap(pts, policy.encoder)
-        perm = encode_gravmap(pts[rng.permutation(256)], policy.encoder)
+        token = encode_gravmap(pts, policy.params)
+        perm = encode_gravmap(pts[rng.permutation(256)], policy.params)
         np.testing.assert_array_equal(token, perm)
 
     def test_duplicate_invariance_exact(self, policy, rng):
         pts = rng.random((128, 5))
-        token = encode_gravmap(pts, policy.encoder)
-        dup = encode_gravmap(np.concatenate([pts, pts[:17]]), policy.encoder)
+        token = encode_gravmap(pts, policy.params)
+        dup = encode_gravmap(np.concatenate([pts, pts[:17]]), policy.params)
         np.testing.assert_array_equal(token, dup)
 
 
@@ -66,7 +67,7 @@ class TestDenoiser:
     def test_output_shapes(self, policy, rng):
         eps_pos, eps_rot, open_p, aux_pos, aux_open = one_row(
             rng.standard_normal(9), 17, rng.standard_normal(8), rng.standard_normal(16),
-            rng.standard_normal(TOKEN_DIM), policy.denoiser)
+            rng.standard_normal(TOKEN_DIM), policy.params)
         assert eps_pos.shape == (1, 3)
         assert eps_rot.shape == (1, 6)
         assert aux_pos.shape == (1, 3)
@@ -75,17 +76,17 @@ class TestDenoiser:
 
     def test_rot_head_ignores_token_bit_identical(self, policy, rng):
         pose, proprio, scene = rng.standard_normal(9), rng.standard_normal(8), rng.standard_normal(16)
-        out1 = one_row(pose, 50, proprio, scene, rng.standard_normal(TOKEN_DIM), policy.denoiser)
+        out1 = one_row(pose, 50, proprio, scene, rng.standard_normal(TOKEN_DIM), policy.params)
         for _ in range(5):
             out2 = one_row(pose, 50, proprio, scene, rng.standard_normal(TOKEN_DIM) * 10,
-                           policy.denoiser)
+                           policy.params)
             np.testing.assert_array_equal(out1[1], out2[1])
             assert np.any(out1[0] != out2[0])
 
     def test_finite_on_large_inputs(self, policy):
         rng = np.random.default_rng(0)
         out = one_row(rng.uniform(-10, 10, 9), 99, rng.uniform(-10, 10, 8),
-                      rng.uniform(-10, 10, 16), rng.uniform(-10, 10, TOKEN_DIM), policy.denoiser)
+                      rng.uniform(-10, 10, 16), rng.uniform(-10, 10, TOKEN_DIM), policy.params)
         for v in out:
             assert np.all(np.isfinite(v))
 
@@ -103,7 +104,7 @@ class TestGradients:
         batch, negs = tiny_setup
         grads, loss, _ = compute_gradients(*batch, negs, policy)
         assert np.isfinite(loss)
-        params = dict(policy.params())
+        params = policy.params
         rng = np.random.default_rng(99)
         names = sorted(params)
         h = 1e-5
@@ -163,7 +164,7 @@ class TestTraining:
 
     def test_non_finite_loss_raises_training_diverged(self, demo_set):
         policy = ToyPolicy.init(seed=0)
-        policy.denoiser.pos_b[:] = np.inf
+        policy.params["den.pos_b"][:] = np.inf
         with pytest.raises(TrainingDiverged) as info:
             train(TrainConfig(iters=5, seed=0, pool_size=8), demo_set, policy)
         assert info.value.iteration == 0
@@ -174,7 +175,7 @@ class TestTraining:
         save_policy(policy, path)
         loaded = load_policy(path)
         assert loaded.param_bytes() == policy.param_bytes()
-        for (na, a), (nb, b) in zip(policy.params(), loaded.params()):
+        for (na, a), (nb, b) in zip(policy.params.items(), loaded.params.items()):
             assert na == nb
             np.testing.assert_array_equal(a, b)
         assert loaded.steps == policy.steps
@@ -199,8 +200,8 @@ class TestTraining:
         assert set(targets[:, 9]) <= {0.0, 1.0} and set(aux[:, 3]) <= {0.0, 1.0}
 
 
-def _enc_grads(enc):
-    return {"enc." + f: np.zeros_like(getattr(enc, f)) for f in EncoderParams.FIELDS}
+def _zero_grads(params, prefix):
+    return {name: np.zeros_like(arr) for name, arr in params.items() if name.startswith(prefix)}
 
 
 class TestEncoderMatchesOracle:
@@ -215,24 +216,54 @@ class TestEncoderMatchesOracle:
         `dead_frac` of the channels get a bias that keeps them at 0 on every
         point, so their maximum is a tie across the whole map."""
         rng = np.random.default_rng(seed)
-        enc = EncoderParams.init(rng)
-        enc.b1 = 0.3 * rng.standard_normal(enc.b1.shape)
-        enc.b2 = 0.3 * rng.standard_normal(ENC_H2)
-        enc.b2[rng.random(ENC_H2) < dead_frac] = -1e6
+        params = ToyPolicy.init(seed=seed).params
+        params["enc.b1"] = 0.3 * rng.standard_normal(ENC_H1)
+        params["enc.b2"] = 0.3 * rng.standard_normal(ENC_H2)
+        params["enc.b2"][rng.random(ENC_H2) < dead_frac] = -1e6
         maps = rng.standard_normal((m, n, 5))
         if distinct is not None:
             maps = maps[:, rng.integers(0, min(distinct, n), n)]
         d_tokens = rng.standard_normal((m, TOKEN_DIM))
 
-        tokens, cache = encoder_forward(maps, enc)
-        want_tokens, want_arg, want_pooled, state = encoder_oracle(maps, enc)
+        tokens, cache = encoder_forward(maps, params)
+        want_tokens, want_arg, want_pooled, state = encoder_oracle(maps, params)
         assert tokens.tobytes() == want_tokens.tobytes()
         np.testing.assert_array_equal(cache["arg"], want_arg)
         assert cache["pooled"].tobytes() == want_pooled.tobytes()
 
-        got, want = _enc_grads(enc), _enc_grads(enc)
-        encoder_backward(d_tokens, cache, enc, got)
-        encoder_backward_oracle(d_tokens, state, enc, want)
+        got, want = _zero_grads(params, "enc."), _zero_grads(params, "enc.")
+        encoder_backward(d_tokens, cache, params, got)
+        encoder_backward_oracle(d_tokens, state, params, want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestDenoiserMatchesOracle:
+    @pytest.mark.parametrize("b", [1, 8, 15])
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dead_frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_outputs_and_gradients_bit_identical(self, b, seed, dead_frac):
+        """`dead_frac` of the hidden units of each trunk layer get a bias
+        that keeps them at 0 on every row, so the ReLU masks see exact zeros."""
+        rng = np.random.default_rng(seed)
+        params = ToyPolicy.init(seed=seed).params
+        for name in ("den.a_b1", "den.a_b2", "den.b_b1", "den.b_b2"):
+            params[name] = 0.3 * rng.standard_normal(HIDDEN)
+            params[name][rng.random(HIDDEN) < dead_frac] = -1e6
+        pose, proprio, scene, tokens = (rng.standard_normal((b, w)) for w in (9, 8, 16, TOKEN_DIM))
+        steps = rng.integers(1, 101, b)
+        d_heads = [rng.standard_normal((b, w)) for w in (3, 1, 3, 1, 6)]
+
+        *outs, cache = denoiser_forward_batch(pose, steps, proprio, scene, tokens, params)
+        *want_outs, state = denoiser_oracle(pose, proprio, scene, step_embedding(steps), tokens,
+                                            params)
+        for got_out, want_out in zip(outs, want_outs, strict=True):
+            assert got_out.tobytes() == want_out.tobytes()
+
+        got, want = _zero_grads(params, "den."), _zero_grads(params, "den.")
+        d_tokens = denoiser_backward(*d_heads, cache, params, got)
+        want_d_tokens = denoiser_backward_oracle(*d_heads, state, params, want)
+        assert d_tokens.tobytes() == want_d_tokens.tobytes()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -251,7 +282,7 @@ class TestAdam:
         first = None
         for t in range(1, 4):
             grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
-            opt.step(list(params.items()), grads)
+            opt.step(params, grads)
             if first is None:
                 first = {k: (opt.m[k], opt.v[k]) for k in params}
             for k in params:
