@@ -100,19 +100,44 @@ def add_noise(x0, k, eps, sched: NoiseSchedule):
     return np.sqrt(ab) * np.asarray(x0, dtype=float) + np.sqrt(1.0 - ab) * np.asarray(eps, dtype=float)
 
 
+def _reverse_terms(sched: NoiseSchedule) -> np.ndarray:
+    """(K, 3) per-step terms of the reverse update, row k-1 for step k: the
+    mean coefficient beta_k / sqrt(1 - abar_k), sqrt(alpha_k) and the
+    posterior std sigma_k = sqrt((1 - abar_{k-1}) / (1 - abar_k) * beta_k)."""
+    abar_prev = np.concatenate(([1.0], sched.alpha_bar[:-1]))
+    return np.stack([sched.beta / np.sqrt(1.0 - sched.alpha_bar),
+                     np.sqrt(sched.alpha),
+                     np.sqrt((1.0 - abar_prev) / (1.0 - sched.alpha_bar) * sched.beta)], axis=1)
+
+
 def posterior_sigma(k: int, sched: NoiseSchedule) -> float:
     """Posterior std: sigma_k^2 = (1 - abar_{k-1}) / (1 - abar_k) * beta_k."""
-    var = (1.0 - sched.abar(k - 1)) / (1.0 - sched.abar(k)) * sched.beta[k - 1]
-    return float(np.sqrt(var))
+    sched._check_step(k)
+    return float(_reverse_terms(sched)[k - 1, 2])
 
 
 _CHANNEL_SCHEDULE = np.repeat([0, 1], (3, 6))   # 0: position channel, 1: rotation
 
 
-def _per_channel(pos_value, rot_value) -> np.ndarray:
-    """Spread one coefficient per schedule over the pose vector's 3 position
-    and 6 rotation channels."""
-    return np.array((pos_value, rot_value))[_CHANNEL_SCHEDULE]
+def reverse_coefficients(sched_pos: NoiseSchedule, sched_rot: NoiseSchedule) -> np.ndarray:
+    """(K, 3, 9) table of the reverse update's coefficients: row k-1 holds
+    step k's mean coefficient, sqrt(alpha) and posterior std, each spread
+    over the pose vector's 3 position and 6 rotation channels."""
+    if sched_pos.steps != sched_rot.steps:
+        raise InvalidRange("position and rotation schedules must share K")
+    terms = np.stack([_reverse_terms(sched_pos), _reverse_terms(sched_rot)], axis=-1)
+    return terms[..., _CHANNEL_SCHEDULE]
+
+
+def _reverse_update(x, k: int, eps_hat, coefs: np.ndarray, stochastic: bool, rng) -> np.ndarray:
+    """x_{k-1} from x_k with the coefficients of `reverse_coefficients`."""
+    mean_coef, root_alpha, sigma = coefs[k - 1]
+    x = (np.asarray(x, dtype=float) - mean_coef * eps_hat) / root_alpha
+    if stochastic and k > 1:
+        if rng is None:
+            raise ValueError("stochastic denoise_step needs an rng")
+        x = x + sigma * rng.standard_normal(9)
+    return x
 
 
 def denoise_step(x, k: int, eps_hat, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
@@ -124,16 +149,8 @@ def denoise_step(x, k: int, eps_hat, sched_pos: NoiseSchedule, sched_rot: NoiseS
     """
     sched_pos._check_step(k)
     sched_rot._check_step(k)
-    mean_coef = _per_channel(sched_pos.beta[k - 1] / np.sqrt(1.0 - sched_pos.abar(k)),
-                             sched_rot.beta[k - 1] / np.sqrt(1.0 - sched_rot.abar(k)))
-    root_alpha = _per_channel(np.sqrt(sched_pos.alpha[k - 1]), np.sqrt(sched_rot.alpha[k - 1]))
-    x = (np.asarray(x, dtype=float) - mean_coef * eps_hat) / root_alpha
-    if stochastic and k > 1:
-        if rng is None:
-            raise ValueError("stochastic denoise_step needs an rng")
-        sigma = _per_channel(posterior_sigma(k, sched_pos), posterior_sigma(k, sched_rot))
-        x = x + sigma * rng.standard_normal(9)
-    return x
+    return _reverse_update(x, k, eps_hat, reverse_coefficients(sched_pos, sched_rot),
+                           stochastic, rng)
 
 
 def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
@@ -145,15 +162,16 @@ def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
     return (eps_hat, open_prob): the predicted noise (9,) and the openness
     probability. The chain starts from standard normal noise at step K, the
     openness is read from the final (k = 1) prediction and thresholded at
-    0.5, and the final rotation is orthonormalized via Gram-Schmidt.
+    0.5, and the final rotation is orthonormalized via Gram-Schmidt. Each
+    step is the update `denoise_step` makes, with the coefficient table
+    built once per chain.
     """
-    if sched_pos.steps != sched_rot.steps:
-        raise InvalidRange("position and rotation schedules must share K")
+    coefs = reverse_coefficients(sched_pos, sched_rot)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(9)
     for k in range(sched_pos.steps, 0, -1):
         eps_hat, open_prob = denoiser(x, k)
-        x = denoise_step(x, k, eps_hat, sched_pos, sched_rot, stochastic=stochastic, rng=rng)
+        x = _reverse_update(x, k, eps_hat, coefs, stochastic, rng)
     pose = Pose(pos=x[:3], rot6d=matrix_to_rot6d(rot6d_to_matrix(x[3:])))
     return pose, int(open_prob > 0.5)
 

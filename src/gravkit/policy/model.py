@@ -20,6 +20,10 @@ from .nets import LAYERS
 
 FORMAT_VERSION = 1
 
+# parameter name -> shape, in LAYERS (checkpoint) order
+_PARAM_SHAPES = {name: shape for w, b, fan_in, fan_out, _ in LAYERS
+                for name, shape in ((w, (fan_in, fan_out)), (b, (fan_out,)))}
+
 
 @dataclass
 class ToyPolicy:
@@ -103,8 +107,8 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
         raise GravkitError("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise GravkitError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    policy = ToyPolicy.init(
-        seed=0,
+    policy = ToyPolicy(
+        params={},
         workspace=Workspace(tuple(manifest["workspace"]["min"]), tuple(manifest["workspace"]["max"])),
         gravmap_params=GravMapParams(**manifest["gravmap"]),
         steps=int(manifest["steps"]),
@@ -114,16 +118,15 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
     )
     policy.schedules()   # an unknown schedule kind fails here, not at first use
     offset = 4 + mlen
-    if [layer["name"] for layer in manifest["layers"]] != list(policy.params):
+    if [layer["name"] for layer in manifest["layers"]] != list(_PARAM_SHAPES):
         raise GravkitError("manifest layers do not match the model's")
     for layer in manifest["layers"]:
-        arr = policy.params[layer["name"]]
-        shape = tuple(layer["shape"])
-        if arr.shape != shape:
-            raise GravkitError(f"layer {layer['name']}: shape {shape} != expected {arr.shape}")
+        name, shape = layer["name"], tuple(layer["shape"])
+        if shape != _PARAM_SHAPES[name]:
+            raise GravkitError(f"layer {name}: shape {shape} != expected {_PARAM_SHAPES[name]}")
         count = int(np.prod(shape))
         vals = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        arr[...] = vals.astype(float).reshape(shape)
+        policy.params[name] = vals.astype(float).reshape(shape)
         offset += 4 * count
     if offset != len(raw):
         raise GravkitError("trailing bytes in checkpoint")

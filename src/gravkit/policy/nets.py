@@ -187,6 +187,21 @@ def denoiser_forward_batch(pose: np.ndarray, steps: np.ndarray, proprio: np.ndar
     return eps_pos, eps_rot, sigmoid(open_logit), aux_pos, sigmoid(auxo_logit), cache
 
 
+def denoiser_infer(in_a: np.ndarray, params: dict):
+    """Forward pass of one assembled input row for sampling.
+
+    in_a (1, IN_A) holds what `denoiser_forward_batch` concatenates: pose,
+    proprio, scene, step embedding, then the token; trunk B reads its first
+    IN_B columns. Only the heads sampling reads run (no auxiliary heads, no
+    backward cache). Returns (eps (9,), open probability), the same bits as
+    that function's eps_pos, eps_rot and open_p at B = 1.
+    """
+    _, a_h2 = _mlp_forward(in_a, params, A1, A2)
+    _, b_h2 = _mlp_forward(in_a[:, :IN_B], params, B1, B2)
+    eps = np.concatenate([_dense(a_h2, params, POS)[0], _dense(b_h2, params, ROT)[0]])
+    return eps, sigmoid(_dense(a_h2, params, OPEN))[0, 0]
+
+
 def denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_rot,
                       cache, params: dict, grads: dict) -> np.ndarray:
     """Backward pass from head gradients (openness grads are w.r.t. logits).

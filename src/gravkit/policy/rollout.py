@@ -15,7 +15,8 @@ from ..demos import Frame, TaskKind
 from ..gravmap import Workspace, generate_gravmap
 from ..sim import Command, check_success, make_world, next_subgoal, occupancy_grid, step
 from .model import ToyPolicy
-from .nets import TOKEN_DIM, denoiser_forward_batch, encode_gravmap
+from .nets import (IN_B, POSE_DIM, STEP_EMBED_DIM, TOKEN_DIM, denoiser_infer, encode_gravmap,
+                   step_embedding)
 
 MOVE_FRAME_CAP = 60   # straight-line frames per predicted keypose
 SETTLE_FRAMES = 3     # frames holding the target with the predicted openness
@@ -50,6 +51,25 @@ def scene_feat_from_frame(frame: Frame, ws: Workspace) -> np.ndarray:
     ])
 
 
+def chain_denoiser(params: dict, emb_table: np.ndarray, proprio, scene, token):
+    """The denoiser(x, k) that `diffusion.sample` calls for one reverse chain.
+
+    The chain's input row is filled once with proprio (8,), scene (16,) and
+    token (TOKEN_DIM,); each step writes only the pose and row k-1 of
+    `emb_table`, the step embeddings of steps 1..K.
+    """
+    row = np.concatenate([np.zeros(POSE_DIM), proprio, scene, np.zeros(STEP_EMBED_DIM),
+                          token])[None, :]
+    pose_cols, emb_cols = row[0, :POSE_DIM], row[0, IN_B - STEP_EMBED_DIM:IN_B]
+
+    def denoiser(x, k):
+        pose_cols[...] = x
+        emb_cols[...] = emb_table[k - 1]
+        return denoiser_infer(row, params)
+
+    return denoiser
+
+
 def _null_frame(world) -> Frame:
     _, frame = step(world, Command(target=world.gripper_pos.copy(), open=world.gripper_open))
     return frame
@@ -60,6 +80,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
                 stochastic: bool = True) -> bool:
     ws, gp = policy.workspace, policy.gravmap_params
     sched_pos, sched_rot = policy.schedules()
+    emb_table = step_embedding(np.arange(1, sched_pos.steps + 1))
     world = make_world(task_kind, rng, shifted=shifted)
     frame = _null_frame(world)
     prev_frame = frame
@@ -82,14 +103,8 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
                 token_cache[key] = token
         else:
             token = zero_token
-        rows = (proprio_vec(prev_frame, frame, ws)[None, :],
-                scene_feat_from_frame(frame, ws)[None, :], token[None, :])
-
-        def denoiser(x, k):
-            eps_pos, eps_rot, open_p, _, _, _ = denoiser_forward_batch(
-                x[None, :], np.array([k]), *rows, policy.params)
-            return np.concatenate([eps_pos[0], eps_rot[0]]), open_p[0, 0]
-
+        denoiser = chain_denoiser(policy.params, emb_table, proprio_vec(prev_frame, frame, ws),
+                                  scene_feat_from_frame(frame, ws), token)
         pose, open_pred = diffusion.sample(denoiser, sched_pos, sched_rot,
                                            seed=int(rng.integers(2**63)), stochastic=stochastic)
         target = denormalize_pos(np.clip(pose.pos, -1.0, 1.0), ws)

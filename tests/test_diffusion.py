@@ -4,7 +4,7 @@ import pytest
 from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, DegenerateRotation, InvalidRange,
                                NotARotation, StepOutOfRange, add_noise, denoise_step,
                                make_schedule, matrix_to_rot6d, posterior_sigma,
-                               rot6d_to_matrix, sample)
+                               reverse_coefficients, rot6d_to_matrix, sample)
 
 
 def random_rotation(rng):
@@ -135,6 +135,30 @@ class TestDenoiseStep:
         with pytest.raises(StepOutOfRange):
             denoise_step(np.zeros(9), 11, np.zeros(9), sp, sp, stochastic=False)
 
+    def test_schedules_of_different_length_rejected(self):
+        sp, sr = make_schedule(SCALED_LINEAR, 10), make_schedule(SQUARED_COS, 11)
+        with pytest.raises(InvalidRange):
+            denoise_step(np.zeros(9), 1, np.zeros(9), sp, sr, stochastic=False)
+        with pytest.raises(InvalidRange):
+            sample(_ZeroDenoiser(), sp, sr, seed=0)
+
+    @pytest.mark.parametrize("kinds", [(SCALED_LINEAR, SQUARED_COS), (SQUARED_COS, SCALED_LINEAR)])
+    @pytest.mark.parametrize("steps", [1, 2, 100])
+    def test_coefficient_rows_equal_scalar_formulas(self, kinds, steps):
+        """Row k-1 of the table holds, byte for byte, what the per-step
+        scalar formulas give for step k, spread over 3 position and 6
+        rotation channels."""
+        sp, sr = (make_schedule(kind, steps) for kind in kinds)
+        table = reverse_coefficients(sp, sr)
+        assert table.shape == (steps, 3, 9)
+        for k in range(1, steps + 1):
+            per_sched = [[s.beta[k - 1] / np.sqrt(1.0 - s.abar(k)), np.sqrt(s.alpha[k - 1]),
+                          np.sqrt((1.0 - s.abar(k - 1)) / (1.0 - s.abar(k)) * s.beta[k - 1])]
+                         for s in (sp, sr)]
+            want = np.array(per_sched).T[:, [0, 0, 0, 1, 1, 1, 1, 1, 1]]
+            assert table[k - 1].tobytes() == want.tobytes()
+            assert want[2, 0] == posterior_sigma(k, sp) and want[2, 3] == posterior_sigma(k, sr)
+
 
 class _ZeroDenoiser:
     def __call__(self, x, k):
@@ -155,6 +179,23 @@ class TestSample:
         r = rot6d_to_matrix(raw)
         np.testing.assert_allclose(np.concatenate([r[:, 0], r[:, 1]]), pose.rot6d, atol=1e-9)
         assert open_state == 1
+
+    def test_chain_is_repeated_denoise_step(self):
+        """The chain draws its start and its noise from one seeded generator
+        and applies the update `denoise_step` makes, in the same bits."""
+        sp = make_schedule(SCALED_LINEAR, 20)
+        sr = make_schedule(SQUARED_COS, 20)
+
+        def denoiser(x, k):
+            return np.sin(x + k), 0.7
+
+        pose, _ = sample(denoiser, sp, sr, seed=4, stochastic=True)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(9)
+        for k in range(20, 0, -1):
+            x = denoise_step(x, k, denoiser(x, k)[0], sp, sr, stochastic=True, rng=rng)
+        assert pose.pos.tobytes() == x[:3].tobytes()
+        assert pose.rot6d.tobytes() == matrix_to_rot6d(rot6d_to_matrix(x[3:])).tobytes()
 
     def test_identical_seeds_identical_outputs(self):
         sp = make_schedule(SCALED_LINEAR, 50)

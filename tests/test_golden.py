@@ -6,6 +6,9 @@ fails here instead of only in the benchmark. If a change alters the numbers
 on purpose, it re-records them and says why.
 """
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +16,14 @@ import pytest
 
 from gravkit import diffusion
 from gravkit.demos import TaskKind
-from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, evaluate,
-                            load_policy, train)
+from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, step_embedding, train
 from gravkit.policy.nets import TOKEN_DIM
+from gravkit.policy.rollout import chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
 
-FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
+TESTS = Path(__file__).resolve().parent
+FIXTURE_MODEL = TESTS.parent / "benchmarks" / "fixture" / "model.bin"
 
 
 def _sha(data: bytes) -> str:
@@ -76,22 +80,22 @@ def test_sample_with_policy_denoiser(stochastic, pose_hex):
     sp, sr = policy.schedules()
 
     rng = np.random.default_rng(21)
-    rows = (rng.standard_normal((1, 8)), rng.standard_normal((1, 16)),
-            rng.standard_normal((1, TOKEN_DIM)))
-
-    def denoiser(x, k):
-        eps_pos, eps_rot, open_p, _, _, _ = denoiser_forward_batch(
-            x[None, :], np.array([k]), *rows, policy.params)
-        return np.concatenate([eps_pos[0], eps_rot[0]]), open_p[0, 0]
-
+    rows = (rng.standard_normal(8), rng.standard_normal(16), rng.standard_normal(TOKEN_DIM))
+    # the closure run_episode builds for each prediction
+    denoiser = chain_denoiser(policy.params, step_embedding(np.arange(1, sp.steps + 1)), *rows)
     pose, open_state = diffusion.sample(denoiser, sp, sr, seed=13, stochastic=stochastic)
     assert (pose.pos.tobytes() + pose.rot6d.tobytes()).hex() == pose_hex
     assert open_state == 1
 
 
-def test_episode_outcomes_and_predictions(monkeypatch):
+EPISODE_RECORD = ([0.0, 1.0, 0.0, 1.0, 1.0, 1.0], 93,
+                  "91fadade912ddfcc3589d3924d2fbad595bd177c80cd279abb854519d8f42058")
+
+
+def episode_record():
     """Guided shifted-goal episodes of the trained checkpoint in
-    benchmarks/fixture, with every keypose the sampler predicts."""
+    benchmarks/fixture: (outcomes, number of predicted keyposes, sha256 of
+    every keypose the sampler predicts)."""
     policy = load_policy(FIXTURE_MODEL)
     predictions = hashlib.sha256()
     calls = []
@@ -103,10 +107,27 @@ def test_episode_outcomes_and_predictions(monkeypatch):
         calls.append(open_state)
         return pose, open_state
 
-    monkeypatch.setattr(diffusion, "sample", recording_sample)
-    outcomes = [evaluate(policy, TaskKind.TOUCH_ONLY, 1, seed, guided=True, shifted=True)
-                for seed in range(2000, 2006)]
-    assert outcomes == [0.0, 1.0, 0.0, 1.0, 1.0, 1.0]
-    assert len(calls) == 93
-    assert predictions.hexdigest() == \
-        "91fadade912ddfcc3589d3924d2fbad595bd177c80cd279abb854519d8f42058"
+    diffusion.sample = recording_sample
+    try:
+        outcomes = [evaluate(policy, TaskKind.TOUCH_ONLY, 1, seed, guided=True, shifted=True)
+                    for seed in range(2000, 2006)]
+    finally:
+        diffusion.sample = sample
+    return outcomes, len(calls), predictions.hexdigest()
+
+
+def test_episode_outcomes_and_predictions():
+    assert episode_record() == EPISODE_RECORD
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_episode_record_independent_of_blas_threads(threads):
+    """Unlike training's weight gradients, evaluation gives the same bits at
+    any BLAS thread count. OpenBLAS reads the count when numpy loads, hence
+    a fresh interpreter per count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
+                                           os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", "import test_golden as g; print(g.episode_record())"],
+                         env=env, capture_output=True, text=True, check=True, timeout=600)
+    assert out.stdout.strip() == str(EPISODE_RECORD)

@@ -13,6 +13,7 @@ from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, comp
                             train)
 from gravkit.policy.nets import (ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B, TOKEN_DIM, denoiser_backward,
                                  encoder_backward, encoder_forward, step_embedding)
+from gravkit.policy.rollout import chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
 from oracles import (denoiser_backward_oracle, denoiser_oracle, encoder_backward_oracle,
@@ -97,6 +98,14 @@ class TestDenoiser:
         emb = step_embedding([1, 50, 100])
         assert emb.shape == (3, 32)
         assert np.all(np.abs(emb) <= 1.0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 100, 1000])
+    def test_step_embedding_table_rows_equal_per_step_calls(self, steps):
+        """Sampling reads a table built in one call; numpy's vectorised sin
+        and cos must give each row the bits of a one-step call."""
+        table = step_embedding(np.arange(1, steps + 1))
+        for k in range(1, steps + 1):
+            assert table[k - 1].tobytes() == step_embedding([k])[0].tobytes(), k
 
 
 class TestGradients:
@@ -268,6 +277,30 @@ class TestDenoiserMatchesOracle:
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
+class TestChainDenoiserMatchesBatchForward:
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dead_frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_eps_and_open_bit_identical_at_b1(self, seed, dead_frac):
+        """The sampling closure, over several steps of one chain, against
+        `denoiser_forward_batch` at B = 1; dead units as in
+        TestDenoiserMatchesOracle."""
+        rng = np.random.default_rng(seed)
+        params = ToyPolicy.init(seed=seed).params
+        for name in ("den.a_b1", "den.a_b2", "den.b_b1", "den.b_b2"):
+            params[name] = 0.3 * rng.standard_normal(HIDDEN)
+            params[name][rng.random(HIDDEN) < dead_frac] = -1e6
+        proprio, scene, token = (rng.standard_normal(w) for w in (8, 16, TOKEN_DIM))
+        denoiser = chain_denoiser(params, step_embedding(np.arange(1, 101)), proprio, scene, token)
+        for k in rng.integers(1, 101, 5):
+            pose = rng.standard_normal(9)
+            eps, open_p = denoiser(pose, k)
+            eps_pos, eps_rot, want_open, *_ = denoiser_forward_batch(
+                pose[None, :], np.array([k]), proprio[None, :], scene[None, :], token[None, :],
+                params)
+            assert eps.tobytes() == np.concatenate([eps_pos[0], eps_rot[0]]).tobytes()
+            assert np.float64(open_p).tobytes() == want_open[0, 0].tobytes()
+
+
 class TestAdam:
     def test_moments_allocated_once_and_steps_match_formula(self, monkeypatch):
         zeros_like, allocated = np.zeros_like, []
@@ -317,6 +350,16 @@ class TestCheckpointFile:
         path = tmp_path / "model.bin"
         save_policy(load_policy(FIXTURE_MODEL), path)
         assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
+
+    def test_load_draws_no_random_numbers(self, checkpoint, monkeypatch):
+        path, blob, header = checkpoint
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random weights")
+
+        monkeypatch.setattr(ToyPolicy, "init", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert load_policy(path).param_bytes() == blob[header:]
 
     def test_every_header_truncation_and_padding_named(self, checkpoint):
         path, blob, header = checkpoint
