@@ -182,12 +182,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_eval(args) -> int:
+    if args.episodes <= 0:
+        raise ValueError("--episodes must be positive")
+    if args.max_steps <= 0:
+        raise ValueError("--max-steps must be positive")
+    if args.eval_seed is not None and args.eval_seed < 0:
+        raise ValueError("--eval-seed must be non-negative")
     demos = load_demos(args.demos)
     seed = _require_seed(args.seed)
     config = TrainConfig(iters=args.iters, seed=seed, lr=args.lr, batch=args.batch,
                          weights=LossWeights())
     try:
-        policy, curve = train(config, demos)
+        policy, _ = train(config, demos)
     except TrainingDiverged as exc:
         print(f"train-eval: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -204,7 +210,7 @@ def cmd_train_eval(args) -> int:
         "episodes": args.episodes,
         "task": task.value,
         "shifted": bool(args.shifted),
-        "final_loss": float(curve[-100:].mean()),
+        "final_loss": policy.meta["final_loss"],
     }
     print(json.dumps(rates, separators=(",", ":")))
     return EXIT_OK

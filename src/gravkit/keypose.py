@@ -85,7 +85,10 @@ def discover_subgoal_keyposes(demo: Demo, params: KeyposeParams = DEFAULT_KEYPOS
     grasp-and-place tasks keep keyposes with a gripper change or a touch
     change. The last keypose is always appended.
     """
-    keyposes = discover_keyposes(demo, params)
+    return _pick_subgoals(demo, discover_keyposes(demo, params), params)
+
+
+def _pick_subgoals(demo: Demo, keyposes: list[int], params: KeyposeParams) -> list[int]:
     picked = []
     for k in keyposes:
         if demo.task_kind == TaskKind.TOUCH_ONLY:
@@ -122,5 +125,5 @@ def assign_goal_actions(demo: Demo, keyposes, subgoal_keyposes) -> dict[int, Sub
 def distill_demo(demo: Demo, params: KeyposeParams = DEFAULT_KEYPOSE_PARAMS):
     """Convenience: (keyposes, subgoal_keyposes, assignment) in one call."""
     keyposes = discover_keyposes(demo, params)
-    subgoals = discover_subgoal_keyposes(demo, params)
+    subgoals = _pick_subgoals(demo, keyposes, params)
     return keyposes, subgoals, assign_goal_actions(demo, keyposes, subgoals)

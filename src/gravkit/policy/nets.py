@@ -9,7 +9,7 @@ predictions are independent of the map by construction.
 Every weight and bias lives in one `{name: array}` dict whose names, shapes
 and order come from `LAYERS`. The encoder's point MLP and both trunks are
 the same two-layer ReLU MLP, so one forward and one backward serve all
-three, and every weight gradient is accumulated in one place. All math is
+three, and every weight gradient is written in one place. All math is
 float64 numpy; forwards return caches that the corresponding backward
 functions consume.
 """
@@ -61,12 +61,10 @@ def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from one
+    e^-|x|, which never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +88,11 @@ def _mlp_forward(x, params, layer1, layer2):
     return h1, _dense(h1, params, layer2)
 
 
-def _accumulate(grads, layer, x, d_out):
-    """Adds the weight and bias gradients of one layer with input x."""
+def _write_grads(grads, layer, x, d_out):
+    """Writes the weight and bias gradients of one layer with input x."""
     w, b = layer[:2]
-    grads[w] += x.T @ d_out
-    grads[b] += d_out.sum(axis=0)
+    grads[w] = x.T @ d_out
+    grads[b] = d_out.sum(axis=0)
 
 
 def _mlp_backward(d_h2, x, h1, h2, params, layer1, layer2, grads):
@@ -102,10 +100,10 @@ def _mlp_backward(d_h2, x, h1, h2, params, layer1, layer2, grads):
     The ReLU masks come from the post-ReLU activations: h > 0 exactly when
     its pre-activation was. Returns d loss / d (layer-1 pre-activation)."""
     d_h2[h2 <= 0] = 0.0
-    _accumulate(grads, layer2, h1, d_h2)
+    _write_grads(grads, layer2, h1, d_h2)
     d_h1 = d_h2 @ params[layer2[0]].T
     d_h1[h1 <= 0] = 0.0
-    _accumulate(grads, layer1, x, d_h1)
+    _write_grads(grads, layer1, x, d_h1)
     return d_h1
 
 
@@ -137,7 +135,7 @@ def encoder_forward(maps: np.ndarray, params: dict):
 
 def encoder_backward(d_tokens: np.ndarray, cache, params: dict, grads: dict):
     m, n = cache["shape"]
-    _accumulate(grads, ENC3, cache["pooled"], d_tokens)
+    _write_grads(grads, ENC3, cache["pooled"], d_tokens)
     d_pooled = d_tokens @ params["enc.w3"].T      # (M, 128)
     # the max-pool passes gradient only to each channel's winning point, so
     # backprop touches at most M * 128 rows instead of all M * N
@@ -161,45 +159,57 @@ def encode_gravmap(points: np.ndarray, params: dict) -> np.ndarray:
 # denoiser
 # ---------------------------------------------------------------------------
 
+def _input_rows(pose, proprio, scene, emb, tokens) -> np.ndarray:
+    """(B, IN_A) denoiser input rows; trunk B reads the first IN_B columns."""
+    return np.concatenate([pose, proprio, scene, emb, tokens], axis=1)
+
+
+def denoiser_forward(in_a: np.ndarray, params: dict):
+    """Both trunks and the pos, rot and open heads on assembled input rows.
+
+    in_a (B, IN_A) from `_input_rows`. Returns eps (B, 9) (3 position then
+    6 rotation channels), the open probability (B, 1) and the backward
+    cache. The auxiliary heads are left to `denoiser_forward_batch`.
+    """
+    a_h1, a_h2 = _mlp_forward(in_a, params, A1, A2)
+    b_h1, b_h2 = _mlp_forward(in_a[:, :IN_B], params, B1, B2)
+    eps = np.concatenate([_dense(a_h2, params, POS), _dense(b_h2, params, ROT)], axis=1)
+    cache = {"in_a": in_a, "a_h1": a_h1, "a_h2": a_h2, "b_h1": b_h1, "b_h2": b_h2}
+    return eps, sigmoid(_dense(a_h2, params, OPEN)), cache
+
+
 def denoiser_forward_batch(pose: np.ndarray, steps: np.ndarray, proprio: np.ndarray,
                            scene: np.ndarray, tokens: np.ndarray, params: dict):
-    """Batched forward pass.
+    """Training forward pass: `denoiser_forward` plus the auxiliary heads.
 
     pose (B, 9), steps (B,), proprio (B, 8), scene (B, 16), tokens (B, 120).
     Returns (eps_pos, eps_rot, open_p, aux_pos, aux_open_p, cache); the
     openness outputs are probabilities.
     """
-    emb = step_embedding(steps)
-    in_b = np.concatenate([pose, proprio, scene, emb], axis=1)
-    in_a = np.concatenate([in_b, tokens], axis=1)
-
-    a_h1, a_h2 = _mlp_forward(in_a, params, A1, A2)
-    eps_pos = _dense(a_h2, params, POS)
-    open_logit = _dense(a_h2, params, OPEN)
-    aux_pos = _dense(a_h2, params, AUXP)
-    auxo_logit = _dense(a_h2, params, AUXO)
-
-    b_h1, b_h2 = _mlp_forward(in_b, params, B1, B2)
-    eps_rot = _dense(b_h2, params, ROT)
-
-    cache = {"in_a": in_a, "in_b": in_b, "a_h1": a_h1, "a_h2": a_h2,
-             "b_h1": b_h1, "b_h2": b_h2}
-    return eps_pos, eps_rot, sigmoid(open_logit), aux_pos, sigmoid(auxo_logit), cache
+    in_a = _input_rows(pose, proprio, scene, step_embedding(steps), tokens)
+    eps, open_p, cache = denoiser_forward(in_a, params)
+    a_h2 = cache["a_h2"]
+    return (eps[:, :3], eps[:, 3:], open_p, _dense(a_h2, params, AUXP),
+            sigmoid(_dense(a_h2, params, AUXO)), cache)
 
 
-def denoiser_infer(in_a: np.ndarray, params: dict):
-    """Forward pass of one assembled input row for sampling.
+def chain_denoiser(params: dict, emb_table: np.ndarray, proprio, scene, token):
+    """The denoiser(x, k) -> (eps (9,), open probability) that
+    `diffusion.sample` calls for one reverse chain: `denoiser_forward` at
+    B = 1 on one input row, filled once with proprio (8,), scene (16,) and
+    token (TOKEN_DIM,). Each step writes only the pose and row k-1 of
+    `emb_table`, the step embeddings of steps 1..K."""
+    row = _input_rows(np.zeros((1, POSE_DIM)), proprio[None, :], scene[None, :],
+                      emb_table[:1], token[None, :])
+    pose_cols, emb_cols = row[0, :POSE_DIM], row[0, IN_B - STEP_EMBED_DIM:IN_B]
 
-    in_a (1, IN_A) holds what `denoiser_forward_batch` concatenates: pose,
-    proprio, scene, step embedding, then the token; trunk B reads its first
-    IN_B columns. Only the heads sampling reads run (no auxiliary heads, no
-    backward cache). Returns (eps (9,), open probability), the same bits as
-    that function's eps_pos, eps_rot and open_p at B = 1.
-    """
-    _, a_h2 = _mlp_forward(in_a, params, A1, A2)
-    _, b_h2 = _mlp_forward(in_a[:, :IN_B], params, B1, B2)
-    eps = np.concatenate([_dense(a_h2, params, POS)[0], _dense(b_h2, params, ROT)[0]])
-    return eps, sigmoid(_dense(a_h2, params, OPEN))[0, 0]
+    def denoiser(x, k):
+        pose_cols[...] = x
+        emb_cols[...] = emb_table[k - 1]
+        eps, open_p, _ = denoiser_forward(row, params)
+        return eps[0], open_p[0, 0]
+
+    return denoiser
 
 
 def denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_rot,
@@ -209,14 +219,14 @@ def denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_ro
     a_h2, b_h2 = cache["a_h2"], cache["b_h2"]
     heads = ((POS, d_eps_pos), (OPEN, d_open_logit), (AUXP, d_aux_pos), (AUXO, d_auxo_logit))
     for layer, d_out in heads:
-        _accumulate(grads, layer, a_h2, d_out)
+        _write_grads(grads, layer, a_h2, d_out)
     d_a_h2 = (d_eps_pos @ params["den.pos_w"].T + d_open_logit @ params["den.open_w"].T
               + d_aux_pos @ params["den.auxp_w"].T + d_auxo_logit @ params["den.auxo_w"].T)
     d_a_h1 = _mlp_backward(d_a_h2, cache["in_a"], cache["a_h1"], a_h2, params, A1, A2, grads)
 
-    _accumulate(grads, ROT, b_h2, d_eps_rot)
-    _mlp_backward(d_eps_rot @ params["den.rot_w"].T, cache["in_b"], cache["b_h1"], b_h2,
-                  params, B1, B2, grads)
+    _write_grads(grads, ROT, b_h2, d_eps_rot)
+    _mlp_backward(d_eps_rot @ params["den.rot_w"].T, cache["in_a"][:, :IN_B], cache["b_h1"],
+                  b_h2, params, B1, B2, grads)
 
     d_in_a = d_a_h1 @ params["den.a_w1"].T
     return d_in_a[:, IN_B:]

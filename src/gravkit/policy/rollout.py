@@ -15,8 +15,7 @@ from ..demos import Frame, TaskKind
 from ..gravmap import Workspace, generate_gravmap
 from ..sim import Command, check_success, make_world, next_subgoal, occupancy_grid, step
 from .model import ToyPolicy
-from .nets import (IN_B, POSE_DIM, STEP_EMBED_DIM, TOKEN_DIM, denoiser_infer, encode_gravmap,
-                   step_embedding)
+from .nets import TOKEN_DIM, chain_denoiser, encode_gravmap, step_embedding
 
 MOVE_FRAME_CAP = 60   # straight-line frames per predicted keypose
 SETTLE_FRAMES = 3     # frames holding the target with the predicted openness
@@ -51,33 +50,13 @@ def scene_feat_from_frame(frame: Frame, ws: Workspace) -> np.ndarray:
     ])
 
 
-def chain_denoiser(params: dict, emb_table: np.ndarray, proprio, scene, token):
-    """The denoiser(x, k) that `diffusion.sample` calls for one reverse chain.
-
-    The chain's input row is filled once with proprio (8,), scene (16,) and
-    token (TOKEN_DIM,); each step writes only the pose and row k-1 of
-    `emb_table`, the step embeddings of steps 1..K.
-    """
-    row = np.concatenate([np.zeros(POSE_DIM), proprio, scene, np.zeros(STEP_EMBED_DIM),
-                          token])[None, :]
-    pose_cols, emb_cols = row[0, :POSE_DIM], row[0, IN_B - STEP_EMBED_DIM:IN_B]
-
-    def denoiser(x, k):
-        pose_cols[...] = x
-        emb_cols[...] = emb_table[k - 1]
-        return denoiser_infer(row, params)
-
-    return denoiser
-
-
 def _null_frame(world) -> Frame:
     _, frame = step(world, Command(target=world.gripper_pos.copy(), open=world.gripper_open))
     return frame
 
 
 def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator,
-                guided: bool = True, shifted: bool = False, max_steps: int = 25,
-                stochastic: bool = True) -> bool:
+                guided: bool = True, shifted: bool = False, max_steps: int = 25) -> bool:
     ws, gp = policy.workspace, policy.gravmap_params
     sched_pos, sched_rot = policy.schedules()
     emb_table = step_embedding(np.arange(1, sched_pos.steps + 1))
@@ -106,7 +85,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
         denoiser = chain_denoiser(policy.params, emb_table, proprio_vec(prev_frame, frame, ws),
                                   scene_feat_from_frame(frame, ws), token)
         pose, open_pred = diffusion.sample(denoiser, sched_pos, sched_rot,
-                                           seed=int(rng.integers(2**63)), stochastic=stochastic)
+                                           seed=int(rng.integers(2**63)))
         target = denormalize_pos(np.clip(pose.pos, -1.0, 1.0), ws)
         # the observation that produced this prediction becomes the "previous
         # keypose" entry of the next history pair, mirroring training
@@ -121,8 +100,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
 
 
 def evaluate(policy: ToyPolicy, task_kind: TaskKind, episodes: int, seed,
-             guided: bool = True, shifted: bool = False, max_steps: int = 25,
-             stochastic: bool = True) -> float:
+             guided: bool = True, shifted: bool = False, max_steps: int = 25) -> float:
     """Success rate over independently seeded episodes."""
     if episodes <= 0:
         raise ValueError("episodes must be positive")
@@ -130,5 +108,5 @@ def evaluate(policy: ToyPolicy, task_kind: TaskKind, episodes: int, seed,
     for ep in range(episodes):
         rng = np.random.default_rng([int(seed), ep])
         wins += run_episode(policy, task_kind, rng, guided=guided, shifted=shifted,
-                            max_steps=max_steps, stochastic=stochastic)
+                            max_steps=max_steps)
     return wins / episodes

@@ -156,7 +156,7 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     terms = {"open": l_open, "pos": l_pos, "rot": l_rot,
              "aux_pos": l_aux_pos, "aux_open": l_auxo, "con": l_con}
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads = {}
     d_eps_pos = noise_l1_grad(eps_pos_hat, eps_pos, weights.w_pos)
     d_eps_rot = noise_l1_grad(eps_rot_hat, eps_rot, weights.w_rot)
     d_aux_pos = noise_l1_grad(aux_pos_hat, aux_pos_t, weights.w_aux_pos)

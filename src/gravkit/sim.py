@@ -61,7 +61,6 @@ class World:
     goal_center: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5, 0.05]))
     goal_tol: float = 0.05
     target_idx: int = 0
-    rng: np.random.Generator | None = None
     tick: int = 0
     peak_touch: list = field(default_factory=list)
 
@@ -191,7 +190,7 @@ def make_world(task_kind: TaskKind, rng: np.random.Generator, shifted: bool = Fa
         target = SceneObject(center=center, radius=r, graspable=False)
         return World(gripper_pos=home, objects=[target],
                      goal_center=center + np.array([0.0, 0.0, r]),
-                     goal_tol=0.05, rng=rng)
+                     goal_tol=0.05)
     r = 0.03
     obj = np.array([_train_x(rng), rng.uniform(0.15, 0.85), r])
     while True:
@@ -201,7 +200,7 @@ def make_world(task_kind: TaskKind, rng: np.random.Generator, shifted: bool = Fa
             break
     return World(gripper_pos=home,
                  objects=[SceneObject(center=obj, radius=r, graspable=True)],
-                 goal_center=goal, goal_tol=rng.uniform(0.04, 0.06), rng=rng)
+                 goal_center=goal, goal_tol=rng.uniform(0.04, 0.06))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,6 @@ def scripted_long_demo(seed) -> Demo:
         goal_center=item_c.copy(),
         goal_tol=0.05,
         target_idx=1,
-        rng=rng,
     )
     pulled = handle_c + np.array([0.12, 0.0, 0.0])
     item_top = item_c + np.array([0.0, 0.0, 0.04])

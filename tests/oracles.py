@@ -165,9 +165,16 @@ def encoder_backward_oracle(d_tokens, state, params, grads):
     grads["enc.b1"] += d_pre1.sum(axis=0)
 
 
-def _sigmoid_oracle(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+def sigmoid_oracle(x):
+    """The logistic function in its masked two-branch form: 1 / (1 + e^-x)
+    on x >= 0 and e^x / (1 + e^x) on the rest, each exp on its own subset."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def denoiser_oracle(pose, proprio, scene, emb, tokens, params):
@@ -194,8 +201,8 @@ def denoiser_oracle(pose, proprio, scene, emb, tokens, params):
     eps_rot = b_h2 @ p["den.rot_w"] + p["den.rot_b"]
 
     state = (in_a, in_b, a_pre1, a_h1, a_pre2, a_h2, b_pre1, b_h1, b_pre2, b_h2)
-    return (eps_pos, eps_rot, _sigmoid_oracle(open_logit), aux_pos,
-            _sigmoid_oracle(auxo_logit), state)
+    return (eps_pos, eps_rot, sigmoid_oracle(open_logit), aux_pos,
+            sigmoid_oracle(auxo_logit), state)
 
 
 def denoiser_backward_oracle(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d_eps_rot,

@@ -242,6 +242,17 @@ class TestTrainEval:
         assert rec["episodes"] == 2
         assert 0.0 <= rec["guided"] <= 1.0 and 0.0 <= rec["unguided"] <= 1.0
 
+    @pytest.mark.parametrize("flag, value", [("--episodes", "0"), ("--eval-seed", "-1"),
+                                             ("--max-steps", "0"), ("--max-steps", "-3")])
+    def test_bad_eval_flag_exit_1_before_training(self, tiny_demos, tmp_path, flag, value):
+        model = tmp_path / "m.bin"
+        res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "5", "--seed", "9",
+                      "--out-model", str(model), flag, value)
+        assert res.returncode == 1, res.stderr
+        assert flag in res.stderr
+        assert res.stdout == ""
+        assert not model.exists()
+
     def test_diverging_training_exit_2(self, tiny_demos, tmp_path):
         res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "5",
                       "--seed", "9", "--lr", "1e300", "--episodes", "1")

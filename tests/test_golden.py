@@ -17,8 +17,7 @@ import pytest
 from gravkit import diffusion
 from gravkit.demos import TaskKind
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, step_embedding, train
-from gravkit.policy.nets import TOKEN_DIM
-from gravkit.policy.rollout import chain_denoiser
+from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gravkit import keypose
 from gravkit.demos import TaskKind
 from gravkit.keypose import (KeyposeParams, MissingTerminalSubgoal, assign_goal_actions,
-                             discover_keyposes, discover_subgoal_keyposes, gripper_change,
-                             touch_change)
+                             discover_keyposes, discover_subgoal_keyposes, distill_demo,
+                             gripper_change, touch_change)
 from gravkit.sim import scripted_expert, scripted_long_demo
 
 from conftest import synthetic_demo
@@ -125,6 +126,22 @@ class TestSubgoalDiscovery:
     def test_determinism(self):
         demo = scripted_expert(TaskKind.GRASP_PLACE, 9)
         assert discover_subgoal_keyposes(demo, PARAMS) == discover_subgoal_keyposes(demo, PARAMS)
+
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_distill_discovers_keyposes_once(self, kind, monkeypatch):
+        calls = []
+        discover = keypose.discover_keyposes
+
+        def counting_discover(*args, **kwargs):
+            calls.append(args)
+            return discover(*args, **kwargs)
+
+        monkeypatch.setattr(keypose, "discover_keyposes", counting_discover)
+        demo = scripted_expert(kind, 4)
+        keyposes, subgoals, _ = distill_demo(demo, PARAMS)
+        assert len(calls) == 1
+        assert keyposes == discover(demo, PARAMS)
+        assert subgoals == subgoal_oracle(demo)
 
 
 class TestAssignment:

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gravkit.demos import CorruptFile, TaskKind
 from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
                             denoiser_forward_batch, encode_gravmap, load_policy, save_policy,
                             train)
-from gravkit.policy.nets import (ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B, TOKEN_DIM, denoiser_backward,
-                                 encoder_backward, encoder_forward, step_embedding)
-from gravkit.policy.rollout import chain_denoiser
+from gravkit.policy import nets
+from gravkit.policy.nets import (ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B, LAYERS, TOKEN_DIM,
+                                 chain_denoiser, denoiser_backward, encoder_backward,
+                                 encoder_forward, sigmoid, step_embedding)
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import scripted_expert
 from oracles import (denoiser_backward_oracle, denoiser_oracle, encoder_backward_oracle,
-                     encoder_oracle)
+                     encoder_oracle, sigmoid_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +135,21 @@ class TestGradients:
             denom = max(abs(fd), abs(an), 1e-8)
             assert abs(fd - an) / denom <= 1e-4, (name, idx, fd, an)
             checked += 1
+
+    def test_each_gradient_written_once(self, policy, tiny_setup, monkeypatch):
+        written = []
+        write = nets._write_grads
+
+        def recording_write(grads, layer, x, d_out):
+            written.extend(layer[:2])
+            write(grads, layer, x, d_out)
+
+        monkeypatch.setattr(nets, "_write_grads", recording_write)
+        batch, negs = tiny_setup
+        grads, _, _ = compute_gradients(*batch, negs, policy)
+        names = [name for layer in LAYERS for name in layer[:2]]
+        assert sorted(written) == sorted(names)
+        assert sorted(grads) == sorted(names)
 
     def test_gradients_deterministic(self, policy, tiny_setup):
         batch, negs = tiny_setup
@@ -299,6 +316,50 @@ class TestChainDenoiserMatchesBatchForward:
                 params)
             assert eps.tobytes() == np.concatenate([eps_pos[0], eps_rot[0]]).tobytes()
             assert np.float64(open_p).tobytes() == want_open[0, 0].tobytes()
+
+
+class TestSamplingReadsNoTrainingOnlyHeads:
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_training_only_heads_never_read(self, seed):
+        """Sampling gives the same bytes with the auxiliary heads' parameters
+        removed from the dict."""
+        rng = np.random.default_rng(seed)
+        params = ToyPolicy.init(seed=seed).params
+        sampling_params = {name: arr for name, arr in params.items()
+                           if not name.startswith("den.aux")}
+        assert len(params) - len(sampling_params) == 4
+        proprio, scene, token = (rng.standard_normal(w) for w in (8, 16, TOKEN_DIM))
+        emb_table = step_embedding(np.arange(1, 101))
+        full = chain_denoiser(params, emb_table, proprio, scene, token)
+        sampling_only = chain_denoiser(sampling_params, emb_table, proprio, scene, token)
+        for k in rng.integers(1, 101, 5):
+            pose = rng.standard_normal(9)
+            (eps, open_p), (want_eps, want_open) = sampling_only(pose, k), full(pose, k)
+            assert eps.tobytes() == want_eps.tobytes()
+            assert np.float64(open_p).tobytes() == np.float64(want_open).tobytes()
+
+
+class TestSigmoid:
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                      1000.0, -1000.0, 709.8, -709.8, 745.2, -745.2, 36.8, -36.8])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 4096),
+                        elements=st.floats(allow_nan=False, allow_subnormal=True)))
+    def test_matches_masked_form_bytes(self, x):
+        with np.errstate(over="raise", invalid="raise"):
+            assert sigmoid(x).tobytes() == sigmoid_oracle(x).tobytes()
+
+    def test_edge_values_and_large_arrays(self):
+        rng = np.random.default_rng(0)
+        cases = [self.EDGES, rng.standard_normal(100_000) * 50.0,
+                 rng.standard_normal((7, 3)), rng.standard_normal((1, 1))]
+        with np.errstate(over="raise", invalid="raise"):
+            for x in cases:
+                got = sigmoid(x)
+                assert got.shape == x.shape
+                assert got.tobytes() == sigmoid_oracle(x).tobytes()
 
 
 class TestAdam:
