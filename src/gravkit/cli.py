@@ -19,7 +19,6 @@ from .demos import EmptyInput, GravkitError, IoError, SchemaViolation, SubGoal, 
 from .gravmap import (GravMapParams, Workspace, generate_gravmap, gmap_to_json,
                       save_field_slice_pgm, save_gmap)
 from .keypose import KeyposeParams, distill_demo
-from .losses import LossWeights
 from .policy import TrainConfig, TrainingDiverged, evaluate, save_policy, train
 
 EXIT_OK = 0
@@ -36,10 +35,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fallback_seed(seed):
+    """--seed, else GRAVKIT_SEED, else None; either must be a non-negative
+    integer."""
     if seed is not None:
+        if seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         return seed
     env = os.environ.get("GRAVKIT_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"GRAVKIT_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def _require_seed(seed):
@@ -73,14 +84,15 @@ def _gravmap_params_from(args) -> GravMapParams:
 
 
 def _add_gravmap_flags(p):
-    p.add_argument("--map-size", type=int, default=100)
-    p.add_argument("--offset-range", type=int, default=3)
-    p.add_argument("--gripper-radius", type=float, default=3.0)
-    p.add_argument("--downsample-stride", type=int, default=4)
-    p.add_argument("--num-points", type=int, default=1024)
-    p.add_argument("--sigma-avoid", type=float, default=10.0)
-    p.add_argument("--avoid-clear-frac", type=float, default=0.15)
-    p.add_argument("--closed-value", type=float, default=0.0, choices=[0.0, -1.0])
+    d = GravMapParams()
+    p.add_argument("--map-size", type=int, default=d.map_size)
+    p.add_argument("--offset-range", type=int, default=d.offset_range)
+    p.add_argument("--gripper-radius", type=float, default=d.gripper_radius)
+    p.add_argument("--downsample-stride", type=int, default=d.downsample)
+    p.add_argument("--num-points", type=int, default=d.num_points)
+    p.add_argument("--sigma-avoid", type=float, default=d.sigma_avoid)
+    p.add_argument("--avoid-clear-frac", type=float, default=d.avoid_clear_frac)
+    p.add_argument("--closed-value", type=float, default=d.closed_value, choices=[0.0, -1.0])
     p.add_argument("--workspace", help="x0,y0,z0,x1,y1,z1 bounds in meters")
 
 
@@ -91,11 +103,12 @@ def _keypose_params_from(args) -> KeyposeParams:
 
 
 def _add_keypose_flags(p):
-    p.add_argument("--eps-vel", type=float, default=1e-3)
-    p.add_argument("--stop-buffer", type=int, default=4)
-    p.add_argument("--touch-threshold", type=int, default=2)
-    p.add_argument("--delta", type=float, default=0.005)
-    p.add_argument("--gripper-threshold", type=int, default=4)
+    d = KeyposeParams()
+    p.add_argument("--eps-vel", type=float, default=d.eps_vel)
+    p.add_argument("--stop-buffer", type=int, default=d.stop_buffer)
+    p.add_argument("--touch-threshold", type=int, default=d.touch_threshold)
+    p.add_argument("--delta", type=float, default=d.delta)
+    p.add_argument("--gripper-threshold", type=int, default=d.gripper_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +154,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    seed = _require_seed(args.seed) if args.mode == "train" else _fallback_seed(args.seed)
     vals = _parse_floats(args.subgoal, 4, "--subgoal")
     if vals[3] not in (0.0, 1.0):
         raise ValueError("--subgoal openness must be 0 or 1")
@@ -161,9 +175,6 @@ def cmd_synth(args) -> int:
     else:
         ws = _workspace_from(args)
         occ = np.zeros((params.map_size,) * 3, dtype=bool)
-    seed = _fallback_seed(args.seed)
-    if args.mode == "train":
-        seed = _require_seed(seed)
     sub = SubGoal(g_pos=vals[:3], g_open=int(vals[3]), g_rot=[1, 0, 0, 0, 1, 0])
     # full-resolution fields only for the --pgm slice; the map bytes are the same
     result = generate_gravmap(sub, occ, current_open=args.current_open, ws=ws,
@@ -188,10 +199,9 @@ def cmd_train_eval(args) -> int:
         raise ValueError("--max-steps must be positive")
     if args.eval_seed is not None and args.eval_seed < 0:
         raise ValueError("--eval-seed must be non-negative")
-    demos = load_demos(args.demos)
     seed = _require_seed(args.seed)
-    config = TrainConfig(iters=args.iters, seed=seed, lr=args.lr, batch=args.batch,
-                         weights=LossWeights())
+    demos = load_demos(args.demos)
+    config = TrainConfig(iters=args.iters, seed=seed, lr=args.lr, batch=args.batch)
     try:
         policy, _ = train(config, demos)
     except TrainingDiverged as exc:
@@ -249,9 +259,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-eval", help="train a policy, checkpoint it, evaluate guided and unguided")
     p.add_argument("--demos", required=True)
-    p.add_argument("--iters", type=int, default=12000)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=8)
+    d = TrainConfig()
+    p.add_argument("--iters", type=int, default=d.iters)
+    p.add_argument("--lr", type=float, default=d.lr)
+    p.add_argument("--batch", type=int, default=d.batch)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-model")
     p.add_argument("--episodes", type=int, default=25)

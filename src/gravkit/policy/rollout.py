@@ -104,6 +104,8 @@ def evaluate(policy: ToyPolicy, task_kind: TaskKind, episodes: int, seed,
     """Success rate over independently seeded episodes."""
     if episodes <= 0:
         raise ValueError("episodes must be positive")
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
     wins = 0
     for ep in range(episodes):
         rng = np.random.default_rng([int(seed), ep])

@@ -9,21 +9,30 @@ algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..demos import Demo, GravkitError, SubGoal
 from ..diffusion import add_noise
 from ..gravmap import generate_gravmap
-from ..keypose import KeyposeParams, distill_demo
-from ..losses import (ContrastiveBatch, DEFAULT_LOSS_WEIGHTS, LossWeights, NonFiniteLoss, bce,
-                      bce_logit_grad, contrastive, contrastive_grad, noise_l1, noise_l1_grad,
+from ..keypose import distill_demo
+from ..losses import (W_AUX_POS, W_CON, W_POS, W_ROT, NonFiniteLoss, bce, contrastive, noise_l1,
                       total_loss)
 from .model import ToyPolicy
 from .nets import (PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch, encoder_backward,
                    encoder_forward)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
+
+
+WEIGHT_DECAY = 5e-4       # L2 decay folded into each Adam gradient
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CONTRAST_N = 8            # anchor map + (n-1) generated negatives
+TEMPERATURE = 0.1         # contrastive softmax temperature
+MAP_VARIANTS = 2          # pre-jittered maps per transition
+FEATURE_NOISE = 0.03      # std of conditioning jitter during training
 
 
 class TrainingDiverged(GravkitError):
@@ -37,31 +46,22 @@ class TrainConfig:
     iters: int = 12000
     seed: int = 0
     lr: float = 1e-4
-    weight_decay: float = 5e-4
     batch: int = 8
-    weights: LossWeights = field(default_factory=LossWeights)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    contrast_n: int = 8          # anchor map + (n-1) generated negatives
-    temperature: float = 0.1
-    map_variants: int = 2        # pre-jittered maps per transition
     pool_size: int = 32          # shared pool of generated negative maps
-    feature_noise: float = 0.03  # std of conditioning jitter during training
-    keypose: KeyposeParams = field(default_factory=KeyposeParams)
 
     def __post_init__(self):
         if self.iters <= 0 or self.batch <= 0 or self.lr <= 0:
             raise ValueError("iters, batch and lr must be positive")
-        if self.contrast_n < 2 or self.pool_size < self.contrast_n - 1:
-            raise ValueError("need contrast_n >= 2 and a large enough pool")
+        if self.pool_size < CONTRAST_N - 1:
+            raise ValueError(f"pool_size must be at least {CONTRAST_N - 1}, "
+                             "one map per contrastive negative")
 
 
 def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
     """Distill demos into training transitions with pre-synthesized maps.
 
     Returns stacked arrays with one row per transition: maps
-    (T, map_variants, num_points, 5), proprio (T, 8), scene (T, 16),
+    (T, MAP_VARIANTS, num_points, 5), proprio (T, 8), scene (T, 16),
     targets (T, 10) = normalized target position, target rotation encoding,
     target openness, and aux (T, 4) = normalized assigned sub-goal position,
     sub-goal openness.
@@ -73,7 +73,7 @@ def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
     empty = np.zeros((gp.map_size,) * 3, dtype=bool)
     maps, proprio, scene, targets, aux = [], [], [], [], []
     for di, demo in enumerate(demos):
-        keyposes, _, assignment = distill_demo(demo, config.keypose)
+        keyposes, _, assignment = distill_demo(demo)
         src_keys = ([0] if keyposes[0] != 0 else []) + keyposes[:-1]
         tgt_keys = keyposes if keyposes[0] != 0 else keyposes[1:]
         prev = src_keys[0]
@@ -83,7 +83,7 @@ def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
             maps.append([
                 generate_gravmap(sub, empty, current_open=src_fr.open, ws=ws, params=gp,
                                  mode="train", seed=[config.seed, di, pi, v]).points
-                for v in range(config.map_variants)
+                for v in range(MAP_VARIANTS)
             ])
             proprio.append(proprio_vec(demo.frames[prev], src_fr, ws))
             scene.append(scene_feat_from_frame(src_fr, ws))
@@ -113,9 +113,7 @@ def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> np.ndarray:
     return np.array(pool)
 
 
-def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, policy: ToyPolicy,
-                      weights: LossWeights = DEFAULT_LOSS_WEIGHTS,
-                      temperature: float = 0.1):
+def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, policy: ToyPolicy):
     """Exact reverse-mode gradients of the full objective for one batch.
 
     The batch is B rows of `build_transitions` arrays, with one map variant
@@ -142,31 +140,22 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     eps_pos_hat, eps_rot_hat, open_p, aux_pos_hat, auxo_p, den_cache = denoiser_forward_batch(
         pose, k, proprio, scene, tokens[:b], params)
 
-    eps_pos, eps_rot = eps[:, :3], eps[:, 3:]
-    l_pos = noise_l1(eps_pos_hat, eps_pos)
-    l_rot = noise_l1(eps_rot_hat, eps_rot)
-    l_aux_pos = noise_l1(aux_pos_hat, aux_pos_t)
-    l_open = bce(open_p, y_open)
-    l_auxo = bce(auxo_p, y_auxo)
+    l_pos, d_eps_pos = noise_l1(eps_pos_hat, eps[:, :3], W_POS)
+    l_rot, d_eps_rot = noise_l1(eps_rot_hat, eps[:, 3:], W_ROT)
+    l_aux_pos, d_aux_pos = noise_l1(aux_pos_hat, aux_pos_t, W_AUX_POS)
+    l_open, d_open_logit = bce(open_p, y_open)
+    l_auxo, d_auxo_logit = bce(auxo_p, y_auxo)
+    l_con, d_features = contrastive(features, TEMPERATURE)
 
-    cbatch = ContrastiveBatch(features=features, temperature=temperature)
-    l_con = contrastive(cbatch)
-
-    loss = total_loss(l_open, l_pos, l_rot, l_aux_pos, l_auxo, l_con, weights)
+    loss = total_loss(l_open, l_pos, l_rot, l_aux_pos, l_auxo, l_con)
     terms = {"open": l_open, "pos": l_pos, "rot": l_rot,
              "aux_pos": l_aux_pos, "aux_open": l_auxo, "con": l_con}
 
     grads = {}
-    d_eps_pos = noise_l1_grad(eps_pos_hat, eps_pos, weights.w_pos)
-    d_eps_rot = noise_l1_grad(eps_rot_hat, eps_rot, weights.w_rot)
-    d_aux_pos = noise_l1_grad(aux_pos_hat, aux_pos_t, weights.w_aux_pos)
-    d_open_logit = bce_logit_grad(open_p, y_open)
-    d_auxo_logit = bce_logit_grad(auxo_p, y_auxo)
-
     d_tokens = np.zeros_like(tokens)
     d_tokens[:b] = denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit,
                                      d_eps_rot, den_cache, params, grads)
-    np.add.at(d_tokens, feat_idx, weights.w_con * contrastive_grad(cbatch))
+    np.add.at(d_tokens, feat_idx, W_CON * d_features)
     encoder_backward(d_tokens, enc_cache, params, grads)
     return grads, loss, terms
 
@@ -174,29 +163,26 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
 class Adam:
     """Classic Adam with L2 weight decay folded into the gradient."""
 
-    def __init__(self, config: TrainConfig):
-        self.lr = config.lr
-        self.b1, self.b2 = config.adam_beta1, config.adam_beta2
-        self.eps = config.adam_eps
-        self.wd = config.weight_decay
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
 
     def step(self, params: dict, grads: dict):
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name, arr in params.items():
-            g = grads[name] + self.wd * arr
+            g = grads[name] + WEIGHT_DECAY * arr
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(arr), np.zeros_like(arr)
             m, v = self.m[name], self.v[name]
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = None):
@@ -213,24 +199,23 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
     pool = build_negative_pool(policy, config)
 
     rng = np.random.default_rng([config.seed, 1])
-    opt = Adam(config)
+    opt = Adam(config.lr)
     steps = policy.steps
     curve = np.empty(config.iters)
     for it in range(config.iters):
         idx = rng.integers(len(proprio), size=config.batch)
-        variants = rng.integers(config.map_variants, size=config.batch)
+        variants = rng.integers(MAP_VARIANTS, size=config.batch)
         ks = rng.integers(1, steps + 1, size=config.batch)
         eps = rng.standard_normal((config.batch, 9))
-        neg = rng.integers(len(pool), size=config.contrast_n - 1)
-        p_rows, s_rows = proprio[idx], scene[idx]
-        if config.feature_noise > 0.0:
-            noise = rng.normal(0.0, config.feature_noise, (config.batch, PROPRIO_DIM + SCENE_DIM))
-            p_rows, s_rows = p_rows + noise[:, :PROPRIO_DIM], s_rows + noise[:, PROPRIO_DIM:]
+        neg = rng.integers(len(pool), size=CONTRAST_N - 1)
+        noise = rng.normal(0.0, FEATURE_NOISE, (config.batch, PROPRIO_DIM + SCENE_DIM))
+        p_rows = proprio[idx] + noise[:, :PROPRIO_DIM]
+        s_rows = scene[idx] + noise[:, PROPRIO_DIM:]
         try:
             with np.errstate(over="raise", invalid="raise"):
                 grads, loss, _ = compute_gradients(maps[idx, variants], p_rows, s_rows,
                                                    targets[idx], aux[idx], ks, eps, pool[neg],
-                                                   policy, config.weights, config.temperature)
+                                                   policy)
                 opt.step(policy.params, grads)
         except (NonFiniteLoss, FloatingPointError) as exc:
             raise TrainingDiverged(it, exc) from exc

@@ -242,3 +242,61 @@ def denoiser_backward_oracle(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit, d
     grads["den.b_b1"] += d_b_h1.sum(axis=0)
 
     return (d_a_h1 @ p["den.a_w1"].T)[:, in_b.shape[1]:]
+
+
+# The training losses as six separate functions, one value and one gradient
+# per term, each repeating its own checks: the form the library had before
+# it returned (value, gradient) from one call.
+
+def noise_l1_oracle(pred, target):
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    assert pred.shape == target.shape
+    return float(np.mean(np.abs(pred - target)))
+
+
+def noise_l1_grad_oracle(pred, target, weight=1.0):
+    """(weight * sign) / count, in that order."""
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    assert pred.shape == target.shape
+    return weight * np.sign(pred - target) / pred.size
+
+
+def bce_oracle(p, y, clamp=1e-7):
+    p = np.clip(np.asarray(p, dtype=float), clamp, 1.0 - clamp)
+    y = np.asarray(y, dtype=float)
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+
+def bce_logit_grad_oracle(p, y, clamp=1e-7):
+    """(p - y) / count strictly inside the clamp, 0 elsewhere."""
+    p = np.asarray(p, dtype=float)
+    inside = (p > clamp) & (p < 1.0 - clamp)
+    return np.where(inside, p - np.asarray(y, dtype=float), 0.0) / p.size
+
+
+def _contrastive_terms_oracle(f, t):
+    sim = f @ f.T / t
+    pos = np.einsum("ij,ij->i", f, f) / t
+    m = sim.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(sim - m).sum(axis=1))
+    return sim, pos, lse, m
+
+
+def contrastive_oracle(features, temperature):
+    f = np.asarray(features, dtype=float)
+    _, pos, lse, _ = _contrastive_terms_oracle(f, temperature)
+    return float(np.mean(lse - pos))
+
+
+def contrastive_grad_oracle(features, temperature):
+    """Anchor path plus positive path, summed in that order."""
+    f = np.asarray(features, dtype=float)
+    n, t = f.shape[0], temperature
+    sim, _, _, m = _contrastive_terms_oracle(f, t)
+    e = np.exp(sim - m)
+    p = e / e.sum(axis=1, keepdims=True)
+    d_anchor = (-f + p @ f + p.T @ f) / (n * t)
+    d_positive = -f / (n * t)
+    return d_anchor + d_positive

@@ -18,8 +18,7 @@ from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, add_noise, denoise_st
                                make_schedule, matrix_to_rot6d, rot6d_to_matrix, sample)
 from gravkit.gravmap import GravMapParams, Workspace, farthest_point_sampling, generate_gravmap
 from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
-from gravkit.losses import (ContrastiveBatch, LossWeights, bce, bce_logit_grad, contrastive,
-                            contrastive_grad, noise_l1, noise_l1_grad, total_loss)
+from gravkit.losses import W_POS, W_ROT, bce, contrastive, noise_l1, total_loss
 from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, evaluate,
                             load_policy, save_policy, train)
 from gravkit.policy.nets import TOKEN_DIM, sigmoid
@@ -155,15 +154,15 @@ def test_criterion_6_loss_correctness():
     rng = np.random.default_rng(3)
     h = 1e-5
 
-    w = LossWeights()
     for it in range(100):  # noise term, on training's (B, 3) position and (B, 6) rotation rows
-        shape, weight = ((8, 3), w.w_pos) if it % 2 else ((8, 6), w.w_rot)
+        shape, weight = ((8, 3), W_POS) if it % 2 else ((8, 6), W_ROT)
         pred, target = rng.standard_normal(shape), rng.standard_normal(shape)
-        g = noise_l1_grad(pred, target, weight)
+        _, g = noise_l1(pred, target, weight)
         i = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
         bump = np.zeros(shape)
         bump[i] = h
-        fd = weight * (noise_l1(pred + bump, target) - noise_l1(pred - bump, target)) / (2 * h)
+        hi, lo = noise_l1(pred + bump, target)[0], noise_l1(pred - bump, target)[0]
+        fd = weight * (hi - lo) / (2 * h)
         assert _rel_err(g[i], fd) <= 1e-4
 
     for _ in range(100):  # openness term (covers both BCE heads), w.r.t. the logit
@@ -173,33 +172,33 @@ def test_criterion_6_loss_correctness():
         i = int(rng.integers(8))
         bump = np.zeros((8, 1))
         bump[i] = h
-        fd = (bce(sigmoid(logit + bump), y) - bce(sigmoid(logit - bump), y)) / (2 * h)
-        assert _rel_err(bce_logit_grad(sigmoid(logit), y)[i, 0], fd) <= 1e-4
+        fd = (bce(sigmoid(logit + bump), y)[0] - bce(sigmoid(logit - bump), y)[0]) / (2 * h)
+        assert _rel_err(bce(sigmoid(logit), y)[1][i, 0], fd) <= 1e-4
 
     for _ in range(10):  # contrastive term, 10 coordinates per random batch
         f = 0.3 * rng.standard_normal((4, 5))   # unsaturated softmax rows, as in test_losses
-        d_f = contrastive_grad(ContrastiveBatch(features=f, temperature=0.3))
+        _, d_f = contrastive(f, 0.3)
         for _ in range(10):
             i, j = int(rng.integers(4)), int(rng.integers(5))
             orig = f[i, j]
             f[i, j] = orig + h
-            hi = contrastive(ContrastiveBatch(features=f, temperature=0.3))
+            hi, _ = contrastive(f, 0.3)
             f[i, j] = orig - h
-            lo = contrastive(ContrastiveBatch(features=f, temperature=0.3))
+            lo, _ = contrastive(f, 0.3)
             f[i, j] = orig
             assert _rel_err(d_f[i, j], (hi - lo) / (2 * h)) <= 1e-4
 
     for n in (2, 4, 8):  # identical features collapse to ln N
         feats = np.tile(rng.standard_normal(16), (n, 1))
-        val = contrastive(ContrastiveBatch(features=feats, temperature=0.1))
+        val, _ = contrastive(feats, 0.1)
         assert abs(val - np.log(n)) <= 1e-9
 
     base = rng.random(6)
-    t0 = total_loss(*base, w)
+    t0 = total_loss(*base)
     for i, coeff in enumerate((1.0, 30.0, 10.0, 30.0, 1.0, 10.0)):
         bumped = base.copy()
         bumped[i] += 1.0
-        assert abs((total_loss(*bumped, w) - t0) - coeff) <= 1e-9
+        assert abs((total_loss(*bumped) - t0) - coeff) <= 1e-9
     report(6, True, "all loss gradients match central finite differences "
                     "(rel err <= 1e-4); identical-feature contrastive = ln N; "
                     "total-loss weights (30, 10, 30, 10) verified by linearity")

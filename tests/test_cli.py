@@ -1,9 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from gravkit.cli import _gravmap_params_from, _keypose_params_from, build_parser
+from gravkit.gravmap import GravMapParams
+from gravkit.keypose import KeyposeParams
+from gravkit.policy import TrainConfig
 
 RUN = [sys.executable, "-m", "gravkit.cli"]
 
@@ -19,6 +25,45 @@ def demo_file(tmp_path_factory):
                   "--out", str(path))
     assert res.returncode == 0, res.stderr
     return path
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    parse = build_parser().parse_args
+    args = parse(["synth", "--subgoal", "0.5,0.5,0.5,1", "--out", "m.gmap"])
+    assert _gravmap_params_from(args) == GravMapParams()
+    args = parse(["distill", "--demos", "d.jsonl", "--out", "s.jsonl"])
+    assert _keypose_params_from(args) == KeyposeParams()
+    args = parse(["train-eval", "--demos", "d.jsonl"])
+    assert TrainConfig(iters=args.iters, lr=args.lr, batch=args.batch) == TrainConfig()
+
+
+SEEDED_COMMANDS = {
+    "gen-demos": ["gen-demos", "--task", "touch_only", "--n", "1", "--out", "{out}"],
+    "synth": ["synth", "--subgoal", "0.5,0.5,0.5,1", "--mode", "train", "--out", "{out}"],
+    "train-eval": ["train-eval", "--demos", "{demos}", "--iters", "5", "--episodes", "1",
+                   "--out-model", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+@pytest.mark.parametrize("flag, env_seed, named", [
+    ("-1", None, "--seed must be a non-negative integer, got -1"),
+    (None, "abc", "GRAVKIT_SEED must be a non-negative integer, got 'abc'"),
+    (None, "-3", "GRAVKIT_SEED must be a non-negative integer, got '-3'"),
+])
+def test_bad_seed_exit_1_names_its_source(demo_file, tmp_path, command, flag, env_seed, named):
+    out = tmp_path / "out"
+    args = [a.format(out=out, demos=demo_file) for a in SEEDED_COMMANDS[command]]
+    if flag is not None:
+        args += ["--seed", flag]
+    env = {k: v for k, v in os.environ.items() if k != "GRAVKIT_SEED"}
+    if env_seed is not None:
+        env["GRAVKIT_SEED"] = env_seed
+    res = run_cli(*args, env=env)
+    assert res.returncode == 1, res.stderr
+    assert named in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == "" and not out.exists()
 
 
 class TestGenDemos:

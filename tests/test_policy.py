@@ -10,13 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from gravkit.demos import CorruptFile, TaskKind
 from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
-                            denoiser_forward_batch, encode_gravmap, load_policy, save_policy,
-                            train)
+                            denoiser_forward_batch, encode_gravmap, evaluate, load_policy,
+                            save_policy, train)
 from gravkit.policy import nets
 from gravkit.policy.nets import (ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B, LAYERS, TOKEN_DIM,
                                  chain_denoiser, denoiser_backward, encoder_backward,
                                  encoder_forward, sigmoid, step_embedding)
-from gravkit.policy.train import build_negative_pool, build_transitions
+from gravkit.policy.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CONTRAST_N, WEIGHT_DECAY,
+                                  build_negative_pool, build_transitions)
 from gravkit.sim import scripted_expert
 from oracles import (denoiser_backward_oracle, denoiser_oracle, encoder_backward_oracle,
                      encoder_oracle, sigmoid_oracle)
@@ -30,7 +31,7 @@ def policy():
 @pytest.fixture(scope="module")
 def tiny_setup(policy):
     demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(2)]
-    config = TrainConfig(iters=10, seed=5, map_variants=1, pool_size=8)
+    config = TrainConfig(iters=10, seed=5, pool_size=8)
     maps, proprio, scene, targets, aux = build_transitions(demos, policy, config)
     pool = build_negative_pool(policy, config)
     rng = np.random.default_rng(0)
@@ -207,6 +208,17 @@ class TestTraining:
         assert loaded.steps == policy.steps
         assert loaded.workspace == policy.workspace
 
+    def test_pool_must_hold_one_map_per_negative(self):
+        assert CONTRAST_N - 1 == 7
+        with pytest.raises(ValueError, match="pool_size"):
+            TrainConfig(pool_size=6)
+        assert TrainConfig(pool_size=7).pool_size == 7
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_evaluate_rejects_non_positive_step_cap(self, policy, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            evaluate(policy, TaskKind.TOUCH_ONLY, 2, 0, max_steps=max_steps)
+
     def test_episode_prediction_cap_default(self):
         import inspect
 
@@ -216,7 +228,7 @@ class TestTraining:
 
     def test_transitions_per_demo_structure(self, policy):
         demo = scripted_expert(TaskKind.TOUCH_ONLY, 0)
-        cfg = TrainConfig(iters=10, seed=0, map_variants=2, pool_size=8)
+        cfg = TrainConfig(iters=10, seed=0, pool_size=8)
         maps, proprio, scene, targets, aux = build_transitions([demo], policy, cfg)
         # frame0 -> k0 plus one per consecutive keypose pair
         assert maps.shape == (4, 2, 1024, 5)
@@ -366,13 +378,13 @@ class TestAdam:
     def test_moments_allocated_once_and_steps_match_formula(self, monkeypatch):
         zeros_like, allocated = np.zeros_like, []
         monkeypatch.setattr(np, "zeros_like", lambda a: allocated.append(a.shape) or zeros_like(a))
-        config = TrainConfig(iters=1, lr=1e-2)
+        lr = 1e-2
         rng = np.random.default_rng(7)
         params = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
         ref = {k: v.copy() for k, v in params.items()}
         ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
         ref_v = {k: np.zeros(v.shape) for k, v in params.items()}
-        opt = Adam(config)
+        opt = Adam(lr)
         first = None
         for t in range(1, 4):
             grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
@@ -381,13 +393,13 @@ class TestAdam:
                 first = {k: (opt.m[k], opt.v[k]) for k in params}
             for k in params:
                 assert opt.m[k] is first[k][0] and opt.v[k] is first[k][1]
-                g = grads[k] + config.weight_decay * ref[k]
-                ref_m[k] *= config.adam_beta1
-                ref_m[k] += (1 - config.adam_beta1) * g
-                ref_v[k] *= config.adam_beta2
-                ref_v[k] += (1 - config.adam_beta2) * g * g
-                c1, c2 = 1.0 - config.adam_beta1**t, 1.0 - config.adam_beta2**t
-                ref[k] -= config.lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + config.adam_eps)
+                g = grads[k] + WEIGHT_DECAY * ref[k]
+                ref_m[k] *= ADAM_BETA1
+                ref_m[k] += (1 - ADAM_BETA1) * g
+                ref_v[k] *= ADAM_BETA2
+                ref_v[k] += (1 - ADAM_BETA2) * g * g
+                c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+                ref[k] -= lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + ADAM_EPS)
                 assert params[k].tobytes() == ref[k].tobytes()
                 assert opt.m[k].tobytes() == ref_m[k].tobytes()
                 assert opt.v[k].tobytes() == ref_v[k].tobytes()
