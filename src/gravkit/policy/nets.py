@@ -21,6 +21,7 @@ POINT_DIM = 5
 ENC_H1 = 64
 ENC_H2 = 128
 TOKEN_DIM = 120
+ENC_BLOCK_ROWS = 1024   # rows per encoder block: one map at the default 1024 points
 
 PROPRIO_DIM = 8      # two past (position, openness) snapshots
 SCENE_DIM = 16       # current-frame observables
@@ -71,21 +72,22 @@ def sigmoid(x):
 # shared layers
 # ---------------------------------------------------------------------------
 
-def _dense(x, params, layer):
+def _dense(x, params, layer, out=None):
     """x @ w + b, then ReLU if the layer feeds one. Bias and ReLU run in
-    place on the matmul output, so a layer allocates one array."""
+    place on the matmul output, so a layer allocates one array, or none
+    when given `out`."""
     w, b, _, _, feeds_relu = layer
-    h = x @ params[w]
+    h = np.matmul(x, params[w], out=out)
     h += params[b]
     if feeds_relu:
         np.maximum(h, 0.0, out=h)
     return h
 
 
-def _mlp_forward(x, params, layer1, layer2):
+def _mlp_forward(x, params, layer1, layer2, out1=None, out2=None):
     """Two ReLU layers; returns both post-ReLU activations."""
-    h1 = _dense(x, params, layer1)
-    return h1, _dense(h1, params, layer2)
+    h1 = _dense(x, params, layer1, out1)
+    return h1, _dense(h1, params, layer2, out2)
 
 
 def _write_grads(grads, layer, x, d_out):
@@ -111,41 +113,70 @@ def _mlp_backward(d_h2, x, h1, h2, params, layer1, layer2, grads):
 # encoder
 # ---------------------------------------------------------------------------
 
+def _encoder_blocks(m: int, n: int):
+    """(first map, end map) of each encoder block: whole maps, about
+    ENC_BLOCK_ROWS rows each, so a block's activations stay in cache.
+
+    A one-row product takes BLAS's gemv path, whose bits differ from the
+    same row of a larger product, so a one-row tail joins the block before
+    it; only a one-row input runs as one row."""
+    per = max(1, ENC_BLOCK_ROWS // n)
+    starts = list(range(0, m, per))
+    if len(starts) > 1 and (m - starts[-1]) * n == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [m]))
+
+
 def encoder_forward(maps: np.ndarray, params: dict):
     """maps: (M, N, 5) -> tokens (M, TOKEN_DIM) plus a backward cache.
 
     5 -> 64 -> 128 per-point MLP, channelwise max over points, 128 -> 120
-    linear projection. The cache keeps the post-ReLU activations h1
-    (M*N, 64) and h2 (M*N, 128) for the backward's ReLU masks.
+    linear projection. The point MLP and the max-pool run block by block
+    (`_encoder_blocks`); the cache keeps only the winning rows of x, h1 and
+    h2, in ascending row order, since the backward reads no other row.
     """
     m, n, d = maps.shape
     x = maps.reshape(m * n, d)
-    h1, h2 = _mlp_forward(x, params, ENC1, ENC2)
-    per_map = h2.reshape(m, n, ENC_H2)
-    pooled = per_map.max(axis=1)                  # (M, 128)
-    # first point attaining each channel's maximum, as argmax would pick it
-    # (ties: dead channels at 0, duplicate points), without argmax's slow
-    # strided reduction over the point axis
-    arg = (per_map == pooled[:, None, :]).argmax(axis=1)
+    blocks = _encoder_blocks(m, n)
+    # one set of block buffers, reused by every block
+    size = max(hi - lo for lo, hi in blocks) * n
+    buf1, buf2 = np.empty((size, ENC_H1)), np.empty((size, ENC_H2))
+    ties = np.empty((size, ENC_H2), dtype=bool)
+    pooled = np.empty((m, ENC_H2))
+    arg = np.empty((m, ENC_H2), dtype=np.intp)
+    winners, inverse, kept = [], [], 0
+    for lo, hi in blocks:
+        k = (hi - lo) * n
+        xb = x[lo * n:hi * n]
+        h1, h2 = _mlp_forward(xb, params, ENC1, ENC2, buf1[:k], buf2[:k])
+        per_map = h2.reshape(hi - lo, n, ENC_H2)
+        per_map.max(axis=1, out=pooled[lo:hi])
+        # first point attaining each channel's maximum, as argmax would pick
+        # it (ties: dead channels at 0, duplicate points)
+        is_max = np.equal(per_map, pooled[lo:hi, None, :], out=ties[:k].reshape(per_map.shape))
+        is_max.argmax(axis=1, out=arg[lo:hi])
+        rows, blk_inv = np.unique(arg[lo:hi] + (np.arange(hi - lo) * n)[:, None],
+                                  return_inverse=True)
+        winners.append((xb[rows], h1[rows], h2[rows]))
+        inverse.append(blk_inv.ravel() + kept)
+        kept += rows.size
+    x_rows, h1_rows, h2_rows = (np.concatenate(a) for a in zip(*winners))
     tokens = _dense(pooled, params, ENC3)
-    cache = {"x": x, "h1": h1, "h2": h2, "arg": arg,
-             "pooled": pooled, "shape": (m, n)}
+    cache = {"x": x_rows, "h1": h1_rows, "h2": h2_rows, "inverse": np.concatenate(inverse),
+             "arg": arg, "pooled": pooled}
     return tokens, cache
 
 
 def encoder_backward(d_tokens: np.ndarray, cache, params: dict, grads: dict):
-    m, n = cache["shape"]
+    """The max-pool passes gradient only to each channel's winning row, so
+    backprop touches the cached winning rows, at most M * 128, not all M * N."""
     _write_grads(grads, ENC3, cache["pooled"], d_tokens)
     d_pooled = d_tokens @ params["enc.w3"].T      # (M, 128)
-    # the max-pool passes gradient only to each channel's winning point, so
-    # backprop touches at most M * 128 rows instead of all M * N
-    flat_rows = (cache["arg"] + (np.arange(m) * n)[:, None]).ravel()
-    rows, inverse = np.unique(flat_rows, return_inverse=True)
-    d_h2 = np.zeros((rows.size, ENC_H2))
-    cols = np.tile(np.arange(ENC_H2), m)
-    np.add.at(d_h2, (inverse, cols), d_pooled.ravel())
-    _mlp_backward(d_h2, cache["x"][rows], cache["h1"][rows], cache["h2"][rows],
-                  params, ENC1, ENC2, grads)
+    h2 = cache["h2"]
+    d_h2 = np.zeros(h2.shape)
+    cols = np.tile(np.arange(ENC_H2), d_tokens.shape[0])
+    np.add.at(d_h2, (cache["inverse"], cols), d_pooled.ravel())
+    _mlp_backward(d_h2, cache["x"], cache["h1"], h2, params, ENC1, ENC2, grads)
 
 
 def encode_gravmap(points: np.ndarray, params: dict) -> np.ndarray:

@@ -106,6 +106,8 @@ def evaluate(policy: ToyPolicy, task_kind: TaskKind, episodes: int, seed,
         raise ValueError("episodes must be positive")
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     wins = 0
     for ep in range(episodes):
         rng = np.random.default_rng([int(seed), ep])

@@ -50,8 +50,11 @@ class TrainConfig:
     pool_size: int = 32          # shared pool of generated negative maps
 
     def __post_init__(self):
-        if self.iters <= 0 or self.batch <= 0 or self.lr <= 0:
-            raise ValueError("iters, batch and lr must be positive")
+        for name in ("iters", "batch", "lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.pool_size < CONTRAST_N - 1:
             raise ValueError(f"pool_size must be at least {CONTRAST_N - 1}, "
                              "one map per contrastive negative")
@@ -170,19 +173,33 @@ class Adam:
         self.v: dict = {}
 
     def step(self, params: dict, grads: dict):
+        """One update, in place. The arithmetic is the textbook form's,
+        operation for operation, written into two scratch buffers per
+        parameter instead of about ten full-size temporaries."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
         for name, arr in params.items():
-            g = grads[name] + WEIGHT_DECAY * arr
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(arr), np.zeros_like(arr)
             m, v = self.m[name], self.v[name]
+            g = np.multiply(arr, WEIGHT_DECAY)      # g = grad + WEIGHT_DECAY * arr
+            g += grads[name]
+            tmp = np.multiply(g, 1 - ADAM_BETA1)
             m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
+            m += tmp
+            np.multiply(g, 1 - ADAM_BETA2, out=tmp)
+            tmp *= g
             v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            v += tmp
+            # arr -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=tmp)
+            tmp *= self.lr
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            tmp /= g
+            arr -= tmp
 
 
 def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = None):

@@ -298,6 +298,21 @@ class TestTrainEval:
         assert res.stdout == ""
         assert not model.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--iters", "0", "iters must be positive, got 0"),
+        ("--batch", "-2", "batch must be positive, got -2"),
+        ("--lr", "0", "lr must be positive, got 0.0"),
+    ])
+    def test_bad_training_flag_exit_1_names_field_and_value(self, tiny_demos, tmp_path, flag,
+                                                            value, named):
+        model = tmp_path / "m.bin"
+        res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "5", "--seed", "9",
+                      "--out-model", str(model), flag, value)
+        assert res.returncode == 1, res.stderr
+        assert named in res.stderr
+        assert res.stdout == ""
+        assert not model.exists()
+
     def test_diverging_training_exit_2(self, tiny_demos, tmp_path):
         res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "5",
                       "--seed", "9", "--lr", "1e300", "--episodes", "1")

@@ -1,5 +1,10 @@
+import json
+import os
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,8 @@ from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, comp
                             denoiser_forward_batch, encode_gravmap, evaluate, load_policy,
                             save_policy, train)
 from gravkit.policy import nets
-from gravkit.policy.nets import (ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B, LAYERS, TOKEN_DIM,
+from gravkit.policy.nets import (ENC_BLOCK_ROWS as BLOCK, ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B,
+                                 LAYERS, POINT_DIM, TOKEN_DIM,
                                  chain_denoiser, denoiser_backward, encoder_backward,
                                  encoder_forward, sigmoid, step_embedding)
 from gravkit.policy.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CONTRAST_N, WEIGHT_DECAY,
@@ -214,6 +220,16 @@ class TestTraining:
             TrainConfig(pool_size=6)
         assert TrainConfig(pool_size=7).pool_size == 7
 
+    @pytest.mark.parametrize("field, value", [("iters", 0), ("batch", -2), ("lr", 0.0),
+                                              ("seed", -1)])
+    def test_config_names_bad_field_and_value(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
+            TrainConfig(**{field: value})
+
+    def test_evaluate_rejects_negative_seed(self, policy):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            evaluate(policy, TaskKind.TOUCH_ONLY, 1, -1)
+
     @pytest.mark.parametrize("max_steps", [0, -3])
     def test_evaluate_rejects_non_positive_step_cap(self, policy, max_steps):
         with pytest.raises(ValueError, match="max_steps"):
@@ -249,31 +265,100 @@ class TestEncoderMatchesOracle:
     @given(seed=st.integers(0, 2**32 - 1), distinct=st.sampled_from([None, 1, 3, 40]),
            dead_frac=st.sampled_from([0.0, 0.3, 1.0]))
     def test_tokens_pool_and_gradients_bit_identical(self, m, n, seed, distinct, dead_frac):
-        """`distinct` limits each map to that many distinct points (None: all
-        distinct), so the winning point of a channel appears several times;
-        `dead_frac` of the channels get a bias that keeps them at 0 on every
-        point, so their maximum is a tie across the whole map."""
-        rng = np.random.default_rng(seed)
-        params = ToyPolicy.init(seed=seed).params
-        params["enc.b1"] = 0.3 * rng.standard_normal(ENC_H1)
-        params["enc.b2"] = 0.3 * rng.standard_normal(ENC_H2)
-        params["enc.b2"][rng.random(ENC_H2) < dead_frac] = -1e6
-        maps = rng.standard_normal((m, n, 5))
-        if distinct is not None:
-            maps = maps[:, rng.integers(0, min(distinct, n), n)]
-        d_tokens = rng.standard_normal((m, TOKEN_DIM))
+        _check_encoder_against_oracle(m, n, seed, distinct, dead_frac)
 
-        tokens, cache = encoder_forward(maps, params)
-        want_tokens, want_arg, want_pooled, state = encoder_oracle(maps, params)
-        assert tokens.tobytes() == want_tokens.tobytes()
-        np.testing.assert_array_equal(cache["arg"], want_arg)
-        assert cache["pooled"].tobytes() == want_pooled.tobytes()
+    # Shapes at the edges of the encoder's row blocks (`nets._encoder_blocks`):
+    # one-point maps past one block's map count (a one-row tail joins the
+    # block before it, a two-row tail stands alone), one-map tails at N = 2
+    # and 3, and maps just longer than a block.
+    @pytest.mark.parametrize("m, n", [(BLOCK + 1, 1), (BLOCK + 2, 1), (2 * BLOCK + 1, 1),
+                                      (BLOCK // 2 + 1, 2), (BLOCK // 3 + 1, 3),
+                                      (2, BLOCK + 1), (3, BLOCK + 2)])
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), distinct=st.sampled_from([None, 1, 3]),
+           dead_frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_block_boundaries_bit_identical(self, m, n, seed, distinct, dead_frac):
+        _check_encoder_against_oracle(m, n, seed, distinct, dead_frac)
 
-        got, want = _zero_grads(params, "enc."), _zero_grads(params, "enc.")
-        encoder_backward(d_tokens, cache, params, got)
-        encoder_backward_oracle(d_tokens, state, params, want)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes(), name
+    @pytest.mark.parametrize("m, n", [(15, 1024), (2, 145), (3, BLOCK + 1), (1, BLOCK)])
+    def test_cache_keeps_only_winning_rows(self, m, n):
+        """The backward reads only the max-pool's winning rows, at most 128
+        per map, so with more than 128 points per map the cache holds no
+        array with a row per point."""
+        rng = np.random.default_rng(m * n)
+        params = ToyPolicy.init(seed=1).params
+        _, cache = encoder_forward(rng.standard_normal((m, n, 5)), params)
+        for key, value in cache.items():
+            if isinstance(value, np.ndarray):
+                assert value.shape[0] != m * n, key
+                assert value.shape[0] <= m * ENC_H2, key
+
+
+def _check_encoder_against_oracle(m, n, seed, distinct, dead_frac):
+    """`distinct` limits each map to that many distinct points (None: all
+    distinct), so the winning point of a channel appears several times;
+    `dead_frac` of the channels get a bias that keeps them at 0 on every
+    point, so their maximum is a tie across the whole map."""
+    rng = np.random.default_rng(seed)
+    params = ToyPolicy.init(seed=seed).params
+    params["enc.b1"] = 0.3 * rng.standard_normal(ENC_H1)
+    params["enc.b2"] = 0.3 * rng.standard_normal(ENC_H2)
+    params["enc.b2"][rng.random(ENC_H2) < dead_frac] = -1e6
+    maps = rng.standard_normal((m, n, 5))
+    if distinct is not None:
+        maps = maps[:, rng.integers(0, min(distinct, n), n)]
+    d_tokens = rng.standard_normal((m, TOKEN_DIM))
+
+    tokens, cache = encoder_forward(maps, params)
+    want_tokens, want_arg, want_pooled, state = encoder_oracle(maps, params)
+    assert tokens.tobytes() == want_tokens.tobytes()
+    np.testing.assert_array_equal(cache["arg"], want_arg)
+    assert cache["pooled"].tobytes() == want_pooled.tobytes()
+
+    got, want = _zero_grads(params, "enc."), _zero_grads(params, "enc.")
+    encoder_backward(d_tokens, cache, params, got)
+    encoder_backward_oracle(d_tokens, state, params, want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+# Row blocks of the encoder's two point-MLP products against the full
+# product, run in a fresh interpreter so the BLAS thread count takes effect.
+BLAS_ROW_BLOCKS_SCRIPT = """
+import json, sys
+import numpy as np
+rows, shapes, sizes = json.loads(sys.argv[1])
+rng = np.random.default_rng(0)
+bad = []
+for k, width in shapes:
+    x = np.maximum(rng.standard_normal((rows, k)), 0.0)
+    w = rng.standard_normal((k, width))
+    full = x @ w
+    for size in sizes:
+        for start in (0, 1, rows - size):
+            if (x[start:start + size] @ w).tobytes() != full[start:start + size].tobytes():
+                bad.append([k, width, size, start])
+print(json.dumps(bad))
+"""
+
+
+class TestBlasRowBlocks:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_blocks_equal_full_product_rows(self, threads):
+        """The blocked encoder forward relies on this BLAS property: rows of
+        a product of at least two rows are the same bytes as those rows of
+        the whole product. A one-row product (gemv) is not covered."""
+        rows = 15 * 1024
+        sizes = [2, 3, 7, 64, 145, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 7000]
+        shapes = [[POINT_DIM, ENC_H1], [ENC_H1, ENC_H2]]
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        res = subprocess.run([sys.executable, "-c", BLAS_ROW_BLOCKS_SCRIPT,
+                              json.dumps([rows, shapes, sizes])],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []
 
 
 class TestDenoiserMatchesOracle:
@@ -404,6 +489,23 @@ class TestAdam:
                 assert opt.m[k].tobytes() == ref_m[k].tobytes()
                 assert opt.v[k].tobytes() == ref_v[k].tobytes()
         assert sorted(allocated) == sorted([(5,), (5,), (4, 3), (4, 3)])
+
+    def test_step_allocates_at_most_two_buffers_of_largest_parameter(self):
+        rng = np.random.default_rng(3)
+        params = {"w": rng.standard_normal((256, 256)), "b": rng.standard_normal(256),
+                  "s": rng.standard_normal((7, 3))}
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        opt = Adam(1e-3)
+        opt.step(params, grads)                 # allocates the moments
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4 KiB for the scratch arrays' headers and Python scalars
+        assert peak - before <= 2 * params["w"].nbytes + 4096
 
 
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
