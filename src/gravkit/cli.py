@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
+import math
 import os
 import sys
 
@@ -64,7 +66,10 @@ def _parse_floats(text, n, what):
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma-separated values, got {len(parts)}")
-    return [float(p) for p in parts]
+    vals = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{what} values must be finite, got {text!r}")
+    return vals
 
 
 def _workspace_from(args) -> Workspace:
@@ -228,7 +233,6 @@ def cmd_train_eval(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gravkit", description=__doc__)
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-demos", help="write scripted expert demos as JSONL")
@@ -275,13 +279,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    import logging
-
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=[logging.WARNING, logging.INFO, logging.DEBUG][min(args.verbose, 2)])
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     try:
         return args.func(args)
     except (EmptyInput, SchemaViolation, ValueError) as exc:

@@ -7,6 +7,7 @@ streamed, diffed and inspected by hand.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -209,13 +210,20 @@ def load_demos(path) -> list[Demo]:
     """Parse a JSONL demo log; every record must pass validate_demo.
 
     Raises EmptyInput for a log with zero records, SchemaViolation (with the
-    offending line number) for malformed records, IoError for unreadable files.
+    offending line number) for malformed records or bytes that are not
+    UTF-8, IoError for unreadable files.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        # split as text-mode reading would: universal newlines
+        lines = io.StringIO(blob.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{path} is not UTF-8 text ({exc.reason})",
+                              line=blob.count(b"\n", 0, exc.start) + 1) from None
     demos = []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():

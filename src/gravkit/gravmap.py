@@ -44,6 +44,8 @@ class Workspace:
     def __post_init__(self):
         object.__setattr__(self, "min", tuple(float(v) for v in self.min))
         object.__setattr__(self, "max", tuple(float(v) for v in self.max))
+        if not np.isfinite(self.min + self.max).all():
+            raise DegenerateWorkspace(f"bounds min {self.min} max {self.max} must be finite")
         if not all(lo < hi for lo, hi in zip(self.min, self.max)):
             raise DegenerateWorkspace(f"min {self.min} not strictly below max {self.max}")
 
@@ -353,6 +355,9 @@ def load_gmap(path) -> GravMap:
     except DegenerateWorkspace as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
     pts = np.frombuffer(blob, dtype="<f4", offset=GMAP_HEADER.size).reshape(n, 5)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise CorruptFile(f"{path}: point row {int(np.argmin(finite))} is not finite")
     return GravMap(points=pts.astype(float), workspace=ws)
 
 

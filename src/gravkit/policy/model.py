@@ -2,8 +2,10 @@
 
 A checkpoint is a little-endian file: u32 manifest length, a JSON manifest
 (format version, layer shapes, configuration echo), then the parameters as
-one contiguous f32 block in manifest order. Parameters are quantized to f32
-at the end of training so save -> load is bit-exact.
+one contiguous f32 block in manifest order. That block is `ToyPolicy.flat`,
+the one float64 parameter buffer, written and read as one array; the
+layout is `nets.PARAM_SHAPES`. Parameters are quantized to f32 at the end
+of training so save -> load is bit-exact.
 """
 from __future__ import annotations
 
@@ -16,18 +18,14 @@ import numpy as np
 from ..demos import CorruptFile, GravkitError
 from ..diffusion import SCALED_LINEAR, SQUARED_COS, NoiseSchedule, make_schedule
 from ..gravmap import GravMapParams, Workspace
-from .nets import LAYERS
+from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views
 
 FORMAT_VERSION = 1
-
-# parameter name -> shape, in LAYERS (checkpoint) order
-_PARAM_SHAPES = {name: shape for w, b, fan_in, fan_out, _ in LAYERS
-                for name, shape in ((w, (fan_in, fan_out)), (b, (fan_out,)))}
 
 
 @dataclass
 class ToyPolicy:
-    params: dict    # name -> array, in LAYERS (checkpoint) order
+    flat: np.ndarray    # the PARAM_COUNT float64 parameters, in checkpoint order
     workspace: Workspace = Workspace()
     gravmap_params: GravMapParams = GravMapParams()
     steps: int = 100
@@ -36,18 +34,22 @@ class ToyPolicy:
     meta: dict = field(default_factory=dict)
 
     _scheds: tuple | None = None
+    params: dict = field(init=False, repr=False)   # name -> view into flat
+
+    def __post_init__(self):
+        self.params = param_views(self.flat)
 
     @classmethod
     def init(cls, seed, **kw):
         """He-scaled normal weights for layers that feed a ReLU, 1/fan_in
-        variance for the others, zero biases; drawn in LAYERS order."""
+        variance for the others, drawn in LAYERS order; biases stay zero."""
         rng = np.random.default_rng(seed)
-        params = {}
-        for w, b, fan_in, fan_out, feeds_relu in LAYERS:
+        policy = cls(flat=np.zeros(PARAM_COUNT), **kw)
+        for w, _, fan_in, _, feeds_relu in LAYERS:
             scale = np.sqrt(2.0 / fan_in) if feeds_relu else np.sqrt(1.0 / fan_in)
-            params[w] = rng.standard_normal((fan_in, fan_out)) * scale
-            params[b] = np.zeros(fan_out)
-        return cls(params=params, **kw)
+            rng.standard_normal(out=policy.params[w])
+            policy.params[w] *= scale
+        return policy
 
     def schedules(self) -> tuple[NoiseSchedule, NoiseSchedule]:
         if self._scheds is None:
@@ -58,11 +60,10 @@ class ToyPolicy:
     def quantize(self):
         """Round every parameter to its f32 value (in-place) so that the
         serialized model evaluates identically to the in-memory one."""
-        for arr in self.params.values():
-            arr[...] = arr.astype("<f4").astype(float)
+        self.flat[...] = self.flat.astype("<f4")
 
     def param_bytes(self) -> bytes:
-        return b"".join(arr.astype("<f4").tobytes() for arr in self.params.values())
+        return self.flat.astype("<f4").tobytes()
 
 
 def save_policy(policy: ToyPolicy, path):
@@ -74,7 +75,7 @@ def save_policy(policy: ToyPolicy, path):
         "workspace": {"min": list(policy.workspace.min), "max": list(policy.workspace.max)},
         "gravmap": asdict(policy.gravmap_params),
         "meta": policy.meta,
-        "layers": [{"name": name, "shape": list(arr.shape)} for name, arr in policy.params.items()],
+        "layers": [{"name": name, "shape": list(shape)} for name, shape in PARAM_SHAPES.items()],
     }
     blob = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -107,8 +108,22 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
         raise GravkitError("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise GravkitError(f"unsupported checkpoint version {manifest.get('format_version')}")
+    if [layer["name"] for layer in manifest["layers"]] != list(PARAM_SHAPES):
+        raise GravkitError("manifest layers do not match the model's")
+    for layer in manifest["layers"]:
+        name, shape = layer["name"], tuple(layer["shape"])
+        if shape != PARAM_SHAPES[name]:
+            raise GravkitError(f"layer {name}: shape {shape} != expected {PARAM_SHAPES[name]}")
+    size = 4 + mlen + 4 * PARAM_COUNT
+    if len(raw) != size:
+        raise GravkitError(f"{PARAM_COUNT} parameters take {size} bytes, the file has {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f4", offset=4 + mlen).astype(float)
+    if not np.isfinite(flat).all():
+        name, arr = next((n, a) for n, a in param_views(flat).items() if not np.isfinite(a).all())
+        index = np.unravel_index(np.argmin(np.isfinite(arr)), arr.shape)
+        raise GravkitError(f"parameter {name}{list(map(int, index))} is not finite: {arr[index]}")
     policy = ToyPolicy(
-        params={},
+        flat=flat,
         workspace=Workspace(tuple(manifest["workspace"]["min"]), tuple(manifest["workspace"]["max"])),
         gravmap_params=GravMapParams(**manifest["gravmap"]),
         steps=int(manifest["steps"]),
@@ -117,17 +132,4 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
         meta=manifest.get("meta", {}),
     )
     policy.schedules()   # an unknown schedule kind fails here, not at first use
-    offset = 4 + mlen
-    if [layer["name"] for layer in manifest["layers"]] != list(_PARAM_SHAPES):
-        raise GravkitError("manifest layers do not match the model's")
-    for layer in manifest["layers"]:
-        name, shape = layer["name"], tuple(layer["shape"])
-        if shape != _PARAM_SHAPES[name]:
-            raise GravkitError(f"layer {name}: shape {shape} != expected {_PARAM_SHAPES[name]}")
-        count = int(np.prod(shape))
-        vals = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        policy.params[name] = vals.astype(float).reshape(shape)
-        offset += 4 * count
-    if offset != len(raw):
-        raise GravkitError("trailing bytes in checkpoint")
     return policy

@@ -6,12 +6,13 @@ the map token and feeds the position-noise, openness and auxiliary heads;
 trunk B never sees the token and feeds the rotation-noise head, so rotation
 predictions are independent of the map by construction.
 
-Every weight and bias lives in one `{name: array}` dict whose names, shapes
-and order come from `LAYERS`. The encoder's point MLP and both trunks are
-the same two-layer ReLU MLP, so one forward and one backward serve all
-three, and every weight gradient is written in one place. All math is
-float64 numpy; forwards return caches that the corresponding backward
-functions consume.
+This module alone knows the parameter layout. `LAYERS` fixes the names,
+shapes and order of one flat buffer, and `param_views` gives the
+`{name: view}` dict of it that the networks index. The encoder's point MLP
+and both trunks are the same two-layer ReLU MLP, so one forward and one
+backward serve all three, and every weight gradient is written in one
+place. All math is float64 numpy; forwards return caches that the
+corresponding backward functions consume.
 """
 from __future__ import annotations
 
@@ -49,6 +50,19 @@ LAYERS = (
     B2 := ("den.b_w2", "den.b_b2", HIDDEN, HIDDEN, True),
     ROT := ("den.rot_w", "den.rot_b", HIDDEN, 6, False),
 )
+
+# parameter name -> shape, in LAYERS (flat buffer and checkpoint) order
+PARAM_SHAPES = {name: shape for w, b, fan_in, fan_out, _ in LAYERS
+                for name, shape in ((w, (fan_in, fan_out)), (b, (fan_out,)))}
+_PARAM_ENDS = np.cumsum([np.prod(shape) for shape in PARAM_SHAPES.values()])
+PARAM_COUNT = int(_PARAM_ENDS[-1])
+
+
+def param_views(flat: np.ndarray) -> dict:
+    """{name: view} of a flat `PARAM_COUNT`-entry buffer (parameters,
+    gradients or any per-parameter array), in `PARAM_SHAPES` order."""
+    parts = np.split(flat, _PARAM_ENDS[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(PARAM_SHAPES.items(), parts)}
 
 
 def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:
@@ -91,10 +105,11 @@ def _mlp_forward(x, params, layer1, layer2, out1=None, out2=None):
 
 
 def _write_grads(grads, layer, x, d_out):
-    """Writes the weight and bias gradients of one layer with input x."""
+    """Writes the weight and bias gradients of one layer with input x into
+    their arrays in `grads`."""
     w, b = layer[:2]
-    grads[w] = x.T @ d_out
-    grads[b] = d_out.sum(axis=0)
+    np.matmul(x.T, d_out, out=grads[w])
+    d_out.sum(axis=0, out=grads[b])
 
 
 def _mlp_backward(d_h2, x, h1, h2, params, layer1, layer2, grads):

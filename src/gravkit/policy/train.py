@@ -20,8 +20,8 @@ from ..keypose import distill_demo
 from ..losses import (W_AUX_POS, W_CON, W_POS, W_ROT, NonFiniteLoss, bce, contrastive, noise_l1,
                       total_loss)
 from .model import ToyPolicy
-from .nets import (PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch, encoder_backward,
-                   encoder_forward)
+from .nets import (PARAM_COUNT, PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch,
+                   encoder_backward, encoder_forward, param_views)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
 
 
@@ -29,6 +29,7 @@ WEIGHT_DECAY = 5e-4       # L2 decay folded into each Adam gradient
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CHUNK = 16384        # entries per Adam chunk: its two scratch buffers stay in cache
 CONTRAST_N = 8            # anchor map + (n-1) generated negatives
 TEMPERATURE = 0.1         # contrastive softmax temperature
 MAP_VARIANTS = 2          # pre-jittered maps per transition
@@ -125,7 +126,8 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     term compares the first row's map feature against the generated
     `negatives` (n, num_points, 5), each feature being its own positive.
 
-    Returns (grads, loss, terms).
+    Returns (grads, loss, terms); grads is one flat buffer laid out like
+    `policy.flat` (`nets.param_views` names its parts).
     """
     sched_pos, sched_rot = policy.schedules()
     params = policy.params
@@ -154,38 +156,42 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     terms = {"open": l_open, "pos": l_pos, "rot": l_rot,
              "aux_pos": l_aux_pos, "aux_open": l_auxo, "con": l_con}
 
-    grads = {}
+    grads = np.empty(PARAM_COUNT)     # every entry is written once by nets._write_grads
+    views = param_views(grads)
     d_tokens = np.zeros_like(tokens)
     d_tokens[:b] = denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit,
-                                     d_eps_rot, den_cache, params, grads)
+                                     d_eps_rot, den_cache, params, views)
     np.add.at(d_tokens, feat_idx, W_CON * d_features)
-    encoder_backward(d_tokens, enc_cache, params, grads)
+    encoder_backward(d_tokens, enc_cache, params, views)
     return grads, loss, terms
 
 
 class Adam:
-    """Classic Adam with L2 weight decay folded into the gradient."""
+    """Classic Adam with L2 weight decay folded into the gradient, over one
+    flat parameter buffer and two flat moment buffers."""
 
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = self.v = None
 
-    def step(self, params: dict, grads: dict):
-        """One update, in place. The arithmetic is the textbook form's,
-        operation for operation, written into two scratch buffers per
-        parameter instead of about ten full-size temporaries."""
+    def step(self, params: np.ndarray, grads: np.ndarray):
+        """One update of the flat `params`, in place. The arithmetic is the
+        textbook form's, operation for operation, run over ADAM_CHUNK-entry
+        slices through two chunk-sized scratch buffers."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        for name, arr in params.items():
-            if name not in self.m:
-                self.m[name], self.v[name] = np.zeros_like(arr), np.zeros_like(arr)
-            m, v = self.m[name], self.v[name]
-            g = np.multiply(arr, WEIGHT_DECAY)      # g = grad + WEIGHT_DECAY * arr
-            g += grads[name]
-            tmp = np.multiply(g, 1 - ADAM_BETA1)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        g_buf, tmp_buf = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+        for lo in range(0, params.size, ADAM_CHUNK):
+            chunk = slice(lo, lo + ADAM_CHUNK)
+            arr, grad, m, v = params[chunk], grads[chunk], self.m[chunk], self.v[chunk]
+            g, tmp = g_buf[:arr.size], tmp_buf[:arr.size]
+            np.multiply(arr, WEIGHT_DECAY, out=g)   # g = grad + WEIGHT_DECAY * arr
+            g += grad
+            np.multiply(g, 1 - ADAM_BETA1, out=tmp)
             m *= ADAM_BETA1
             m += tmp
             np.multiply(g, 1 - ADAM_BETA2, out=tmp)
@@ -233,7 +239,7 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
                 grads, loss, _ = compute_gradients(maps[idx, variants], p_rows, s_rows,
                                                    targets[idx], aux[idx], ks, eps, pool[neg],
                                                    policy)
-                opt.step(policy.params, grads)
+                opt.step(policy.flat, grads)
         except (NonFiniteLoss, FloatingPointError) as exc:
             raise TrainingDiverged(it, exc) from exc
         curve[it] = loss

@@ -10,6 +10,7 @@ distills to a fixed number of sub-goal keyposes per task kind.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,13 +377,16 @@ def _scene_field(rec, key: str, where: str = ""):
 
 def _scene_number(rec, key: str, where: str) -> float:
     value = _scene_field(rec, key, where)
-    if not isinstance(value, (int, float)):
-        raise SchemaViolation(f"scene field '{where}{key}' must be a number")
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaViolation(f"scene field '{where}{key}' must be a finite number")
     return float(value)
 
 
 def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
-    return _vec(_scene_field(rec, key, where), f"scene field '{where}{key}'", 3, None)
+    xyz = _vec(_scene_field(rec, key, where), f"scene field '{where}{key}'", 3, None)
+    if not np.isfinite(xyz).all():
+        raise SchemaViolation(f"scene field '{where}{key}' must be finite")
+    return xyz
 
 
 def load_scene(path) -> World:

@@ -245,6 +245,17 @@ class TestSynth:
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--subgoal", "nan,0.5,0.5,1"),
+                                             ("--subgoal", "inf,0,0,0"),
+                                             ("--workspace", "0,0,0,inf,1,1")])
+    def test_non_finite_float_flag_exit_1(self, tmp_path, flag, value):
+        args = {"--subgoal": "0.5,0.5,0.5,1", flag: value}
+        out = tmp_path / "m.gmap"
+        res = run_cli("synth", *(a for item in args.items() for a in item), "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr == f"gravkit: {flag} values must be finite, got '{value}'\n"
+        assert not out.exists()
+
     def test_unknown_flag_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--out",
                       str(tmp_path / "m.gmap"), "--frobnicate")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def test_wrong_rot6d_arity_is_schema_violation(tmp_path):
     with pytest.raises(SchemaViolation) as exc:
         load_demos(path)
     assert exc.value.line == 1
+
+
+def test_non_utf8_log_names_file_and_line(tmp_path):
+    path = tmp_path / "demos.jsonl"
+    good = json.dumps(demo_to_record(two_frame_demo())).encode()
+    path.write_bytes(good + b"\n\n" + b"\xff\xfe" + good + b"\n")
+    with pytest.raises(SchemaViolation, match=f"^line 3: {re.escape(str(path))} is not UTF-8 text") as exc:
+        load_demos(path)
+    assert exc.value.line == 3
 
 
 @pytest.mark.parametrize("mutate,expect", [

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ class TestWorldToVoxel:
     def test_degenerate_workspace(self):
         with pytest.raises(DegenerateWorkspace):
             Workspace((0, 0, 0), (1, 0, 1))
+
+    @pytest.mark.parametrize("lo, hi", [((0, 0, 0), (1, np.inf, 1)), ((-np.inf, 0, 0), (1, 1, 1)),
+                                        ((0, 0, np.nan), (1, 1, 1))])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(DegenerateWorkspace, match="must be finite"):
+            Workspace(lo, hi)
 
 
 class TestDistanceField:
@@ -398,6 +405,17 @@ def small_gmap(tmp_path_factory):
 
 
 class TestCorruptGmap:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_point_row_named(self, small_gmap, value):
+        path, blob = small_gmap
+        at = gravmap.GMAP_HEADER.size + 20 * 3 + 4 * 3    # row 3's cost
+        path.write_bytes(blob[:at] + struct.pack("<f", value) + blob[at + 4:])
+        try:
+            with pytest.raises(CorruptFile, match=re.escape(f"{path}: point row 3 is not finite")):
+                load_gmap(path)
+        finally:
+            path.write_bytes(blob)
+
     def test_every_truncation_and_padding_named(self, small_gmap):
         path, blob = small_gmap
         try:

@@ -22,8 +22,8 @@ from gravkit.policy.nets import (ENC_BLOCK_ROWS as BLOCK, ENC_H1, ENC_H2, HIDDEN
                                  LAYERS, POINT_DIM, TOKEN_DIM,
                                  chain_denoiser, denoiser_backward, encoder_backward,
                                  encoder_forward, sigmoid, step_embedding)
-from gravkit.policy.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CONTRAST_N, WEIGHT_DECAY,
-                                  build_negative_pool, build_transitions)
+from gravkit.policy.train import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS, CONTRAST_N,
+                                  WEIGHT_DECAY, build_negative_pool, build_transitions)
 from gravkit.sim import scripted_expert
 from oracles import (denoiser_backward_oracle, denoiser_oracle, encoder_backward_oracle,
                      encoder_oracle, sigmoid_oracle)
@@ -122,6 +122,7 @@ class TestGradients:
         batch, negs = tiny_setup
         grads, loss, _ = compute_gradients(*batch, negs, policy)
         assert np.isfinite(loss)
+        grads = nets.param_views(grads)
         params = policy.params
         rng = np.random.default_rng(99)
         names = sorted(params)
@@ -156,23 +157,22 @@ class TestGradients:
         grads, _, _ = compute_gradients(*batch, negs, policy)
         names = [name for layer in LAYERS for name in layer[:2]]
         assert sorted(written) == sorted(names)
-        assert sorted(grads) == sorted(names)
+        assert grads.shape == (nets.PARAM_COUNT,)
 
     def test_gradients_deterministic(self, policy, tiny_setup):
         batch, negs = tiny_setup
         g1, l1, _ = compute_gradients(*batch, negs, policy)
         g2, l2, _ = compute_gradients(*batch, negs, policy)
         assert l1 == l2
-        for name in g1:
-            np.testing.assert_array_equal(g1[name], g2[name])
+        assert g1.tobytes() == g2.tobytes()
 
     def test_rot_head_gradient_independent_of_token(self, policy, tiny_setup):
         batch, negs = tiny_setup
-        g1, _, _ = compute_gradients(*batch, negs, policy)
+        g1 = nets.param_views(compute_gradients(*batch, negs, policy)[0])
         # change every map (hence every token); rotation-path grads must not move
         maps = batch[0].copy()
         maps[:, :, 3] = 1.0 - maps[:, :, 3]
-        g2, _, _ = compute_gradients(maps, *batch[1:], negs, policy)
+        g2 = nets.param_views(compute_gradients(maps, *batch[1:], negs, policy)[0])
         for name in ("den.rot_w", "den.rot_b", "den.b_w1", "den.b_b1", "den.b_w2", "den.b_b2"):
             np.testing.assert_array_equal(g1[name], g2[name])
         assert np.any(g1["den.pos_w"] != g2["den.pos_w"])
@@ -460,41 +460,38 @@ class TestSigmoid:
 
 
 class TestAdam:
+    SIZE = 2 * ADAM_CHUNK + 5     # two whole chunks and a short tail
+
     def test_moments_allocated_once_and_steps_match_formula(self, monkeypatch):
         zeros_like, allocated = np.zeros_like, []
         monkeypatch.setattr(np, "zeros_like", lambda a: allocated.append(a.shape) or zeros_like(a))
         lr = 1e-2
         rng = np.random.default_rng(7)
-        params = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
-        ref = {k: v.copy() for k, v in params.items()}
-        ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
-        ref_v = {k: np.zeros(v.shape) for k, v in params.items()}
+        params = rng.standard_normal(self.SIZE)
+        ref, ref_m, ref_v = params.copy(), np.zeros(self.SIZE), np.zeros(self.SIZE)
         opt = Adam(lr)
         first = None
         for t in range(1, 4):
-            grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+            grads = rng.standard_normal(self.SIZE)
             opt.step(params, grads)
             if first is None:
-                first = {k: (opt.m[k], opt.v[k]) for k in params}
-            for k in params:
-                assert opt.m[k] is first[k][0] and opt.v[k] is first[k][1]
-                g = grads[k] + WEIGHT_DECAY * ref[k]
-                ref_m[k] *= ADAM_BETA1
-                ref_m[k] += (1 - ADAM_BETA1) * g
-                ref_v[k] *= ADAM_BETA2
-                ref_v[k] += (1 - ADAM_BETA2) * g * g
-                c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-                ref[k] -= lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + ADAM_EPS)
-                assert params[k].tobytes() == ref[k].tobytes()
-                assert opt.m[k].tobytes() == ref_m[k].tobytes()
-                assert opt.v[k].tobytes() == ref_v[k].tobytes()
-        assert sorted(allocated) == sorted([(5,), (5,), (4, 3), (4, 3)])
+                first = opt.m, opt.v
+            assert opt.m is first[0] and opt.v is first[1]
+            g = grads + WEIGHT_DECAY * ref
+            ref_m *= ADAM_BETA1
+            ref_m += (1 - ADAM_BETA1) * g
+            ref_v *= ADAM_BETA2
+            ref_v += (1 - ADAM_BETA2) * g * g
+            c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            ref -= lr * (ref_m / c1) / (np.sqrt(ref_v / c2) + ADAM_EPS)
+            assert params.tobytes() == ref.tobytes()
+            assert opt.m.tobytes() == ref_m.tobytes()
+            assert opt.v.tobytes() == ref_v.tobytes()
+        assert allocated == [(self.SIZE,), (self.SIZE,)]
 
-    def test_step_allocates_at_most_two_buffers_of_largest_parameter(self):
+    def test_step_allocates_at_most_two_chunks(self):
         rng = np.random.default_rng(3)
-        params = {"w": rng.standard_normal((256, 256)), "b": rng.standard_normal(256),
-                  "s": rng.standard_normal((7, 3))}
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        params, grads = rng.standard_normal(nets.PARAM_COUNT), rng.standard_normal(nets.PARAM_COUNT)
         opt = Adam(1e-3)
         opt.step(params, grads)                 # allocates the moments
         tracemalloc.start()
@@ -505,7 +502,7 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         # 4 KiB for the scratch arrays' headers and Python scalars
-        assert peak - before <= 2 * params["w"].nbytes + 4096
+        assert peak - before <= 2 * ADAM_CHUNK * 8 + 4096
 
 
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
@@ -518,6 +515,27 @@ def checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.bin"
     path.write_bytes(blob)
     return path, blob, 4 + struct.unpack_from("<I", blob)[0]
+
+
+class TestFlatParameterBuffer:
+    def test_params_are_views_of_flat_in_manifest_order(self, checkpoint):
+        """After init, load and quantize, every named parameter is a view
+        into `policy.flat`, at the offset the checkpoint manifest's layer
+        order gives it."""
+        path, blob, header = checkpoint
+        layers = json.loads(blob[4:header])["layers"]
+        starts = np.cumsum([0] + [np.prod(layer["shape"]) for layer in layers])
+        for policy in (ToyPolicy.init(seed=0), load_policy(path)):
+            for _ in range(2):
+                assert policy.flat.shape == (nets.PARAM_COUNT,) == (starts[-1],)
+                assert policy.flat.dtype == np.float64
+                base = policy.flat.__array_interface__["data"][0]
+                assert list(policy.params) == [layer["name"] for layer in layers]
+                for (name, view), layer, start in zip(policy.params.items(), layers, starts):
+                    assert np.shares_memory(view, policy.flat), name
+                    assert view.shape == tuple(layer["shape"]), name
+                    assert view.__array_interface__["data"][0] - base == 8 * start, name
+                policy.quantize()
 
 
 class TestCheckpointFile:
@@ -544,6 +562,17 @@ class TestCheckpointFile:
                 path.write_bytes(bad)
                 with pytest.raises(CorruptFile, match=re.escape(str(path))):
                     load_policy(path)
+        finally:
+            path.write_bytes(blob)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_named(self, checkpoint, value):
+        path, blob, header = checkpoint
+        path.write_bytes(blob[:header] + struct.pack("<f", value) + blob[header + 4:])
+        try:
+            with pytest.raises(CorruptFile, match=re.escape(f"{path}: parameter enc.w1[0, 0] "
+                                                            f"is not finite: {value}")):
+                load_policy(path)
         finally:
             path.write_bytes(blob)
 

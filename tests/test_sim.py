@@ -1,7 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from gravkit.demos import TaskKind, validate_demo
+from gravkit.demos import SchemaViolation, TaskKind, validate_demo
 from gravkit.gravmap import Workspace
 from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
 from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED, Command,
@@ -232,6 +235,20 @@ class TestProviderAndLayouts:
 
 
 class TestSceneIo:
+    @pytest.mark.parametrize("field, mutate", [
+        ("objects[0].radius", lambda rec: rec["objects"][0].update(radius=float("nan"))),
+        ("goal.tol", lambda rec: rec["goal"].update(tol=float("inf"))),
+        ("objects[0].center", lambda rec: rec["objects"][0]["center"].__setitem__(1, float("nan"))),
+    ])
+    def test_non_finite_number_named(self, tmp_path, field, mutate):
+        path = tmp_path / "scene.json"
+        save_scene(simple_world(), path)
+        rec = json.loads(path.read_text())
+        mutate(rec)
+        path.write_text(json.dumps(rec))      # written as the NaN / Infinity literals
+        with pytest.raises(SchemaViolation, match=rf"'{re.escape(field)}' must be (a )?finite"):
+            load_scene(path)
+
     def test_scene_round_trip(self, tmp_path):
         w = simple_world()
         path = tmp_path / "scene.json"
