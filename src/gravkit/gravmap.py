@@ -9,7 +9,9 @@ stride-downsampled voxel lattice reduced by farthest point sampling.
 
 Voxel fields are plain float ndarrays of shape (S, S, S). They are built
 only when an obstacle survives clearing or the caller asks for them; without
-obstacles both channels have a closed form on the sampled points.
+obstacles both channels have a closed form on the sampled points. The
+obstacle penalty is smoothed only on the box around its surviving voxels,
+grown by the kernel radius; outside that box it is exactly zero.
 """
 from __future__ import annotations
 
@@ -66,6 +68,9 @@ class GravMapParams:
     closed_value: float = 0.0    # encoding of "closed" in the gripper channel (0 or -1)
 
     def __post_init__(self):
+        for name in ("gripper_radius", "sigma_avoid", "avoid_clear_frac", "closed_value"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.map_size <= 0 or self.downsample <= 0 or self.num_points <= 0:
             raise ValueError("map_size, downsample and num_points must be positive")
         if self.map_size % self.downsample != 0:
@@ -143,13 +148,34 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     """Separable 3D Gaussian filter, kernel truncated at 3*sigma per axis,
-    replicate-edge boundary handling. sigma = 0 is the identity."""
+    replicate-edge boundary handling. sigma = 0 is the identity.
+
+    Only the support box is smoothed: the bounding box of the non-zero
+    voxels, grown by the kernel radius (clamped to the field) along each
+    axis as its pass comes. Entries outside the grown box come out +0.0.
+    Along an axis not yet smoothed the data is still zero outside the
+    support, so where a crop edge lies inside the field, edge replication
+    copies a zero equal to the true neighbour; every output sums the same
+    taps in the same order as a full-field pass."""
     kernel = gaussian_kernel_1d(sigma)
     if kernel.size == 1:
         return field.astype(float, copy=True)
-    out = field.astype(float, copy=False)
+    radius = kernel.size // 2
+    lo, hi = [], []
     for axis in range(3):
-        out = ndimage.correlate1d(out, kernel, axis=axis, mode="nearest")
+        hit = np.flatnonzero(field.any(axis=tuple(a for a in range(3) if a != axis)))
+        if hit.size == 0:
+            return np.zeros(field.shape)
+        lo.append(hit[0])
+        hi.append(hit[-1] + 1)
+    out = np.zeros(field.shape)
+    src = field
+    for axis in range(3):
+        lo[axis] = max(lo[axis] - radius, 0)
+        hi[axis] = min(hi[axis] + radius, field.shape[axis])
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        out[box] = ndimage.correlate1d(src[box], kernel, axis=axis, output=float, mode="nearest")
+        src = out
     return out
 
 
@@ -206,16 +232,20 @@ def farthest_point_sampling(points, num_points: int) -> np.ndarray:
         raise ValueError("empty point set")
     if num_points >= n:
         return np.arange(n)
-    centroid = pts.mean(axis=0)
-    first = int(np.argmin(((pts - centroid) ** 2).sum(axis=1)))
+    # contiguous coordinate columns, summed x + y + z left to right as a row sum does
+    x, y, z = np.ascontiguousarray(pts.T)
+
+    def sq_dist(c):
+        return (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
+
+    first = int(np.argmin(sq_dist(pts.mean(axis=0))))
     selected = np.empty(num_points, dtype=int)
     selected[0] = first
-    min_d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    min_d2 = sq_dist(pts[first])
     for t in range(1, num_points):
         nxt = int(np.argmax(min_d2))
         selected[t] = nxt
-        d2 = ((pts - pts[nxt]) ** 2).sum(axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        np.minimum(min_d2, sq_dist(pts[nxt]), out=min_d2)
     return selected
 
 

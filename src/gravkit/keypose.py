@@ -28,6 +28,9 @@ class KeyposeParams:
     gripper_threshold: int = 4   # frames; gripper-change lookback window
 
     def __post_init__(self):
+        for name in ("eps_vel", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.eps_vel, self.stop_buffer, self.touch_threshold,
                self.delta, self.gripper_threshold) < 0:
             raise ValueError("keypose parameters must be non-negative")

@@ -52,7 +52,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("iters", "batch", "lr"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:   # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")

@@ -6,6 +6,7 @@ form where the library's version is an optimisation or a refactoring of it
 so agreement is meaningful.
 """
 import numpy as np
+from scipy import ndimage
 
 
 def keypose_oracle(demo, eps_vel=1e-3, stop_buffer=4):
@@ -101,6 +102,40 @@ def fps_oracle(points, num_points):
             if pair_d2[i, cand] < mind[i]:
                 mind[i] = pair_d2[i, cand]
     return selected
+
+
+def fps_rows_oracle(points, num_points):
+    """The library's farthest point sampling as it was before it moved to
+    coordinate columns: the same greedy loop on (n, 3) rows. Unlike
+    fps_oracle it runs at full-lattice sizes."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if num_points >= n:
+        return list(range(n))
+    first = int(np.argmin(((pts - pts.mean(axis=0)) ** 2).sum(axis=1)))
+    selected = [first]
+    min_d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    while len(selected) < num_points:
+        nxt = int(np.argmax(min_d2))
+        selected.append(nxt)
+        np.minimum(min_d2, ((pts - pts[nxt]) ** 2).sum(axis=1), out=min_d2)
+    return selected
+
+
+def gaussian_smooth_oracle(field, sigma):
+    """The library's Gaussian smoothing as it was before it moved to the
+    support box: three scipy passes over the whole field, the kernel written
+    out with the same operations as gaussian_kernel_1d."""
+    radius = int(np.floor(3.0 * sigma))
+    if sigma <= 0 or radius == 0:
+        return np.array(field, dtype=float)
+    x = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-0.5 * (x / sigma) ** 2)
+    kernel = kernel / kernel.sum()
+    out = np.asarray(field, dtype=float)
+    for axis in range(3):
+        out = ndimage.correlate1d(out, kernel, axis=axis, mode="nearest")
+    return out
 
 
 def gaussian3d_oracle(field, sigma):

@@ -245,6 +245,7 @@ def trained_policy():
     return policy, curve, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end(trained_policy):
     policy, curve, wall = trained_policy
     assert TRAIN_ITERS <= 50_000
@@ -271,6 +272,7 @@ def test_criterion_8_end_to_end(trained_policy):
            f"(gap >= 20 points); episodes capped at 25 prediction steps")
 
 
+@pytest.mark.slow
 def test_criterion_8_checkpoint_round_trip(trained_policy, tmp_path):
     policy, _, _ = trained_policy
     path = tmp_path / "model.bin"

@@ -145,6 +145,14 @@ class TestDistill:
         assert res.returncode == 1
         assert "line 1" in res.stderr
 
+    def test_non_finite_eps_vel_exit_1(self, demo_file, tmp_path):
+        out = tmp_path / "s.jsonl"
+        res = run_cli("distill", "--demos", str(demo_file), "--eps-vel", "nan", "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "eps_vel must be finite, got nan" in res.stderr
+        assert not out.exists()
+
     def test_idempotent(self, demo_file, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
@@ -256,6 +264,24 @@ class TestSynth:
         assert res.stderr == f"gravkit: {flag} values must be finite, got '{value}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, with_scene", [("--sigma-avoid", "nan", False),
+                                                         ("--gripper-radius", "inf", False),
+                                                         ("--sigma-avoid", "inf", True)])
+    def test_non_finite_map_param_exit_1(self, tmp_path, flag, value, with_scene):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
+            "objects": [{"center": [0.8, 0.8, 0.8], "radius": 0.06, "graspable": False}],
+            "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05},
+        }))
+        out = tmp_path / "m.gmap"
+        res = run_cli("synth", "--subgoal", "0.2,0.2,0.2,1", flag, value, "--out", str(out),
+                      *(["--scene", str(scene)] if with_scene else []))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"{flag[2:].replace('-', '_')} must be finite, got {value}" in res.stderr
+        assert not out.exists()
+
     def test_unknown_flag_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--out",
                       str(tmp_path / "m.gmap"), "--frobnicate")
@@ -313,6 +339,7 @@ class TestTrainEval:
         ("--iters", "0", "iters must be positive, got 0"),
         ("--batch", "-2", "batch must be positive, got -2"),
         ("--lr", "0", "lr must be positive, got 0.0"),
+        ("--lr", "nan", "lr must be positive, got nan"),
     ])
     def test_bad_training_flag_exit_1_names_field_and_value(self, tiny_demos, tmp_path, flag,
                                                             value, named):

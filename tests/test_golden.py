@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from gravkit import diffusion
-from gravkit.demos import TaskKind
+from gravkit.demos import SubGoal, TaskKind
+from gravkit.gravmap import GravMapParams, Workspace, generate_gravmap
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, step_embedding, train
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
-from gravkit.sim import scripted_expert
+from gravkit.sim import SceneObject, World, occupancy_grid, scripted_expert
 
 TESTS = Path(__file__).resolve().parent
 FIXTURE_MODEL = TESTS.parent / "benchmarks" / "fixture" / "model.bin"
@@ -64,6 +65,39 @@ def test_training_maps_and_pool():
         "fe69c0a4b1ef61eb13fb13c1bfd66f275de529f577694ddf25f6c7e6a5721c4e"
     assert _sha(build_negative_pool(policy, config).tobytes()) == \
         "214b14ba81838fbfd88cb7641e62034a3e70c0eb6e31ce00d9f6dd8a84547cfd"
+
+
+def obstacle_scenes():
+    """12 seeded scenes of 1-3 spheres, each with a sub-goal far enough from
+    its spheres for every sphere to survive clearing. The first five spheres
+    are placed on a face, an edge or a corner of the field."""
+    rng = np.random.default_rng(20)
+    edges = [(0.0, 0.5, 0.5), (0.5, 1.0, 0.4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.98, 0.02, 0.6)]
+    scenes = []
+    for i in range(12):
+        objs = [SceneObject(center=edges[i] if i < len(edges) and j == 0 else rng.uniform(0.1, 0.9, 3),
+                            radius=float(rng.uniform(0.03, 0.1)))
+                for j in range(1 + i % 3)]
+        while True:
+            g_pos = rng.uniform(0.05, 0.95, 3)
+            if all(np.linalg.norm(g_pos - o.center) > o.radius + 0.2 for o in objs):
+                break
+        sub = SubGoal(g_pos=g_pos, g_open=int(rng.integers(2)), g_rot=[1, 0, 0, 0, 1, 0])
+        scenes.append((World(objects=objs), sub, int(rng.integers(2))))
+    return scenes
+
+
+def test_obstacle_maps():
+    """Value maps on the obstacle path (Gaussian-smoothed avoidance map), in
+    both modes, sphere supports touching the field's faces and corners."""
+    ws, params = Workspace(), GravMapParams()
+    digest = hashlib.sha256()
+    for seed, (world, sub, current) in enumerate(obstacle_scenes()):
+        occ = occupancy_grid(world, params.map_size, ws)
+        for mode in ("infer", "train"):
+            digest.update(generate_gravmap(sub, occ, current, ws, params, mode, seed=seed).points.tobytes())
+    assert digest.hexdigest() == \
+        "92170f2882350653ead8c34de8f154934d46bf5bbdd18083e78a3749e44f40d7"
 
 
 @pytest.mark.parametrize("stochastic, pose_hex", [

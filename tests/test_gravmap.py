@@ -14,7 +14,7 @@ from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Worksp
                              gaussian_smooth, generate_gravmap, gmap_to_json, load_gmap,
                              save_field_slice_pgm, save_gmap, voxel_center, world_to_voxel)
 
-from oracles import fps_oracle, gaussian3d_oracle
+from oracles import fps_oracle, fps_rows_oracle, gaussian3d_oracle, gaussian_smooth_oracle
 
 WS = Workspace()
 SUB = SubGoal(g_pos=[0.5, 0.5, 0.5], g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
@@ -89,6 +89,47 @@ class TestGaussianSmooth:
         field = rng.random((9, 9, 9))
         np.testing.assert_allclose(gaussian_smooth(field, 1.0),
                                    gaussian3d_oracle(field, 1.0), atol=1e-6)
+
+
+    @staticmethod
+    def assert_same_bytes(field, sigma):
+        out = gaussian_smooth(field, sigma)
+        assert out.dtype == np.float64 and out.shape == field.shape
+        assert out.tobytes() == gaussian_smooth_oracle(field, sigma).tobytes()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(shape=st.tuples(*[st.integers(5, 40)] * 3),
+           place=st.tuples(*[st.sampled_from(["low", "interior", "high"])] * 3),
+           extent=st.tuples(*[st.integers(1, 6)] * 3),
+           sigma=st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5, 4.0, 10.0, 15.0]),
+           density=st.sampled_from([0.05, 0.3, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_sparse_fields_match_full_field_smoother(self, shape, place, extent, sigma, density, seed):
+        """Non-negative support boxes at the interior, on faces, on edges
+        and in corners; sigma = 15 gives a 91-tap kernel, longer than every
+        field."""
+        rng = np.random.default_rng(seed)
+        box = []
+        for n, where, e in zip(shape, place, extent):
+            e = min(e, n - 2)
+            start = {"low": 0, "high": n - e, "interior": int(rng.integers(1, n - e))}[where]
+            box.append(slice(start, start + e))
+        field = np.zeros(shape)
+        block = field[tuple(box)]
+        block[...] = rng.random(block.shape) * (rng.random(block.shape) < density)
+        self.assert_same_bytes(field, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (6, 6, 6), (11, 0, 5), (11, 11, 11)])
+    def test_one_voxel(self, where, sigma):
+        field = np.zeros((12, 12, 12))
+        field[where] = 1.0
+        self.assert_same_bytes(field, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_all_zero_field(self, sigma):
+        self.assert_same_bytes(np.zeros((9, 7, 5)), sigma)
+        assert not gaussian_smooth(np.zeros((9, 7, 5)), sigma).any()
 
 
 class TestAvoidanceMap:
@@ -185,6 +226,16 @@ class TestFPS:
             chosen = sel[:t]
             d2 = ((pts[:, None, :] - pts[chosen][None, :, :]) ** 2).sum(-1).min(axis=1)
             assert d2[sel[t]] >= d2.max() - 1e-12
+
+
+    @pytest.mark.parametrize("ws", [WS, Workspace((-0.3, 0.1, 0.0), (0.7, 1.6, 0.4))])
+    @pytest.mark.parametrize("map_size, stride, num_points",
+                             [(100, 4, 1024), (60, 3, 500), (48, 2, 2000)])
+    def test_lattice_order_matches_row_wise_loop(self, ws, map_size, stride, num_points):
+        idx = np.arange(0, map_size, stride)
+        vox = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = voxel_center(vox, ws, map_size)
+        assert list(farthest_point_sampling(grid, num_points)) == fps_rows_oracle(grid, num_points)
 
 
 class TestAugment:
