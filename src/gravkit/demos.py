@@ -146,10 +146,15 @@ def _require(cond, msg, line):
         raise SchemaViolation(msg, line=line)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, and not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _vec(obj, name, size, line):
     _require(isinstance(obj, (list, tuple)), f"{name} must be an array", line)
     _require(len(obj) == size, f"{name} must have {size} elements, got {len(obj)}", line)
-    _require(all(isinstance(v, (int, float)) for v in obj), f"{name} must be numeric", line)
+    _require(all(_is_number(v) for v in obj), f"{name} must be numeric", line)
     return np.asarray(obj, dtype=float)
 
 
@@ -157,8 +162,8 @@ def _frame_from_record(rec, line):
     _require(isinstance(rec, dict), "frame must be an object", line)
     for key in ("t", "pos", "rot6d", "open", "joint_vel", "touch"):
         _require(key in rec, f"frame missing field '{key}'", line)
-    _require(isinstance(rec["t"], int), "t must be an integer", line)
-    _require(rec["open"] in (0, 1), "open must be 0 or 1", line)
+    _require(type(rec["t"]) is int, "t must be an integer", line)   # type(): bool is an int
+    _require(_is_number(rec["open"]) and rec["open"] in (0, 1), "open must be 0 or 1", line)
     return Frame(
         t=rec["t"],
         pose=Pose(_vec(rec["pos"], "pos", 3, line), _vec(rec["rot6d"], "rot6d", 6, line)),

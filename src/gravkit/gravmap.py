@@ -7,11 +7,11 @@ channel that carries the desired openness near the sub-goal and the current
 openness elsewhere. The channels are read on a fixed point set: the
 stride-downsampled voxel lattice reduced by farthest point sampling.
 
-Voxel fields are plain float ndarrays of shape (S, S, S). They are built
-only when an obstacle survives clearing or the caller asks for them; without
-obstacles both channels have a closed form on the sampled points. The
-obstacle penalty is smoothed only on the box around its surviving voxels,
-grown by the kernel radius; outside that box it is exactly zero.
+Both channels come from one formula evaluated at the voxels that are read:
+the sampled ones for every map, all (S, S, S) of them only for with_fields.
+An obstacle that survives clearing adds just its penalty field, smoothed on
+the box around its voxels grown by the kernel radius, and the cost's min-max
+bounds, read off one distance field.
 """
 from __future__ import annotations
 
@@ -179,32 +179,6 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def build_avoidance_map(occupancy: np.ndarray, dist: np.ndarray,
-                        params: GravMapParams = DEFAULT_GRAVMAP_PARAMS) -> np.ndarray:
-    """Obstacle penalty field: 1 on occupied voxels, cleared where `dist`
-    (the sub-goal's distance_field) is below avoid_clear_frac * map_size,
-    then Gaussian-smoothed."""
-    m_a = occupancy.astype(float)
-    m_a[dist < params.avoid_clear_frac * occupancy.shape[0]] = 0.0
-    if not m_a.any():
-        return m_a  # nothing left to smooth
-    return gaussian_smooth(m_a, params.sigma_avoid)
-
-
-def build_cost_map(dist: np.ndarray, m_a: np.ndarray) -> np.ndarray:
-    """Combine normalized distance with the obstacle penalty and min-max
-    normalize into [0, 1]. A degenerate constant combination is returned as
-    an all-zero field (and logged)."""
-    dmax = dist.max()
-    m_c = dist / dmax if dmax > 0 else np.zeros_like(dist)
-    m_c = 2.0 * m_c + m_a
-    lo, hi = m_c.min(), m_c.max()
-    if hi == lo:
-        log.warning("degenerate cost field (constant %.6g); returning zeros", lo)
-        return np.zeros_like(m_c)
-    return (m_c - lo) / (hi - lo)
-
-
 def build_gripper_map(dist: np.ndarray, g_open, g_open_init,
                       params: GravMapParams = DEFAULT_GRAVMAP_PARAMS) -> np.ndarray:
     """Desired openness within gripper_radius voxels of the sub-goal, the
@@ -277,27 +251,61 @@ def _sample_lattice(ws: Workspace, params: GravMapParams):
     return hit
 
 
-def _obstacle_survives(occupancy: np.ndarray, center, params: GravMapParams) -> bool:
-    """Whether build_avoidance_map would leave an occupied voxel uncleared,
-    decided on the occupied voxels alone."""
+# ---------------------------------------------------------------------------
+# synthesis
+# ---------------------------------------------------------------------------
+
+def _avoidance(occupancy: np.ndarray, center, params: GravMapParams):
+    """Obstacle penalty field: the occupied voxels at least avoid_clear_frac *
+    map_size from the sub-goal voxel, Gaussian-smoothed; None when clearing
+    leaves none."""
     # np.nonzero on the 3-D array is ~30x slower than on its flat view
-    occupied = np.unravel_index(np.flatnonzero(occupancy), occupancy.shape)
-    d = _voxel_distance(*occupied, center)
-    return bool((d >= params.avoid_clear_frac * occupancy.shape[0]).any())
+    occupied = np.flatnonzero(occupancy)
+    d = _voxel_distance(*np.unravel_index(occupied, occupancy.shape), center)
+    kept = occupied[d >= params.avoid_clear_frac * occupancy.shape[0]]
+    if kept.size == 0:
+        return None
+    m_a = np.zeros(occupancy.shape)
+    m_a.flat[kept] = 1.0
+    return gaussian_smooth(m_a, params.sigma_avoid)
 
 
-def _cost_without_obstacles(dist: np.ndarray, map_size: int, center) -> np.ndarray:
-    """build_cost_map with an all-zero avoidance map, on sampled distances.
+def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
+    """The cost before normalisation, 2 d/dmax + penalty (None: none), formed
+    in place in `dist`; dmax = 0 means every distance is 0, which stays 0."""
+    if dmax > 0:
+        dist /= dmax
+    dist *= 2.0
+    if penalty is not None:
+        dist += penalty
+    return dist
 
-    The full field's dmax sits at one of the 8 corners; its min-max bounds
-    are exactly 0 (the center voxel) and 2 (that corner), and scaling by 2
-    and back is exact, so dist / dmax has the full-field bits."""
+
+def _cost_bounds(map_size: int, center, m_a):
+    """(dmax, lo, hi): the largest distance from the sub-goal voxel (at a
+    corner) and the raw cost's min-max over every voxel. Without a penalty
+    those are the sub-goal voxel's 0 and the farthest corner's 2."""
     corners = np.array(np.meshgrid(*[[0, map_size - 1]] * 3, indexing="ij")).reshape(3, -1)
     dmax = _voxel_distance(*corners, center).max()
-    if dmax == 0:
-        log.warning("degenerate cost field (constant 0); returning zeros")
-        return np.zeros_like(dist)
-    return dist / dmax
+    if m_a is None:
+        lo, hi = _raw_cost(np.array([0.0, dmax]), dmax, None)
+    else:
+        raw = _raw_cost(distance_field(map_size, center), dmax, m_a)
+        lo, hi = raw.min(), raw.max()
+    if hi == lo:
+        log.warning("degenerate cost field (constant %.6g); returning zeros", lo)
+    return dmax, lo, hi
+
+
+def _channels(idx, center, subgoal: SubGoal, current_open, m_a, bounds, params: GravMapParams):
+    """Distance, cost and gripper channel at the voxels `idx`, a tuple of
+    broadcastable index arrays. The cost is (raw - lo) / (hi - lo), or all
+    zeros when the raw cost is constant."""
+    dmax, lo, hi = bounds
+    dist = _voxel_distance(*idx, center)
+    raw = _raw_cost(dist.copy(), dmax, None if m_a is None else m_a[idx])
+    cost = np.zeros_like(raw) if hi == lo else (raw - lo) / (hi - lo)
+    return dist, cost, build_gripper_map(dist, subgoal.g_open, current_open, params)
 
 
 def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
@@ -309,16 +317,13 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
     In train mode the sub-goal voxel is jittered by a few voxels before the
     channels are computed (rng seeded from `seed`); inference never perturbs
     it. Occupancy must be a boolean field of shape (map_size,)*3; the
-    non-goal region of the gripper channel carries `current_open`.
+    non-goal region of the gripper channel carries `current_open`. Cost and
+    grip are evaluated at the sampled lattice voxels, and again at every
+    voxel when with_fields is set.
 
-    When every occupied voxel lies inside the cleared radius around the
-    sub-goal (always so for empty occupancy), cost and grip are computed on
-    the sampled points alone; otherwise, or when with_fields is set, the full
-    (map_size,)*3 fields are built and read at those points. Both paths give
-    the same bits.
-
-    Returns the GravMap, or (GravMap, fields) with the full-resolution fields
-    and the (possibly jittered) center voxel when with_fields is set.
+    Returns the GravMap, or (GravMap, fields) when with_fields is set: the
+    same channels at every voxel ("dist", "avoid", "cost", "grip") and the
+    (possibly jittered) center voxel.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -331,25 +336,17 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
         rng = np.random.default_rng(seed)
         center = augment_offset(center, params.offset_range, s, rng)
 
+    m_a = _avoidance(occupancy, center, params)
+    bounds = _cost_bounds(s, center, m_a)
     xyz, vox = _sample_lattice(ws, params)
-    points = np.empty((params.num_points, 5), dtype=float)
-    points[:, :3] = xyz
-    if with_fields or _obstacle_survives(occupancy, center, params):
-        dist = distance_field(s, center)
-        m_a = build_avoidance_map(occupancy, dist, params)
-        m_c = build_cost_map(dist, m_a)
-        m_g = build_gripper_map(dist, subgoal.g_open, current_open, params)
-        at = tuple(vox.T)
-        points[:, 3] = m_c[at]
-        points[:, 4] = m_g[at]
-    else:
-        dist = _voxel_distance(*vox.T, center)
-        points[:, 3] = _cost_without_obstacles(dist, s, center)
-        points[:, 4] = build_gripper_map(dist, subgoal.g_open, current_open, params)
-    gmap = GravMap(points=points, workspace=ws)
-    if with_fields:
-        return gmap, {"center": center, "dist": dist, "avoid": m_a, "cost": m_c, "grip": m_g}
-    return gmap
+    _, cost, grip = _channels(tuple(vox.T), center, subgoal, current_open, m_a, bounds, params)
+    gmap = GravMap(points=np.column_stack([xyz, cost, grip]), workspace=ws)
+    if not with_fields:
+        return gmap
+    dist, cost, grip = _channels(tuple(np.ogrid[:s, :s, :s]), center, subgoal, current_open,
+                                 m_a, bounds, params)
+    avoid = np.zeros(occupancy.shape) if m_a is None else m_a
+    return gmap, {"center": center, "dist": dist, "avoid": avoid, "cost": cost, "grip": grip}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from ..gravmap import GravMapParams, Workspace
 from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views
 
 FORMAT_VERSION = 1
+MAX_STEPS = 10_000   # longest reverse chain a checkpoint may declare
 
 
 @dataclass
@@ -117,6 +118,9 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
     size = 4 + mlen + 4 * PARAM_COUNT
     if len(raw) != size:
         raise GravkitError(f"{PARAM_COUNT} parameters take {size} bytes, the file has {len(raw)}")
+    steps = manifest["steps"]
+    if type(steps) is not int or not 1 <= steps <= MAX_STEPS:   # type(): bool is an int
+        raise GravkitError(f"manifest field 'steps' must be an integer in 1..{MAX_STEPS}, got {steps!r}")
     flat = np.frombuffer(raw, dtype="<f4", offset=4 + mlen).astype(float)
     if not np.isfinite(flat).all():
         name, arr = next((n, a) for n, a in param_views(flat).items() if not np.isfinite(a).all())
@@ -126,7 +130,7 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
         flat=flat,
         workspace=Workspace(tuple(manifest["workspace"]["min"]), tuple(manifest["workspace"]["max"])),
         gravmap_params=GravMapParams(**manifest["gravmap"]),
-        steps=int(manifest["steps"]),
+        steps=steps,
         sched_pos_kind=manifest["sched_pos"],
         sched_rot_kind=manifest["sched_rot"],
         meta=manifest.get("meta", {}),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demos import Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _vec
+from .demos import Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _is_number, _vec
 from .gravmap import Workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
@@ -377,9 +377,17 @@ def _scene_field(rec, key: str, where: str = ""):
 
 def _scene_number(rec, key: str, where: str) -> float:
     value = _scene_field(rec, key, where)
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _is_number(value) or not math.isfinite(value):
         raise SchemaViolation(f"scene field '{where}{key}' must be a finite number")
     return float(value)
+
+
+def _scene_flag(rec, key: str, where: str) -> bool:
+    """An optional true/false field of a scene record, false when absent."""
+    value = rec.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaViolation(f"scene field '{where}{key}' must be true or false")
+    return value
 
 
 def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
@@ -400,7 +408,7 @@ def load_scene(path) -> World:
         raise SchemaViolation("scene field 'objects' must be an array")
     objs = [SceneObject(center=_scene_xyz(o, "center", f"objects[{i}]."),
                         radius=_scene_number(o, "radius", f"objects[{i}]."),
-                        graspable=bool(o.get("graspable", False)))
+                        graspable=_scene_flag(o, "graspable", f"objects[{i}]."))
             for i, o in enumerate(objects)]
     return World(workspace=Workspace(tuple(_scene_xyz(ws, "min", "workspace.")),
                                      tuple(_scene_xyz(ws, "max", "workspace."))),

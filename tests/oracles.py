@@ -138,6 +138,28 @@ def gaussian_smooth_oracle(field, sigma):
     return out
 
 
+def gravmap_fields_oracle(occupancy, center, g_open, current_open, params):
+    """The library's value-map fields as they were built before synthesis
+    moved to the voxels that are read: a full distance field, occupancy
+    cleared by a full distance mask and smoothed over the whole field, the
+    cost min-max normalised over every voxel (a constant field gives
+    zeros), and the gripper field thresholded on the full distance field."""
+    i, j, k = np.indices(occupancy.shape)
+    ci, cj, ck = center
+    dist = np.sqrt((i - ci) ** 2.0 + (j - cj) ** 2.0 + (k - ck) ** 2.0)
+    avoid = occupancy.astype(float)
+    avoid[dist < params.avoid_clear_frac * occupancy.shape[0]] = 0.0
+    if avoid.any():
+        avoid = gaussian_smooth_oracle(avoid, params.sigma_avoid)
+    dmax = dist.max()
+    cost = 2.0 * (dist / dmax if dmax > 0 else np.zeros_like(dist)) + avoid
+    lo, hi = cost.min(), cost.max()
+    cost = np.zeros_like(cost) if hi == lo else (cost - lo) / (hi - lo)
+    goal, elsewhere = (1.0 if state else float(params.closed_value) for state in (g_open, current_open))
+    grip = np.where(dist <= params.gripper_radius, goal, elsewhere)
+    return {"dist": dist, "avoid": avoid, "cost": cost, "grip": grip}
+
+
 def gaussian3d_oracle(field, sigma):
     """Direct (non-separable) 3D Gaussian convolution with replicate-edge
     padding; kernel support |offset| <= floor(3 sigma) per axis, normalized

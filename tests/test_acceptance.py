@@ -24,7 +24,7 @@ from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, eval
 from gravkit.policy.nets import TOKEN_DIM, sigmoid
 from gravkit.sim import SceneObject, World, occupancy_grid, scripted_expert, scripted_long_demo
 
-from oracles import fps_oracle, subgoal_oracle
+from oracles import fps_oracle, gravmap_fields_oracle, subgoal_oracle
 from test_diffusion import _ZeroDenoiser, random_rotation
 
 WS = Workspace()
@@ -66,6 +66,14 @@ def test_criterion_1_gravmap_invariant_suite():
         center = np.asarray(fields["center"], dtype=float)
         vox = np.floor((gmap.points[:, :3] - np.asarray(WS.min)) / (WS.extent / PARAMS.map_size))
         dist = np.sqrt(((vox - center) ** 2).sum(axis=1))
+
+        # points and fields byte for byte against the full-field oracle
+        want = gravmap_fields_oracle(occ, fields["center"], sub.g_open, current, PARAMS)
+        assert all(fields[name].tobytes() == field.tobytes() for name, field in want.items())
+        at = tuple(vox.astype(int).T)
+        points = np.column_stack([gmap.points[:, :3], want["cost"][at], want["grip"][at]]).tobytes()
+        plain = generate_gravmap(sub, occ, current, WS, PARAMS, "infer")
+        assert gmap.points.tobytes() == points == plain.points.tobytes()
         grip = gmap.points[:, 4]
         want_goal = dist <= PARAMS.gripper_radius
         assert np.all(grip[want_goal] == PARAMS.encode_open(sub.g_open))
@@ -78,7 +86,7 @@ def test_criterion_1_gravmap_invariant_suite():
             assert (field_cost == 0.0).sum() == 1
     report(1, worst_time <= 5.0,
            f"50 random maps: costs in [0,1], 1024 points, gripper dichotomy, "
-           f"empty-scene monotonicity; slowest synthesis {worst_time:.2f}s <= 5s")
+           f"empty-scene monotonicity, points and fields equal to the oracle's; slowest synthesis {worst_time:.2f}s <= 5s")
 
 
 def test_criterion_2_fps_oracle_equivalence():

@@ -153,6 +153,18 @@ class TestDistill:
         assert "eps_vel must be finite, got nan" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("pos", [True, False, 0.3]), ("open", True)])
+    def test_boolean_number_exit_1(self, demo_file, tmp_path, field, value):
+        rec = json.loads(demo_file.read_text().splitlines()[0])
+        rec["frames"][2][field] = value
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "s.jsonl"
+        bad.write_text(json.dumps(rec) + "\n")
+        res = run_cli("distill", "--demos", str(bad), "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"gravkit: line 1: {field} must be")
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_idempotent(self, demo_file, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
@@ -228,6 +240,12 @@ class TestSynth:
         ({"workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
           "objects": [{"center": [0.8, 0.8, 0.8], "radius": "big"}],
           "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}, "objects[0].radius"),
+        ({"workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
+          "objects": [{"center": [0.8, 0.8, 0.8], "radius": True}],
+          "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}, "objects[0].radius"),
+        ({"workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
+          "objects": [{"center": [0.8, 0.8, 0.8], "radius": 0.06, "graspable": "false"}],
+          "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}, "objects[0].graspable"),
     ])
     def test_malformed_scene_exit_1(self, tmp_path, scene, field):
         path = tmp_path / "scene.json"

@@ -87,6 +87,21 @@ def test_malformed_records(tmp_path, mutate, expect):
     assert expect in str(exc.value)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("pos", [True, False, 0.3], "pos must be numeric"),
+    ("touch", [0.0, False], "touch must be numeric"),
+    ("open", True, "open must be 0 or 1"),
+    ("t", True, "t must be an integer"),
+])
+def test_json_booleans_are_not_numbers(tmp_path, field, value, named):
+    rec = demo_to_record(two_frame_demo())
+    rec["frames"][1][field] = value
+    path = tmp_path / "demos.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(SchemaViolation, match=f"^line 1: {named}$"):
+        load_demos(path)
+
+
 def test_validate_flags_time_order():
     demo = synthetic_demo(3)
     demo.frames[1].t, demo.frames[2].t = 2, 1

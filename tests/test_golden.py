@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravkit import diffusion
+from gravkit import cli, diffusion
 from gravkit.demos import SubGoal, TaskKind
-from gravkit.gravmap import GravMapParams, Workspace, generate_gravmap
+from gravkit.gravmap import GravMapParams, Workspace, generate_gravmap, world_to_voxel
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, step_embedding, train
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
-from gravkit.sim import SceneObject, World, occupancy_grid, scripted_expert
+from gravkit.sim import SceneObject, World, occupancy_grid, save_scene, scripted_expert
 
 TESTS = Path(__file__).resolve().parent
 FIXTURE_MODEL = TESTS.parent / "benchmarks" / "fixture" / "model.bin"
@@ -98,6 +98,36 @@ def test_obstacle_maps():
             digest.update(generate_gravmap(sub, occ, current, ws, params, mode, seed=seed).points.tobytes())
     assert digest.hexdigest() == \
         "92170f2882350653ead8c34de8f154934d46bf5bbdd18083e78a3749e44f40d7"
+
+
+def test_full_resolution_fields():
+    """The with_fields output (points, distance, avoidance, cost and gripper
+    fields) of the obstacle scenes and of one empty scene, modes alternating."""
+    ws, params = Workspace(), GravMapParams()
+    empty = (World(), SubGoal(g_pos=[0.3, 0.7, 0.6], g_open=0, g_rot=[1, 0, 0, 0, 1, 0]), 1)
+    digest = hashlib.sha256()
+    for seed, (world, sub, current) in enumerate(obstacle_scenes() + [empty]):
+        occ = occupancy_grid(world, params.map_size, ws)
+        gmap, fields = generate_gravmap(sub, occ, current, ws, params, ("infer", "train")[seed % 2],
+                                        seed=seed, with_fields=True)
+        digest.update(gmap.points.tobytes())
+        for name in ("dist", "avoid", "cost", "grip"):
+            digest.update(fields[name].tobytes())
+    assert digest.hexdigest() == \
+        "cc1709029e544ae4357f8fb000ec15380ff300cc8ded65988db897b6acfa9c14"
+
+
+def test_synth_pgm_slice(tmp_path):
+    """`gravkit synth --pgm` on a scene file: the cost slice through a sphere."""
+    world, sub, current = obstacle_scenes()[5]
+    scene, out, pgm = tmp_path / "scene.json", tmp_path / "m.gmap", tmp_path / "s.pgm"
+    save_scene(world, scene)
+    z = world_to_voxel(world.objects[0].center, world.workspace, GravMapParams().map_size)[2]
+    assert cli.main(["synth", "--subgoal", ",".join(map(repr, [*map(float, sub.g_pos), sub.g_open])),
+                     "--scene", str(scene), "--current-open", str(current), "--out", str(out),
+                     "--slice", f"z={z}", "--pgm", str(pgm)]) == 0
+    assert _sha(pgm.read_bytes()) == \
+        "da8610ffaa018cb6efd0c72d8f66144ce369b1a37a3a5802697ffed532a6060d"
 
 
 @pytest.mark.parametrize("stochastic, pose_hex", [

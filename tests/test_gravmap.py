@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from gravkit import gravmap
 from gravkit.demos import CorruptFile, SubGoal
 from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Workspace, augment_offset,
-                             build_avoidance_map, build_cost_map, build_gripper_map,
-                             distance_field, farthest_point_sampling,
+                             build_gripper_map, distance_field, farthest_point_sampling,
                              gaussian_smooth, generate_gravmap, gmap_to_json, load_gmap,
                              save_field_slice_pgm, save_gmap, voxel_center, world_to_voxel)
 
-from oracles import fps_oracle, fps_rows_oracle, gaussian3d_oracle, gaussian_smooth_oracle
+from oracles import (fps_oracle, fps_rows_oracle, gaussian3d_oracle, gaussian_smooth_oracle,
+                     gravmap_fields_oracle)
 
 WS = Workspace()
 SUB = SubGoal(g_pos=[0.5, 0.5, 0.5], g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
@@ -27,6 +27,15 @@ def small_params(map_size=20, num_points=32, **kw):
 
 def empty_occ(s):
     return np.zeros((s, s, s), dtype=bool)
+
+
+def fields_at(center, occ, params):
+    """The full-resolution fields of an infer-mode map on the unit workspace
+    whose sub-goal lies in voxel `center`."""
+    sub = SubGoal(g_pos=(np.asarray(center) + 0.5) / params.map_size, g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
+    _, fields = generate_gravmap(sub, occ, 1, WS, params, "infer", with_fields=True)
+    assert fields["center"] == tuple(center)
+    return fields
 
 
 class TestWorldToVoxel:
@@ -134,55 +143,55 @@ class TestGaussianSmooth:
 
 class TestAvoidanceMap:
     def test_empty_occupancy(self):
-        params = small_params()
-        out = build_avoidance_map(empty_occ(20), distance_field(20, (10, 10, 10)), params)
-        assert not out.any()
+        assert not fields_at((10, 10, 10), empty_occ(20), small_params())["avoid"].any()
 
     def test_occupied_voxel_inside_clear_radius_cleared(self):
         # distance 10 < 0.15 * 100 = 15 from the sub-goal voxel
-        params = GravMapParams()
         occ = empty_occ(100)
         occ[60, 50, 50] = True
-        out = build_avoidance_map(occ, distance_field(100, (50, 50, 50)), params)
-        assert not out.any()
+        fields = fields_at((50, 50, 50), occ, GravMapParams())
+        assert not fields["avoid"].any()
+        empty = fields_at((50, 50, 50), empty_occ(100), GravMapParams())
+        assert fields["cost"].tobytes() == empty["cost"].tobytes()
 
     def test_far_voxel_smoothed_bump(self):
         params = small_params(sigma_avoid=1.5, avoid_clear_frac=0.15)
         occ = empty_occ(20)
         occ[16, 16, 16] = True
-        out = build_avoidance_map(occ, distance_field(20, (2, 2, 2)), params)
-        raw = empty_occ(20).astype(float)
-        raw[16, 16, 16] = 1.0
-        np.testing.assert_allclose(out, gaussian3d_oracle(raw, 1.5), atol=1e-6)
+        out = fields_at((2, 2, 2), occ, params)["avoid"]
+        np.testing.assert_allclose(out, gaussian3d_oracle(occ.astype(float), 1.5), atol=1e-6)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out.max() > 0.0
 
 
 class TestCostMap:
     def test_empty_scene_extremes(self):
-        d = distance_field(20, (5, 5, 5))
-        cost = build_cost_map(d, np.zeros_like(d))
+        fields = fields_at((5, 5, 5), empty_occ(20), small_params())
+        cost, d = fields["cost"], fields["dist"]
         assert cost[5, 5, 5] == 0.0
         assert cost.max() == 1.0
         assert np.argmax(cost == 1.0) == np.argmax(d == d.max())
 
     def test_monotone_in_distance(self):
-        d = distance_field(20, (5, 5, 5))
-        cost = build_cost_map(d, np.zeros_like(d))
-        order = np.argsort(d.ravel())
-        assert np.all(np.diff(cost.ravel()[order]) >= -1e-12)
+        fields = fields_at((5, 5, 5), empty_occ(20), small_params())
+        order = np.argsort(fields["dist"].ravel())
+        assert np.all(np.diff(fields["cost"].ravel()[order]) >= -1e-12)
 
     def test_obstacle_raises_cost_at_equal_distance(self):
-        d = distance_field(30, (15, 15, 15))
-        m_a = np.zeros_like(d)
-        m_a[25, 15, 15] = 0.8  # bump at distance 10 on +x
-        cost = build_cost_map(d, m_a)
-        assert cost[25, 15, 15] > cost[5, 15, 15]  # same distance, no bump at -x
+        occ = empty_occ(30)
+        occ[25, 15, 15] = True  # bump at distance 10 on +x
+        fields = fields_at((15, 15, 15), occ, small_params(map_size=30, downsample=3, sigma_avoid=1.0))
+        assert fields["avoid"][25, 15, 15] > 0.0
+        assert fields["cost"][25, 15, 15] > fields["cost"][5, 15, 15]  # same distance, no bump at -x
 
     def test_degenerate_returns_zeros(self):
-        d = np.zeros((4, 4, 4))
-        out = build_cost_map(d, np.zeros_like(d))
-        assert not out.any()
+        # one voxel: a constant raw cost without a penalty, and with one that
+        # survives a zero clear radius
+        for clear_frac in (0.15, 0.0):
+            params = GravMapParams(map_size=1, downsample=1, num_points=1, avoid_clear_frac=clear_frac)
+            fields = fields_at((0, 0, 0), np.ones((1, 1, 1), dtype=bool), params)
+            assert fields["avoid"].any() == (clear_frac == 0.0)
+            assert fields["cost"].tobytes() == np.zeros((1, 1, 1)).tobytes()
 
 
 class TestGripperMap:
@@ -308,11 +317,21 @@ class TestGenerate:
             generate_gravmap(SUB, empty_occ(50), 1, WS, GravMapParams(), "infer")
 
 
-def both_paths(sub, occ, current, ws, params, mode="infer", seed=None):
-    """Points of the plain call and of the with_fields call."""
+def assert_matches_oracle(sub, occ, current, ws, params, mode="infer", seed=None):
+    """The plain call's points, and the with_fields call's points and
+    fields, byte for byte against the full-field oracle. Returns the
+    points."""
     plain = generate_gravmap(sub, occ, current, ws, params, mode, seed=seed)
-    full, _ = generate_gravmap(sub, occ, current, ws, params, mode, seed=seed, with_fields=True)
-    return plain.points, full.points
+    full, fields = generate_gravmap(sub, occ, current, ws, params, mode, seed=seed, with_fields=True)
+    want = gravmap_fields_oracle(occ, fields["center"], sub.g_open, current, params)
+    for name, field in want.items():
+        assert fields[name].tobytes() == field.tobytes(), name
+    vox = np.floor((plain.points[:, :3] - ws.min) / (ws.extent / params.map_size)).astype(int)
+    at = tuple(vox.T)
+    points = np.column_stack([plain.points[:, :3], want["cost"][at], want["grip"][at]])
+    assert plain.points.tobytes() == points.tobytes()
+    assert full.points.tobytes() == points.tobytes()
+    return plain.points
 
 
 @pytest.fixture
@@ -329,38 +348,38 @@ def distance_field_calls(monkeypatch):
 
 
 class TestSampledPointsMatchFields:
-    """Maps computed on the sampled points carry the bytes of the maps read
-    off the full-resolution fields."""
+    """Maps computed at the sampled voxels carry the bytes of the oracle's
+    full-resolution fields read at those voxels, and the with_fields
+    fields are the oracle's."""
 
     @pytest.mark.parametrize("g_pos", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.5),
                                        (0.5, 0.5, 0.999), (-0.4, 1.7, 0.5), (0.31, 0.62, 0.18)])
     @pytest.mark.parametrize("mode", ["infer", "train"])
     def test_empty_scene_default_params(self, g_pos, mode):
         sub = SubGoal(g_pos=g_pos, g_open=0, g_rot=[1, 0, 0, 0, 1, 0])
-        plain, full = both_paths(sub, empty_occ(100), 1, WS, GravMapParams(), mode, seed=11)
-        assert plain.tobytes() == full.tobytes()
+        assert_matches_oracle(sub, empty_occ(100), 1, WS, GravMapParams(), mode, seed=11)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(shape=st.sampled_from([(8, 1, 40), (12, 2, 27), (12, 4, 20), (20, 2, 50), (20, 4, 32)]),
            closed_value=st.sampled_from([0.0, -1.0]),
            clear_frac=st.sampled_from([0.0, 0.15, 0.5]),
+           sigma=st.sampled_from([0.0, 1.0, 4.0]),
            ws=st.sampled_from([WS, Workspace((-0.3, 0.1, 0.0), (0.7, 1.6, 0.4))]),
            frac=st.tuples(*[st.floats(-0.5, 1.5)] * 3),
            occupied=st.lists(st.tuples(*[st.integers(0, 19)] * 3), max_size=6),
            opens=st.tuples(st.integers(0, 1), st.integers(0, 1)),
            mode=st.sampled_from(["infer", "train"]))
-    def test_any_scene_small_params(self, shape, closed_value, clear_frac, ws, frac, occupied,
+    def test_any_scene_small_params(self, shape, closed_value, clear_frac, sigma, ws, frac, occupied,
                                     opens, mode):
         s, stride, n = shape
         params = GravMapParams(map_size=s, downsample=stride, num_points=n, closed_value=closed_value,
-                               avoid_clear_frac=clear_frac, sigma_avoid=1.0, gripper_radius=2.0)
+                               avoid_clear_frac=clear_frac, sigma_avoid=sigma, gripper_radius=2.0)
         occ = empty_occ(s)
         for idx in occupied:
             occ[tuple(v % s for v in idx)] = True
         g_pos = np.asarray(ws.min) + np.asarray(frac) * ws.extent
         sub = SubGoal(g_pos=g_pos, g_open=opens[0], g_rot=[1, 0, 0, 0, 1, 0])
-        plain, full = both_paths(sub, occ, opens[1], ws, params, mode, seed=len(occupied))
-        assert plain.tobytes() == full.tobytes()
+        assert_matches_oracle(sub, occ, opens[1], ws, params, mode, seed=len(occupied))
 
     def test_points_read_the_fields_at_stride_voxels(self):
         ws = Workspace((-0.3, 0.1, 0.0), (0.7, 1.6, 0.4))
@@ -380,8 +399,8 @@ class TestSampledPointsMatchFields:
         assert distance_field_calls == []
         empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
         assert plain.points.tobytes() == empty.points.tobytes()
-        _, full = both_paths(SUB, occ, 0, WS, GravMapParams())
-        assert plain.points.tobytes() == full.tobytes()
+        assert assert_matches_oracle(SUB, occ, 0, WS, GravMapParams()).tobytes() == plain.points.tobytes()
+        assert distance_field_calls == []
 
     @pytest.mark.parametrize("block", [np.s_[80:84, 20:24, 50:54],
                                        np.s_[65, 50, 50]])  # exactly at the cleared radius
@@ -392,21 +411,32 @@ class TestSampledPointsMatchFields:
         assert len(distance_field_calls) == 1
         empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
         assert plain.points.tobytes() != empty.points.tobytes()
-        _, full = both_paths(SUB, occ, 0, WS, GravMapParams())
-        assert plain.points.tobytes() == full.tobytes()
+        assert assert_matches_oracle(SUB, occ, 0, WS, GravMapParams()).tobytes() == plain.points.tobytes()
+
+    def test_plain_obstacle_map_builds_no_full_channel(self, monkeypatch):
+        shapes = []
+        real = gravmap.build_gripper_map
+
+        def recording(dist, *args):
+            shapes.append(dist.shape)
+            return real(dist, *args)
+
+        monkeypatch.setattr(gravmap, "build_gripper_map", recording)
+        occ = empty_occ(100)
+        occ[80:84, 20:24, 50:54] = True
+        generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
+        assert shapes == [(1024,)]
 
     def test_empty_scene_builds_no_field(self, distance_field_calls):
         for mode, seed in (("infer", None), ("train", 4)):
             generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), mode, seed=seed)
-        assert distance_field_calls == []
         generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), "infer", with_fields=True)
-        assert len(distance_field_calls) == 1
+        assert distance_field_calls == []
 
     def test_degenerate_single_voxel_map_is_zero_cost(self, caplog):
         params = GravMapParams(map_size=1, downsample=1, num_points=1)
         with caplog.at_level("WARNING", logger="gravkit.gravmap"):
-            plain, full = both_paths(SUB, empty_occ(1), 1, WS, params)
-        assert plain.tobytes() == full.tobytes()
+            plain = assert_matches_oracle(SUB, empty_occ(1), 1, WS, params)
         assert plain[0, 3] == 0.0
         assert sum("degenerate cost field" in r.getMessage() for r in caplog.records) == 2
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravkit.demos import CorruptFile, TaskKind
+from gravkit.policy.model import MAX_STEPS
 from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
                             denoiser_forward_batch, encode_gravmap, evaluate, load_policy,
                             save_policy, train)
@@ -582,6 +583,34 @@ class TestCheckpointFile:
         try:
             with pytest.raises(CorruptFile, match="unknown schedule kind 'scaled_lineaX'"):
                 load_policy(path)
+        finally:
+            path.write_bytes(blob)
+
+    @staticmethod
+    def write_with_steps(path, blob, header, steps):
+        manifest = json.loads(blob[4:header])
+        manifest["steps"] = steps
+        text = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode()
+        path.write_bytes(struct.pack("<I", len(text)) + text + blob[header:])
+
+    @pytest.mark.parametrize("steps", [True, 2.7, "100", 0, -3, MAX_STEPS + 1, 100_000_000_000, None])
+    def test_bad_steps_named(self, checkpoint, steps):
+        path, blob, header = checkpoint
+        self.write_with_steps(path, blob, header, steps)
+        try:
+            with pytest.raises(CorruptFile, match=re.escape(
+                    f"{path}: manifest field 'steps' must be an integer in 1..{MAX_STEPS}, got {steps!r}")):
+                load_policy(path)
+        finally:
+            path.write_bytes(blob)
+
+    @pytest.mark.parametrize("steps", [1, MAX_STEPS])
+    def test_steps_at_the_bounds_load(self, checkpoint, steps):
+        path, blob, header = checkpoint
+        self.write_with_steps(path, blob, header, steps)
+        try:
+            policy = load_policy(path)
+            assert policy.steps == steps and policy.schedules()[0].steps == steps
         finally:
             path.write_bytes(blob)
 

@@ -249,6 +249,30 @@ class TestSceneIo:
         with pytest.raises(SchemaViolation, match=rf"'{re.escape(field)}' must be (a )?finite"):
             load_scene(path)
 
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda rec: rec["objects"][0].update(radius=True), "'objects[0].radius' must be a finite number"),
+        (lambda rec: rec["goal"].update(tol=False), "'goal.tol' must be a finite number"),
+        (lambda rec: rec["goal"].update(center=[True, 0.5, 0.5]), "'goal.center' must be numeric"),
+        (lambda rec: rec["objects"][0].update(graspable="false"), "'objects[0].graspable' must be true or false"),
+        (lambda rec: rec["objects"][0].update(graspable=0), "'objects[0].graspable' must be true or false"),
+    ], ids=["radius-true", "tol-false", "center-true", "graspable-string", "graspable-zero"])
+    def test_json_type_confusion_named(self, tmp_path, mutate, named):
+        path = tmp_path / "scene.json"
+        save_scene(simple_world(), path)
+        rec = json.loads(path.read_text())
+        mutate(rec)
+        path.write_text(json.dumps(rec))
+        with pytest.raises(SchemaViolation, match=re.escape(named)):
+            load_scene(path)
+
+    def test_graspable_defaults_to_false(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(simple_world(), path)
+        rec = json.loads(path.read_text())
+        del rec["objects"][0]["graspable"]
+        path.write_text(json.dumps(rec))
+        assert load_scene(path).objects[0].graspable is False
+
     def test_scene_round_trip(self, tmp_path):
         w = simple_world()
         path = tmp_path / "scene.json"
