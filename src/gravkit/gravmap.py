@@ -11,7 +11,9 @@ Both channels come from one formula evaluated at the voxels that are read:
 the sampled ones for every map, all (S, S, S) of them only for with_fields.
 An obstacle that survives clearing adds just its penalty field, smoothed on
 the box around its voxels grown by the kernel radius, and the cost's min-max
-bounds, read off one distance field.
+bounds, formed on that box and in closed form on the slabs around it where
+the penalty is zero. A plain map builds no (S, S, S) distance, cost or
+occupancy temporary: only the two smoothing buffers.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ log = logging.getLogger(__name__)
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
 GMAP_HEADER = struct.Struct("<4sII6f")   # magic, version, point count, bounds
+F32_MAX = float(np.finfo(np.float32).max)   # the largest bound magnitude the header holds
 
 
 class DegenerateWorkspace(GravkitError, ValueError):
@@ -46,8 +49,10 @@ class Workspace:
     def __post_init__(self):
         object.__setattr__(self, "min", tuple(float(v) for v in self.min))
         object.__setattr__(self, "max", tuple(float(v) for v in self.max))
-        if not np.isfinite(self.min + self.max).all():
-            raise DegenerateWorkspace(f"bounds min {self.min} max {self.max} must be finite")
+        # within f32 range the extent and every voxel centre stay finite too
+        if not (np.abs(self.min + self.max) <= F32_MAX).all():
+            raise DegenerateWorkspace(f"bounds min {self.min} max {self.max} must be finite, "
+                                      f"of magnitude at most {F32_MAX!r}")
         if not all(lo < hi for lo, hi in zip(self.min, self.max)):
             raise DegenerateWorkspace(f"min {self.min} not strictly below max {self.max}")
 
@@ -68,6 +73,10 @@ class GravMapParams:
     closed_value: float = 0.0    # encoding of "closed" in the gripper channel (0 or -1)
 
     def __post_init__(self):
+        for name in ("map_size", "offset_range", "downsample", "num_points"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         for name in ("gripper_radius", "sigma_avoid", "avoid_clear_frac", "closed_value"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -128,7 +137,8 @@ def _voxel_distance(u, v, w, center) -> np.ndarray:
     (broadcastable arrays) to the center voxel. The squared sum is an exact
     integer in float64, so every caller gets the same bits for a voxel."""
     ci, cj, ck = center
-    return np.sqrt((u - ci) ** 2.0 + (v - cj) ** 2.0 + (w - ck) ** 2.0)
+    d2 = (u - ci) ** 2.0 + (v - cj) ** 2.0 + (w - ck) ** 2.0
+    return np.sqrt(d2, out=d2)
 
 
 def distance_field(map_size: int, center) -> np.ndarray:
@@ -150,33 +160,48 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     """Separable 3D Gaussian filter, kernel truncated at 3*sigma per axis,
     replicate-edge boundary handling. sigma = 0 is the identity.
 
-    Only the support box is smoothed: the bounding box of the non-zero
-    voxels, grown by the kernel radius (clamped to the field) along each
-    axis as its pass comes. Entries outside the grown box come out +0.0.
-    Along an axis not yet smoothed the data is still zero outside the
-    support, so where a crop edge lies inside the field, edge replication
-    copies a zero equal to the true neighbour; every output sums the same
-    taps in the same order as a full-field pass."""
+    Only the support box, the bounding box of the non-zero voxels, is
+    smoothed (see _smooth_box); entries outside it grown by the kernel
+    radius come out +0.0."""
+    out = np.array(field, dtype=float)
+    support = [np.flatnonzero(out.any(axis=tuple(a for a in range(3) if a != axis)))
+               for axis in range(3)]
+    if all(hit.size for hit in support):
+        return _smooth_box(out, sigma, [hit[0] for hit in support], [hit[-1] + 1 for hit in support])[0]
+    return out if gaussian_kernel_1d(sigma).size == 1 else np.zeros(out.shape)
+
+
+def _smooth_box(buf: np.ndarray, sigma: float, lo, hi):
+    """Gaussian-smooth the float field `buf`, whose non-zero entries lie in
+    the box [lo, hi), using `buf` as scratch. Returns the smoothed field and
+    the box grown by the kernel radius (clamped to the field); outside that
+    box the field is +0.0.
+
+    Pass `axis` runs on the box grown along the axes smoothed so far. Along
+    an axis not yet smoothed the data is still zero outside the box, so where
+    a crop edge lies inside the field, edge replication copies a zero equal
+    to the true neighbour; every output sums the same taps in the same order
+    as a full-field pass.
+
+    The passes alternate between `buf` and one zeroed buffer, each writing
+    into the one it does not read, so no box-sized temporary is made and
+    scipy's output never overlaps its input. The buffer a pass reads is
+    zero outside the previous pass's box: the zeroed buffer was written only
+    on smaller boxes, and `buf` outside them still holds the input, zero
+    outside [lo, hi)."""
     kernel = gaussian_kernel_1d(sigma)
     if kernel.size == 1:
-        return field.astype(float, copy=True)
+        return buf, (lo, hi)
     radius = kernel.size // 2
-    lo, hi = [], []
-    for axis in range(3):
-        hit = np.flatnonzero(field.any(axis=tuple(a for a in range(3) if a != axis)))
-        if hit.size == 0:
-            return np.zeros(field.shape)
-        lo.append(hit[0])
-        hi.append(hit[-1] + 1)
-    out = np.zeros(field.shape)
-    src = field
+    lo, hi = list(lo), list(hi)
+    src, dst = buf, np.zeros(buf.shape)
     for axis in range(3):
         lo[axis] = max(lo[axis] - radius, 0)
-        hi[axis] = min(hi[axis] + radius, field.shape[axis])
+        hi[axis] = min(hi[axis] + radius, buf.shape[axis])
         box = tuple(slice(a, b) for a, b in zip(lo, hi))
-        out[box] = ndimage.correlate1d(src[box], kernel, axis=axis, output=float, mode="nearest")
-        src = out
-    return out
+        ndimage.correlate1d(src[box], kernel, axis=axis, output=dst[box], mode="nearest")
+        src, dst = dst, src
+    return src, (lo, hi)
 
 
 def build_gripper_map(dist: np.ndarray, g_open, g_open_init,
@@ -257,17 +282,20 @@ def _sample_lattice(ws: Workspace, params: GravMapParams):
 
 def _avoidance(occupancy: np.ndarray, center, params: GravMapParams):
     """Obstacle penalty field: the occupied voxels at least avoid_clear_frac *
-    map_size from the sub-goal voxel, Gaussian-smoothed; None when clearing
-    leaves none."""
+    map_size from the sub-goal voxel, Gaussian-smoothed; and the box outside
+    which it is +0.0, as (lo, hi) index lists. (None, None) when clearing
+    leaves no voxel."""
     # np.nonzero on the 3-D array is ~30x slower than on its flat view
     occupied = np.flatnonzero(occupancy)
-    d = _voxel_distance(*np.unravel_index(occupied, occupancy.shape), center)
-    kept = occupied[d >= params.avoid_clear_frac * occupancy.shape[0]]
-    if kept.size == 0:
-        return None
+    ijk = np.unravel_index(occupied, occupancy.shape)
+    keep = _voxel_distance(*ijk, center) >= params.avoid_clear_frac * occupancy.shape[0]
+    if not keep.any():
+        return None, None
     m_a = np.zeros(occupancy.shape)
-    m_a.flat[kept] = 1.0
-    return gaussian_smooth(m_a, params.sigma_avoid)
+    m_a.flat[occupied[keep]] = 1.0
+    lo = [int(u[keep].min()) for u in ijk]
+    hi = [int(u[keep].max()) + 1 for u in ijk]
+    return _smooth_box(m_a, params.sigma_avoid, lo, hi)
 
 
 def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
@@ -281,17 +309,44 @@ def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
     return dist
 
 
-def _cost_bounds(map_size: int, center, m_a):
+def _slab_extremes(lo, hi, map_size: int, center) -> np.ndarray:
+    """(n, 3) voxels: for each of the at most six slabs that tile the grid
+    outside the box [lo, hi), its voxel nearest `center` and its corner
+    farthest from it. Slab `axis` spans the box along the axes before it,
+    the grid along the axes after it."""
+    c = np.asarray(center)
+    points = []
+    for axis in range(3):
+        for a, b in ((0, lo[axis]), (hi[axis], map_size)):
+            if a < b:
+                first = np.array([*lo[:axis], a, *[0] * (2 - axis)])
+                last = np.array([*(h - 1 for h in hi[:axis]), b - 1, *[map_size - 1] * (2 - axis)])
+                points.append(np.clip(c, first, last))
+                points.append(np.where(np.abs(c - first) >= np.abs(last - c), first, last))
+    return np.array(points, dtype=int).reshape(-1, 3)
+
+
+def _cost_bounds(map_size: int, center, m_a, box):
     """(dmax, lo, hi): the largest distance from the sub-goal voxel (at a
     corner) and the raw cost's min-max over every voxel. Without a penalty
-    those are the sub-goal voxel's 0 and the farthest corner's 2."""
+    those are the sub-goal voxel's 0 and the farthest corner's 2.
+
+    With one, the raw cost is formed on the penalty's box only. Outside it
+    the penalty is +0.0 and the raw cost 2 d/dmax, which rounds monotonically
+    in d, itself monotone in the exact integer squared distance. So each
+    slab of the box's complement has its extremes at its voxel nearest the
+    sub-goal and its corner farthest from it (_slab_extremes), and those
+    carry the bits the full field would."""
     corners = np.array(np.meshgrid(*[[0, map_size - 1]] * 3, indexing="ij")).reshape(3, -1)
     dmax = _voxel_distance(*corners, center).max()
     if m_a is None:
         lo, hi = _raw_cost(np.array([0.0, dmax]), dmax, None)
     else:
-        raw = _raw_cost(distance_field(map_size, center), dmax, m_a)
-        lo, hi = raw.min(), raw.max()
+        inside = tuple(slice(a, b) for a, b in zip(*box))
+        raw = _raw_cost(_voxel_distance(*np.ogrid[inside], center), dmax, m_a[inside])
+        edge = _raw_cost(_voxel_distance(*_slab_extremes(*box, map_size, center).T, center), dmax, None)
+        extremes = [raw.min(), raw.max(), *edge]
+        lo, hi = min(extremes), max(extremes)
     if hi == lo:
         log.warning("degenerate cost field (constant %.6g); returning zeros", lo)
     return dmax, lo, hi
@@ -336,8 +391,8 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
         rng = np.random.default_rng(seed)
         center = augment_offset(center, params.offset_range, s, rng)
 
-    m_a = _avoidance(occupancy, center, params)
-    bounds = _cost_bounds(s, center, m_a)
+    m_a, box = _avoidance(occupancy, center, params)
+    bounds = _cost_bounds(s, center, m_a, box)
     xyz, vox = _sample_lattice(ws, params)
     _, cost, grip = _channels(tuple(vox.T), center, subgoal, current_open, m_a, bounds, params)
     gmap = GravMap(points=np.column_stack([xyz, cost, grip]), workspace=ws)

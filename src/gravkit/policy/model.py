@@ -126,10 +126,14 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
         name, arr = next((n, a) for n, a in param_views(flat).items() if not np.isfinite(a).all())
         index = np.unravel_index(np.argmin(np.isfinite(arr)), arr.shape)
         raise GravkitError(f"parameter {name}{list(map(int, index))} is not finite: {arr[index]}")
+    try:
+        gravmap_params = GravMapParams(**manifest["gravmap"])
+    except (TypeError, ValueError) as exc:
+        raise GravkitError(f"manifest field 'gravmap': {exc}") from exc
     policy = ToyPolicy(
         flat=flat,
         workspace=Workspace(tuple(manifest["workspace"]["min"]), tuple(manifest["workspace"]["max"])),
-        gravmap_params=GravMapParams(**manifest["gravmap"]),
+        gravmap_params=gravmap_params,
         steps=steps,
         sched_pos_kind=manifest["sched_pos"],
         sched_rot_kind=manifest["sched_rot"],

@@ -10,13 +10,12 @@ distills to a fixed number of sub-goal keyposes per task kind.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .demos import Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _is_number, _vec
-from .gravmap import Workspace, voxel_center
+from .gravmap import F32_MAX, Workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
 CONTACT_RADIUS = 0.02  # m; force ramps up inside this shell
@@ -154,17 +153,26 @@ def check_success(world: World, task_kind: TaskKind) -> bool:
 
 def occupancy_grid(world: World, map_size: int, ws: Workspace | None = None) -> np.ndarray:
     """Boolean field: a voxel is occupied iff its center lies inside (or on)
-    any object sphere. The gripper body never marks voxels."""
+    any object sphere. The gripper body never marks voxels.
+
+    A voxel's squared distance d2 = x2 + y2 + z2 sums one non-negative term
+    per axis, and rounding keeps it at least as large as each term. So a
+    sphere's predicate d2 <= r**2 is evaluated only on the index box where
+    every axis's term alone passes it, found on the S voxel centres of each
+    axis; each voxel there sums the same terms in the same order as it
+    would over the whole grid."""
     ws = ws or world.workspace
     ax = voxel_center(np.arange(map_size)[:, None], ws, map_size)   # (S, 3)
-    xs = ax[:, 0, None, None]
-    ys = ax[None, :, 1, None]
-    zs = ax[None, None, :, 2]
     occ = np.zeros((map_size, map_size, map_size), dtype=bool)
     for obj in world.objects:
-        c = obj.center
-        d2 = (xs - c[0]) ** 2 + (ys - c[1]) ** 2 + (zs - c[2]) ** 2
-        occ |= d2 <= obj.radius**2
+        r2 = obj.radius**2
+        terms = (ax - obj.center) ** 2                               # (S, 3)
+        near = [np.flatnonzero(t <= r2) for t in terms.T]
+        if not all(n.size for n in near):
+            continue
+        box = tuple(slice(n[0], n[-1] + 1) for n in near)
+        x2, y2, z2 = (terms[b, axis] for axis, b in enumerate(box))
+        occ[box] |= x2[:, None, None] + y2[None, :, None] + z2[None, None, :] <= r2
     return occ
 
 
@@ -375,10 +383,18 @@ def _scene_field(rec, key: str, where: str = ""):
     return rec[key]
 
 
+def _in_range(value) -> bool:
+    """A JSON number no larger in magnitude than F32_MAX, the range the
+    `.gmap` header holds; squares of such numbers stay finite in float64.
+    Compares a huge JSON integer exactly instead of overflowing."""
+    return _is_number(value) and abs(value) <= F32_MAX
+
+
 def _scene_number(rec, key: str, where: str) -> float:
     value = _scene_field(rec, key, where)
-    if not _is_number(value) or not math.isfinite(value):
-        raise SchemaViolation(f"scene field '{where}{key}' must be a finite number")
+    if not _in_range(value):
+        raise SchemaViolation(f"scene field '{where}{key}' must be a finite number "
+                              f"of magnitude at most {F32_MAX!r}")
     return float(value)
 
 
@@ -391,10 +407,11 @@ def _scene_flag(rec, key: str, where: str) -> bool:
 
 
 def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
-    xyz = _vec(_scene_field(rec, key, where), f"scene field '{where}{key}'", 3, None)
-    if not np.isfinite(xyz).all():
-        raise SchemaViolation(f"scene field '{where}{key}' must be finite")
-    return xyz
+    value = _scene_field(rec, key, where)
+    if isinstance(value, list) and not all(_in_range(v) for v in value if _is_number(v)):
+        raise SchemaViolation(f"scene field '{where}{key}' must be finite, "
+                              f"of magnitude at most {F32_MAX!r}")
+    return _vec(value, f"scene field '{where}{key}'", 3, None)
 
 
 def load_scene(path) -> World:

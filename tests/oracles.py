@@ -138,12 +138,9 @@ def gaussian_smooth_oracle(field, sigma):
     return out
 
 
-def gravmap_fields_oracle(occupancy, center, g_open, current_open, params):
-    """The library's value-map fields as they were built before synthesis
-    moved to the voxels that are read: a full distance field, occupancy
-    cleared by a full distance mask and smoothed over the whole field, the
-    cost min-max normalised over every voxel (a constant field gives
-    zeros), and the gripper field thresholded on the full distance field."""
+def _raw_cost_oracle(occupancy, center, params):
+    """A full distance field, occupancy cleared by a full distance mask and
+    smoothed over the whole field, and the raw cost 2 d/dmax + avoidance."""
     i, j, k = np.indices(occupancy.shape)
     ci, cj, ck = center
     dist = np.sqrt((i - ci) ** 2.0 + (j - cj) ** 2.0 + (k - ck) ** 2.0)
@@ -152,12 +149,46 @@ def gravmap_fields_oracle(occupancy, center, g_open, current_open, params):
     if avoid.any():
         avoid = gaussian_smooth_oracle(avoid, params.sigma_avoid)
     dmax = dist.max()
-    cost = 2.0 * (dist / dmax if dmax > 0 else np.zeros_like(dist)) + avoid
+    raw = 2.0 * (dist / dmax if dmax > 0 else np.zeros_like(dist)) + avoid
+    return dist, avoid, raw
+
+
+def cost_bounds_oracle(occupancy, center, params):
+    """(dmax, lo, hi): the largest distance from the center voxel and the raw
+    cost's min and max, each over every voxel."""
+    dist, _, raw = _raw_cost_oracle(occupancy, center, params)
+    return dist.max(), raw.min(), raw.max()
+
+
+def gravmap_fields_oracle(occupancy, center, g_open, current_open, params):
+    """The library's value-map fields as they were built before synthesis
+    moved to the voxels that are read: the full fields of _raw_cost_oracle,
+    the cost min-max normalised over every voxel (a constant field gives
+    zeros), and the gripper field thresholded on the full distance field."""
+    dist, avoid, cost = _raw_cost_oracle(occupancy, center, params)
     lo, hi = cost.min(), cost.max()
     cost = np.zeros_like(cost) if hi == lo else (cost - lo) / (hi - lo)
     goal, elsewhere = (1.0 if state else float(params.closed_value) for state in (g_open, current_open))
     grip = np.where(dist <= params.gripper_radius, goal, elsewhere)
     return {"dist": dist, "avoid": avoid, "cost": cost, "grip": grip}
+
+
+def occupancy_grid_oracle(world, map_size, ws):
+    """The library's occupancy rasterisation as it was before it moved to
+    each sphere's index box: every sphere's squared distance over every
+    voxel center, the centers written out as voxel_center forms them."""
+    lo = np.asarray(ws.min)
+    cell = (np.asarray(ws.max) - lo) / map_size
+    ax = lo + (np.arange(map_size, dtype=float)[:, None] + 0.5) * cell    # (S, 3)
+    xs = ax[:, 0, None, None]
+    ys = ax[None, :, 1, None]
+    zs = ax[None, None, :, 2]
+    occ = np.zeros((map_size, map_size, map_size), dtype=bool)
+    for obj in world.objects:
+        c = obj.center
+        d2 = (xs - c[0]) ** 2 + (ys - c[1]) ** 2 + (zs - c[2]) ** 2
+        occ |= d2 <= obj.radius**2
+    return occ
 
 
 def gaussian3d_oracle(field, sigma):

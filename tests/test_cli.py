@@ -256,6 +256,43 @@ class TestSynth:
         assert "Traceback" not in res.stderr
         assert f"'{field}'" in res.stderr
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("objects", 0, "center", 0), 1e300, "objects[0].center"),
+        (("objects", 0, "center", 1), 10**400, "objects[0].center"),
+        (("objects", 0, "radius"), 1e300, "objects[0].radius"),
+        (("objects", 0, "radius"), 10**400, "objects[0].radius"),
+        (("goal", "tol"), -3.5e38, "goal.tol"),
+        (("workspace", "min", 0), -1e308, "workspace.min"),
+        (("workspace", "max", 0), 1e308, "workspace.max"),
+    ], ids=["center-1e300", "center-int-1e400", "radius-1e300", "radius-int-1e400", "tol--3.5e38",
+            "min--1e308", "max-1e308"])
+    def test_huge_scene_number_exit_1(self, tmp_path, path, value, field):
+        """Scene numbers beyond f32 range (the `.gmap` header's) are rejected
+        by name before they overflow a square or the header."""
+        scene = {"workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
+                 "objects": [{"center": [0.8, 0.8, 0.8], "radius": 0.06}],
+                 "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}
+        rec = scene
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+        scene_file, out = tmp_path / "scene.json", tmp_path / "m.gmap"
+        scene_file.write_text(json.dumps(scene))
+        res = run_cli("synth", "--subgoal", "0.2,0.2,0.2,1", "--scene", str(scene_file), "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"gravkit: scene field '{field}' must be ")
+        assert res.stderr.count("\n") == 1 and "magnitude at most 3.4028234663852886e+38" in res.stderr
+        assert not out.exists()
+
+    def test_huge_workspace_flag_exit_1(self, tmp_path):
+        out = tmp_path / "m.gmap"
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--workspace=-1e308,0,0,1e308,1,1",
+                      "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("gravkit: bounds min (-1e+308, 0.0, 0.0) max (1e+308, 1.0, 1.0) "
+                                     "must be finite, of magnitude at most")
+        assert res.stderr.count("\n") == 1 and not out.exists()
+
     def test_degenerate_workspace_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--workspace", "0,0,0,1,1,0",
                       "--out", str(tmp_path / "m.gmap"))

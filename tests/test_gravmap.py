@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Worksp
                              build_gripper_map, distance_field, farthest_point_sampling,
                              gaussian_smooth, generate_gravmap, gmap_to_json, load_gmap,
                              save_field_slice_pgm, save_gmap, voxel_center, world_to_voxel)
+from gravkit.sim import SceneObject, World, occupancy_grid
 
-from oracles import (fps_oracle, fps_rows_oracle, gaussian3d_oracle, gaussian_smooth_oracle,
-                     gravmap_fields_oracle)
+from oracles import (cost_bounds_oracle, fps_oracle, fps_rows_oracle, gaussian3d_oracle,
+                     gaussian_smooth_oracle, gravmap_fields_oracle)
 
 WS = Workspace()
 SUB = SubGoal(g_pos=[0.5, 0.5, 0.5], g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
@@ -60,6 +62,15 @@ class TestWorldToVoxel:
     def test_non_finite_bounds_rejected(self, lo, hi):
         with pytest.raises(DegenerateWorkspace, match="must be finite"):
             Workspace(lo, hi)
+
+    def test_bounds_within_f32_range(self):
+        """The `.gmap` header stores the bounds as f32: its largest magnitude
+        is accepted, the next float64 beyond it is not."""
+        big = gravmap.F32_MAX
+        assert Workspace((-big, 0, 0), (big, 1, 1)).extent[0] == 2 * big
+        for lo, hi in [((-np.nextafter(big, np.inf), 0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1e308, 1))]:
+            with pytest.raises(DegenerateWorkspace, match="must be finite, of magnitude at most"):
+                Workspace(lo, hi)
 
 
 class TestDistanceField:
@@ -404,11 +415,11 @@ class TestSampledPointsMatchFields:
 
     @pytest.mark.parametrize("block", [np.s_[80:84, 20:24, 50:54],
                                        np.s_[65, 50, 50]])  # exactly at the cleared radius
-    def test_surviving_obstacle_builds_one_distance_field(self, distance_field_calls, block):
+    def test_surviving_obstacle_builds_no_distance_field(self, distance_field_calls, block):
         occ = empty_occ(100)
         occ[block] = True
         plain = generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
-        assert len(distance_field_calls) == 1
+        assert distance_field_calls == []
         empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
         assert plain.points.tobytes() != empty.points.tobytes()
         assert assert_matches_oracle(SUB, occ, 0, WS, GravMapParams()).tobytes() == plain.points.tobytes()
@@ -427,6 +438,28 @@ class TestSampledPointsMatchFields:
         generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
         assert shapes == [(1024,)]
 
+    def test_plain_obstacle_map_peak_memory(self):
+        """Rasterising one sphere holds the boolean grid and little else, and
+        its plain map the two 100^3 float64 smoothing buffers and little
+        else: a full-size distance, cost or occupancy temporary breaks the
+        bounds."""
+        world = World(objects=[SceneObject(center=[0.7, 0.3, 0.6], radius=0.05)])
+        occ = occupancy_grid(world, 100, WS)
+        generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")   # memoises the lattice
+        peaks = []
+        for build in (lambda: occupancy_grid(world, 100, WS),
+                      lambda: generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        margin = 64 * 1024   # the sphere's voxel indices, the sampled channels, headers
+        assert peaks[0] <= 100**3 + margin
+        assert peaks[1] <= 2 * 8 * 100**3 + margin
+
     def test_empty_scene_builds_no_field(self, distance_field_calls):
         for mode, seed in (("infer", None), ("train", 4)):
             generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), mode, seed=seed)
@@ -439,6 +472,59 @@ class TestSampledPointsMatchFields:
             plain = assert_matches_oracle(SUB, empty_occ(1), 1, WS, params)
         assert plain[0, 3] == 0.0
         assert sum("degenerate cost field" in r.getMessage() for r in caplog.records) == 2
+
+
+class TestCostBounds:
+    """(dmax, lo, hi) formed on the penalty's box and at the extremes of the
+    slabs around it carry the bits of the full field's largest distance and
+    raw-cost min and max."""
+
+    @staticmethod
+    def assert_bounds_match(occ, center, params, faces, inside):
+        m_a, box = gravmap._avoidance(occ, center, params)
+        s = occ.shape[0]
+        assert sum(lo == 0 for lo in box[0]) + sum(hi == s for hi in box[1]) == faces
+        assert all(lo <= c < hi for c, lo, hi in zip(center, *box)) == inside
+        bounds = gravmap._cost_bounds(s, center, m_a, box)
+        want = cost_bounds_oracle(occ, center, params)
+        assert np.array(bounds).tobytes() == np.array(want).tobytes()
+
+    # obstacle blocks on a 24^3 grid and the faces their box touches at both sigmas
+    BLOCKS = [([np.s_[10:12, 10:12, 10:12]], 0),
+              ([np.s_[0:2, 10:12, 10:12]], 1),
+              ([np.s_[0:2, 22:24, 10:12]], 2),
+              ([np.s_[22:24, 0:2, 23:24]], 3),
+              ([np.s_[:, :, 10:12]], 4),
+              ([np.s_[:, :, 0:2]], 5),
+              ([np.s_[0:2, 0:3, 0:1], np.s_[21:24, 22:24, 20:24]], 6)]   # opposite corners
+
+    # a box touching all six faces is the whole grid, which holds every sub-goal
+    @pytest.mark.parametrize("blocks, faces, inside", [(blocks, faces, inside) for blocks, faces in BLOCKS
+                                                       for inside in (True, False) if faces < 6 or inside])
+    @pytest.mark.parametrize("sigma", [0.2, 1.0])   # kernel radius 0 (the support box) and 3
+    def test_box_touching_faces(self, blocks, faces, inside, sigma):
+        s = 24
+        params = small_params(s, avoid_clear_frac=0.0, sigma_avoid=sigma)
+        occ = empty_occ(s)
+        for block in blocks:
+            occ[block] = True
+        if inside:   # an occupied voxel
+            center = tuple(int(v[0]) for v in np.nonzero(occ))
+        else:   # on a grid face the box does not touch, mid-grid along the other axes
+            lo, hi = gravmap._avoidance(occ, (0, 0, 0), params)[1]
+            axis = next(a for a in range(3) if lo[a] > 0 or hi[a] < s)
+            center = [s // 2] * 3
+            center[axis] = 0 if lo[axis] > 0 else s - 1
+            center = tuple(center)
+        self.assert_bounds_match(occ, center, params, faces, inside)
+
+    @pytest.mark.parametrize("center", [(0, 0, 0), (5, 6, 7), (11, 3, 11)])
+    def test_long_kernel_box_is_the_whole_grid(self, center):
+        """sigma = 15 gives a 91-tap kernel on a 12^3 grid: no slab is left."""
+        occ = empty_occ(12)
+        occ[5:7, 4, 6] = True
+        params = small_params(12, num_points=8, avoid_clear_frac=0.0, sigma_avoid=15.0)
+        self.assert_bounds_match(occ, center, params, 6, True)
 
 
 class TestSerialization:
@@ -528,3 +614,10 @@ def test_voxel_center_round_trip():
     for idx in [(0, 0, 0), (50, 50, 50), (99, 10, 42)]:
         c = voxel_center(idx, WS, 100)
         assert world_to_voxel(c, WS, 100) == idx
+
+
+@pytest.mark.parametrize("field, value", [("map_size", 100.0), ("offset_range", 2.5),
+                                          ("downsample", True), ("num_points", np.int64(8))])
+def test_integer_params_typed(field, value):
+    with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        GravMapParams(**{field: value})

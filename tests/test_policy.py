@@ -604,6 +604,21 @@ class TestCheckpointFile:
         finally:
             path.write_bytes(blob)
 
+    @pytest.mark.parametrize("field, value", [("map_size", 100.0), ("downsample", True),
+                                              ("offset_range", 2.5), ("num_points", "1024")])
+    def test_mistyped_map_param_named(self, checkpoint, field, value):
+        path, blob, header = checkpoint
+        manifest = json.loads(blob[4:header])
+        manifest["gravmap"][field] = value
+        text = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode()
+        path.write_bytes(struct.pack("<I", len(text)) + text + blob[header:])
+        try:
+            with pytest.raises(CorruptFile, match=re.escape(
+                    f"{path}: manifest field 'gravmap': {field} must be an integer, got {value!r}")):
+                load_policy(path)
+        finally:
+            path.write_bytes(blob)
+
     @pytest.mark.parametrize("steps", [1, MAX_STEPS])
     def test_steps_at_the_bounds_load(self, checkpoint, steps):
         path, blob, header = checkpoint

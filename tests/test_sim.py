@@ -3,14 +3,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravkit.demos import SchemaViolation, TaskKind, validate_demo
-from gravkit.gravmap import Workspace
+from gravkit.gravmap import Workspace, voxel_center
 from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
 from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED, Command,
                          SceneObject, World, check_success, load_scene, make_world,
                          next_subgoal, occupancy_grid, save_scene, scripted_expert,
                          scripted_long_demo, step)
+
+from oracles import occupancy_grid_oracle
 
 
 def simple_world(**kw):
@@ -164,6 +168,59 @@ class TestOccupancy:
     def test_gripper_does_not_mark(self):
         w = World(objects=[], gripper_pos=np.array([0.5, 0.5, 0.5]))
         assert not occupancy_grid(w, 50).any()
+
+    # unit, offset and non-cubic workspaces, and one whose voxel centres are
+    # coarser than its cell: max is the next float above min, so a cell is
+    # 1/S of an ulp of min and the centres take only two values per axis
+    WORKSPACES = [Workspace(), Workspace((-0.3, 0.1, 0.0), (0.7, 1.6, 0.4)),
+                  Workspace((-2.0, -1.0, 5.0), (-1.5, 3.0, 5.25)),
+                  Workspace((1.0, 1.0, 1.0), (float(np.nextafter(1.0, 2.0)),) * 3)]
+
+    @staticmethod
+    def assert_matches_oracle(world, s, ws):
+        occ = occupancy_grid(world, s, ws)
+        assert occ.dtype == bool and occ.shape == (s, s, s)
+        assert occ.tobytes() == occupancy_grid_oracle(world, s, ws).tobytes()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), s=st.integers(1, 40), ws=st.sampled_from(WORKSPACES),
+           count=st.integers(0, 3))
+    def test_matches_full_grid_rasterisation(self, data, s, ws, count):
+        """Spheres centred on voxel centres with a radius reaching exactly to
+        another voxel centre along an axis; centred on the workspace's
+        faces, edges and corners; or anywhere in and around it, partly or
+        wholly outside; with tiny to workspace-sized radii."""
+        lo, extent = np.asarray(ws.min), np.asarray(ws.max) - np.asarray(ws.min)
+        objects = []
+        for _ in range(count):
+            kind = data.draw(st.sampled_from(["on_voxel", "on_face", "anywhere"]))
+            idx = np.array(data.draw(st.tuples(*[st.integers(0, s - 1)] * 3)))
+            if kind == "on_voxel":
+                center = voxel_center(idx, ws, s)
+                axis, k = data.draw(st.integers(0, 2)), data.draw(st.integers(-s, s).filter(bool))
+                other = idx.copy()
+                other[axis] += k
+                radius = float(abs(voxel_center(other, ws, s)[axis] - center[axis]))
+            else:
+                if kind == "on_face":
+                    where = data.draw(st.tuples(*[st.sampled_from(["min", "max", "voxel"])] * 3))
+                    center = np.array([{"min": lo[a], "max": ws.max[a]}.get(w, voxel_center(idx, ws, s)[a])
+                                       for a, w in enumerate(where)])
+                else:
+                    center = lo + np.array(data.draw(st.tuples(*[st.floats(-0.5, 1.5)] * 3))) * extent
+                radius = float(data.draw(st.sampled_from([1e-12, 1e-3, 0.05, 0.3, 0.7])) * extent.max())
+            if radius > 0:
+                objects.append(SceneObject(center=center, radius=radius))
+        self.assert_matches_oracle(World(objects=objects), s, ws)
+
+    def test_coarse_voxel_centres(self):
+        """A sphere of radius 1e-30 at min holds every voxel whose centre
+        rounds to min, half the grid per axis, though it spans a tiny
+        fraction of one cell."""
+        ws = self.WORKSPACES[-1]
+        world = World(objects=[SceneObject(center=ws.min, radius=1e-30)])
+        assert occupancy_grid(world, 40, ws).sum() >= 19**3
+        self.assert_matches_oracle(world, 40, ws)
 
 
 class TestSuccess:
