@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import sim
-from .demos import EmptyInput, GravkitError, IoError, SchemaViolation, SubGoal, TaskKind, load_demos, save_demos
+from .demos import EmptyInput, GravkitError, SchemaViolation, SubGoal, TaskKind, load_demos, save_demos
 from .gravmap import (GravMapParams, Workspace, generate_gravmap, gmap_to_json,
                       save_field_slice_pgm, save_gmap)
 from .keypose import KeyposeParams, distill_demo
-from .policy import TrainConfig, TrainingDiverged, evaluate, save_policy, train
+from .policy import TrainConfig, evaluate, save_policy, train
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -122,8 +122,7 @@ def _add_keypose_flags(p):
 
 def cmd_gen_demos(args) -> int:
     if args.n <= 0:
-        print("gen-demos: --n must be positive", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--n must be positive, got {args.n}")
     seed = _require_seed(args.seed)
     demos = []
     for i in range(args.n):
@@ -207,11 +206,7 @@ def cmd_train_eval(args) -> int:
     seed = _require_seed(args.seed)
     demos = load_demos(args.demos)
     config = TrainConfig(iters=args.iters, seed=seed, lr=args.lr, batch=args.batch)
-    try:
-        policy, _ = train(config, demos)
-    except TrainingDiverged as exc:
-        print(f"train-eval: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    policy, _ = train(config, demos)
     if args.out_model:
         save_policy(policy, args.out_model)
         print(f"checkpoint written to {args.out_model}", file=sys.stderr)
@@ -287,10 +282,7 @@ def main(argv=None) -> int:
     except (EmptyInput, SchemaViolation, ValueError) as exc:
         print(f"gravkit: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (IoError, OSError) as exc:
-        print(f"gravkit: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except GravkitError as exc:
+    except (GravkitError, OSError) as exc:   # I/O, a diverged training run, other runtime faults
         print(f"gravkit: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 ROT6D_PARALLEL_TOL = 1e-6  # min angle (rad) between the two implied columns
+F32_MAX = float(np.finfo(np.float32).max)   # the largest magnitude of a number read from a file
 
 
 class GravkitError(Exception):
@@ -151,10 +152,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _in_range(value) -> bool:
+    """A JSON number no larger in magnitude than F32_MAX, the range the
+    `.gmap` header holds; squares and products of such numbers stay finite
+    in float64. Compares a huge JSON integer exactly instead of overflowing."""
+    return _is_number(value) and abs(value) <= F32_MAX
+
+
 def _vec(obj, name, size, line):
     _require(isinstance(obj, (list, tuple)), f"{name} must be an array", line)
     _require(len(obj) == size, f"{name} must have {size} elements, got {len(obj)}", line)
     _require(all(_is_number(v) for v in obj), f"{name} must be numeric", line)
+    _require(all(_in_range(v) for v in obj), f"{name} must be finite, of magnitude at most {F32_MAX!r}", line)
     return np.asarray(obj, dtype=float)
 
 

@@ -10,10 +10,11 @@ stride-downsampled voxel lattice reduced by farthest point sampling.
 Both channels come from one formula evaluated at the voxels that are read:
 the sampled ones for every map, all (S, S, S) of them only for with_fields.
 An obstacle that survives clearing adds just its penalty field, smoothed on
-the box around its voxels grown by the kernel radius, and the cost's min-max
-bounds, formed on that box and in closed form on the slabs around it where
-the penalty is zero. A plain map builds no (S, S, S) distance, cost or
-occupancy temporary: only the two smoothing buffers.
+the box around its voxels grown by the kernel radius. The cost's min-max
+bounds come from the raw cost on that box and two closed-form values for
+the rest of the grid, where the penalty is zero: the farthest corner's and
+the nearest voxel's outside the box. A plain map builds no (S, S, S)
+distance, cost or occupancy temporary: only the two smoothing buffers.
 """
 from __future__ import annotations
 
@@ -25,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .demos import CorruptFile, GravkitError, SubGoal
+from .demos import F32_MAX, CorruptFile, GravkitError, SubGoal
 
 log = logging.getLogger(__name__)
 
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
 GMAP_HEADER = struct.Struct("<4sII6f")   # magic, version, point count, bounds
-F32_MAX = float(np.finfo(np.float32).max)   # the largest bound magnitude the header holds
 
 
 class DegenerateWorkspace(GravkitError, ValueError):
@@ -309,44 +309,30 @@ def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
     return dist
 
 
-def _slab_extremes(lo, hi, map_size: int, center) -> np.ndarray:
-    """(n, 3) voxels: for each of the at most six slabs that tile the grid
-    outside the box [lo, hi), its voxel nearest `center` and its corner
-    farthest from it. Slab `axis` spans the box along the axes before it,
-    the grid along the axes after it."""
-    c = np.asarray(center)
-    points = []
-    for axis in range(3):
-        for a, b in ((0, lo[axis]), (hi[axis], map_size)):
-            if a < b:
-                first = np.array([*lo[:axis], a, *[0] * (2 - axis)])
-                last = np.array([*(h - 1 for h in hi[:axis]), b - 1, *[map_size - 1] * (2 - axis)])
-                points.append(np.clip(c, first, last))
-                points.append(np.where(np.abs(c - first) >= np.abs(last - c), first, last))
-    return np.array(points, dtype=int).reshape(-1, 3)
-
-
 def _cost_bounds(map_size: int, center, m_a, box):
-    """(dmax, lo, hi): the largest distance from the sub-goal voxel (at a
-    corner) and the raw cost's min-max over every voxel. Without a penalty
-    those are the sub-goal voxel's 0 and the farthest corner's 2.
+    """(dmax, lo, hi): the largest distance from the sub-goal voxel, to the
+    corner farthest along each axis, and the raw cost's min-max over every
+    voxel.
 
-    With one, the raw cost is formed on the penalty's box only. Outside it
-    the penalty is +0.0 and the raw cost 2 d/dmax, which rounds monotonically
-    in d, itself monotone in the exact integer squared distance. So each
-    slab of the box's complement has its extremes at its voxel nearest the
-    sub-goal and its corner farthest from it (_slab_extremes), and those
-    carry the bits the full field would."""
-    corners = np.array(np.meshgrid(*[[0, map_size - 1]] * 3, indexing="ij")).reshape(3, -1)
-    dmax = _voxel_distance(*corners, center).max()
+    The raw cost is formed on the penalty's box only; a map without a
+    penalty takes the sub-goal voxel as its box. Outside the box the penalty
+    is +0.0 and the raw cost 2 d/dmax, which rounds monotonically in d,
+    itself monotone in the exact integer squared distance. So no voxel there
+    exceeds the farthest corner's 2, which the box's max reaches anyway when
+    it holds that corner; and the least there is at the voxel outside the
+    box nearest the sub-goal: the sub-goal voxel itself, or one face step
+    out of the box around it (none when the box is the whole grid)."""
+    dmax = np.sqrt(float(sum(max(c, map_size - 1 - c) ** 2 for c in center)))
     if m_a is None:
-        lo, hi = _raw_cost(np.array([0.0, dmax]), dmax, None)
-    else:
-        inside = tuple(slice(a, b) for a, b in zip(*box))
-        raw = _raw_cost(_voxel_distance(*np.ogrid[inside], center), dmax, m_a[inside])
-        edge = _raw_cost(_voxel_distance(*_slab_extremes(*box, map_size, center).T, center), dmax, None)
-        extremes = [raw.min(), raw.max(), *edge]
-        lo, hi = min(extremes), max(extremes)
+        box = (center, [c + 1 for c in center])
+    inside = tuple(slice(a, b) for a, b in zip(*box))
+    raw = _raw_cost(_voxel_distance(*np.ogrid[inside], center), dmax, None if m_a is None else m_a[inside])
+    steps = [0]   # distances to voxels outside the box, the nearest one among them
+    if all(a <= c < b for c, a, b in zip(center, *box)):
+        steps = ([c - a + 1 for c, a in zip(center, box[0]) if a > 0]
+                 + [b - c for c, b in zip(center, box[1]) if b < map_size])
+    far, *near = _raw_cost(np.array([dmax, *steps]), dmax, None)
+    lo, hi = min([raw.min(), *near]), max(raw.max(), far)
     if hi == lo:
         log.warning("degenerate cost field (constant %.6g); returning zeros", lo)
     return dmax, lo, hi

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demos import Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _is_number, _vec
-from .gravmap import F32_MAX, Workspace, voxel_center
+from .demos import F32_MAX, Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _in_range, _vec
+from .gravmap import Workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
 CONTACT_RADIUS = 0.02  # m; force ramps up inside this shell
@@ -383,13 +383,6 @@ def _scene_field(rec, key: str, where: str = ""):
     return rec[key]
 
 
-def _in_range(value) -> bool:
-    """A JSON number no larger in magnitude than F32_MAX, the range the
-    `.gmap` header holds; squares of such numbers stay finite in float64.
-    Compares a huge JSON integer exactly instead of overflowing."""
-    return _is_number(value) and abs(value) <= F32_MAX
-
-
 def _scene_number(rec, key: str, where: str) -> float:
     value = _scene_field(rec, key, where)
     if not _in_range(value):
@@ -407,11 +400,7 @@ def _scene_flag(rec, key: str, where: str) -> bool:
 
 
 def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
-    value = _scene_field(rec, key, where)
-    if isinstance(value, list) and not all(_in_range(v) for v in value if _is_number(v)):
-        raise SchemaViolation(f"scene field '{where}{key}' must be finite, "
-                              f"of magnitude at most {F32_MAX!r}")
-    return _vec(value, f"scene field '{where}{key}'", 3, None)
+    return _vec(_scene_field(rec, key, where), f"scene field '{where}{key}'", 3, None)
 
 
 def load_scene(path) -> World:

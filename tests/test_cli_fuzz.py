@@ -1,11 +1,11 @@
 """Derandomized fuzzing of the CLI's file readers, run in-process.
 
 Valid `distill` demo logs and `synth --scene` files are mutated (a JSON
-field deleted, retyped or made non-finite, the file truncated or one byte
-flipped) and handed to `cli.main`. Whatever the input, a run must end with
-a documented exit code, write exactly one `gravkit:` line to stderr when it
-fails, raise no traceback and no numpy warning, and write only finite
-numbers when it succeeds.
+field deleted, retyped, made non-finite or out of f32 range, the file
+truncated or one byte flipped) and handed to `cli.main`. Whatever the
+input, a run must end with a documented exit code, write exactly one
+`gravkit:` line to stderr when it fails, raise no traceback and no numpy
+warning, and write only finite numbers when it succeeds.
 """
 import contextlib
 import copy
@@ -24,7 +24,9 @@ from gravkit.gravmap import load_gmap
 from gravkit.sim import scripted_expert
 
 RETYPED = [True, False, None, "0.5", [], {}, 1, 0.5]
-NON_FINITE = [math.nan, math.inf, -math.inf]
+REPLACEMENTS = {"retype": RETYPED,
+                "non-finite": [math.nan, math.inf, -math.inf],
+                "out-of-range": [10**400, -10**400, 1e308]}   # finite in JSON, beyond f32 range
 
 DEMO_RECORDS = [demo_to_record(scripted_expert(kind, 0))
                 for kind in (TaskKind.TOUCH_ONLY, TaskKind.GRASP_PLACE)]
@@ -55,9 +57,9 @@ def encode_scene(scene):
 @st.composite
 def mutated(draw, valid, encode):
     """One mutation of `valid` (a JSON value), returned as file bytes."""
-    kind = draw(st.sampled_from(["delete", "retype", "non-finite", "truncate", "flip"]))
+    kind = draw(st.sampled_from(["delete", *REPLACEMENTS, "truncate", "flip"]))
     doc = copy.deepcopy(valid)
-    if kind in ("delete", "retype", "non-finite"):
+    if kind == "delete" or kind in REPLACEMENTS:
         *parent_path, key = draw(st.sampled_from(list(json_paths(valid))))
         parent = doc
         for step in parent_path:
@@ -65,7 +67,7 @@ def mutated(draw, valid, encode):
         if kind == "delete":
             del parent[key]
         else:
-            parent[key] = draw(st.sampled_from(RETYPED if kind == "retype" else NON_FINITE))
+            parent[key] = draw(st.sampled_from(REPLACEMENTS[kind]))
     blob = encode(doc)
     if kind == "truncate":
         blob = blob[:draw(st.integers(0, len(blob) - 1))]

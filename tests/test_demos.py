@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from gravkit.demos import (Demo, EmptyInput, SchemaViolation, TaskKind, demo_to_record,
-                           load_demos, save_demos, validate_demo)
+from gravkit.demos import (F32_MAX, Demo, EmptyInput, SchemaViolation, TaskKind, demo_from_record,
+                           demo_to_record, load_demos, save_demos, validate_demo)
 from gravkit.sim import scripted_expert, scripted_long_demo
 
 from conftest import make_frame, synthetic_demo
@@ -100,6 +100,27 @@ def test_json_booleans_are_not_numbers(tmp_path, field, value, named):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(SchemaViolation, match=f"^line 1: {named}$"):
         load_demos(path)
+
+
+@pytest.mark.parametrize("field, value", [("pos", 10**400), ("pos", -10**400), ("rot6d", 1e308),
+                                          ("joint_vel", -3.5e38), ("touch", float("nan"))])
+def test_numbers_beyond_f32_range_are_rejected(tmp_path, field, value):
+    """Demo logs share the scene files' magnitude rule: a number must be
+    finite and at most F32_MAX in magnitude, so no norm or square of it
+    overflows float64."""
+    rec = demo_to_record(two_frame_demo())
+    rec["frames"][1][field][1] = value
+    path = tmp_path / "demos.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(SchemaViolation, match=f"^line 1: {field} must be finite, of magnitude at most "
+                                              f"{re.escape(repr(F32_MAX))}$"):
+        load_demos(path)
+
+
+def test_numbers_at_f32_max_load():
+    rec = demo_to_record(two_frame_demo())
+    rec["frames"][1]["pos"] = [F32_MAX, -F32_MAX, 0.3]
+    assert demo_from_record(rec).frames[1].pose.pos[0] == F32_MAX
 
 
 def test_validate_flags_time_order():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravkit import gravmap
@@ -475,9 +475,10 @@ class TestSampledPointsMatchFields:
 
 
 class TestCostBounds:
-    """(dmax, lo, hi) formed on the penalty's box and at the extremes of the
-    slabs around it carry the bits of the full field's largest distance and
-    raw-cost min and max."""
+    """(dmax, lo, hi) formed on the penalty's box, with the farthest corner's
+    value and the value at the voxel outside the box nearest the sub-goal,
+    carry the bits of the full field's largest distance and raw-cost min and
+    max."""
 
     @staticmethod
     def assert_bounds_match(occ, center, params, faces, inside):
@@ -520,11 +521,42 @@ class TestCostBounds:
 
     @pytest.mark.parametrize("center", [(0, 0, 0), (5, 6, 7), (11, 3, 11)])
     def test_long_kernel_box_is_the_whole_grid(self, center):
-        """sigma = 15 gives a 91-tap kernel on a 12^3 grid: no slab is left."""
+        """sigma = 15 gives a 91-tap kernel on a 12^3 grid: no voxel is left
+        outside the box."""
         occ = empty_occ(12)
         occ[5:7, 4, 6] = True
         params = small_params(12, num_points=8, avoid_clear_frac=0.0, sigma_avoid=15.0)
         self.assert_bounds_match(occ, center, params, 6, True)
+
+    VOXEL = st.tuples(*[st.integers(0, 19)] * 3)   # taken modulo the grid size
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(s=st.integers(1, 20), center=VOXEL, corners=st.tuples(VOXEL, VOXEL), in_region=st.booleans(),
+           density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+           sigma=st.sampled_from([0.0, 0.2, 0.7, 1.5, 4.0]),
+           clear_frac=st.sampled_from([0.0, 0.1, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    # one voxel, occupied: dmax = 0, and lo is the penalty, not the corner's 0
+    @example(s=1, center=(0, 0, 0), corners=((0, 0, 0), (0, 0, 0)), in_region=True, density=1.0,
+             sigma=0.0, clear_frac=0.0, seed=0)
+    def test_random_grids_match_oracle(self, s, center, corners, in_region, density, sigma, clear_frac,
+                                       seed):
+        """Random occupancy in a random region, the sub-goal voxel inside it
+        or anywhere: with or without a penalty left after clearing, the
+        bounds are the oracle's."""
+        ends = np.array(corners) % s
+        lo, hi = ends.min(axis=0), ends.max(axis=0) + 1
+        center = np.array(center) % s
+        center = tuple(int(c) for c in (np.clip(center, lo, hi - 1) if in_region else center))
+        region = tuple(slice(a, b) for a, b in zip(lo, hi))
+        occ = empty_occ(s)
+        occ[region] = np.random.default_rng(seed).random(occ[region].shape) < density
+        params = GravMapParams(map_size=s, downsample=1, num_points=1, sigma_avoid=sigma,
+                               avoid_clear_frac=clear_frac)
+        m_a, box = gravmap._avoidance(occ, center, params)
+        bounds = gravmap._cost_bounds(s, center, m_a, box)
+        want = cost_bounds_oracle(occ, center, params)
+        assert np.array(bounds).tobytes() == np.array(want).tobytes()
 
 
 class TestSerialization:
