@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except (GravkitError, OSError) as exc:   # I/O, a diverged training run, other runtime faults
         print(f"gravkit: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:   # a size that passes the checks but does not fit
+        print(f"gravkit: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

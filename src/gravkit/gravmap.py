@@ -10,7 +10,8 @@ stride-downsampled voxel lattice reduced by farthest point sampling.
 Both channels come from one formula evaluated at the voxels that are read:
 the sampled ones for every map, all (S, S, S) of them only for with_fields.
 An obstacle that survives clearing adds just its penalty field, smoothed on
-the box around its voxels grown by the kernel radius. The cost's min-max
+the box around its voxels grown by the kernel radius, each axis's pass a
+product of whole-axis lines by a band matrix. The cost's min-max
 bounds come from the raw cost on that box and two closed-form values for
 the rest of the grid, where the penalty is zero: the farthest corner's and
 the nearest voxel's outside the box. A plain map builds no (S, S, S)
@@ -24,11 +25,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .demos import F32_MAX, CorruptFile, GravkitError, SubGoal
 
 log = logging.getLogger(__name__)
+
+SMOOTH_ROWS = 16   # lines per band product in _smooth_box
 
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
@@ -171,35 +173,56 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     return out if gaussian_kernel_1d(sigma).size == 1 else np.zeros(out.shape)
 
 
+def _band(kernel: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) matrix B with line @ B the replicate-edge correlation of a
+    length-n line with `kernel`: B[j, i] sums, tap by tap, the weights that
+    output i reads from voxel j."""
+    band = np.zeros((n, n))
+    out = np.arange(n)
+    for tap, weight in enumerate(kernel):
+        band[np.clip(out + tap - kernel.size // 2, 0, n - 1), out] += weight
+    return band
+
+
 def _smooth_box(buf: np.ndarray, sigma: float, lo, hi):
     """Gaussian-smooth the float field `buf`, whose non-zero entries lie in
     the box [lo, hi), using `buf` as scratch. Returns the smoothed field and
     the box grown by the kernel radius (clamped to the field); outside that
     box the field is +0.0.
 
-    Pass `axis` runs on the box grown along the axes smoothed so far. Along
-    an axis not yet smoothed the data is still zero outside the box, so where
-    a crop edge lies inside the field, edge replication copies a zero equal
-    to the true neighbour; every output sums the same taps in the same order
-    as a full-field pass.
+    Pass `axis` takes the lines along the whole axis through the box grown
+    along the axes smoothed so far, and writes them back on the box grown
+    along `axis` too. The lines are copied SMOOTH_ROWS at a time into one
+    C-contiguous block and multiplied by the axis's band. Every product has
+    the one shape (SMOOTH_ROWS, n) @ (n, n), so a voxel's bits depend only on
+    its line: not on the box, nor on the BLAS thread count. A strided view,
+    or one product over all of a box's lines, takes other BLAS paths with
+    other bits.
 
     The passes alternate between `buf` and one zeroed buffer, each writing
-    into the one it does not read, so no box-sized temporary is made and
-    scipy's output never overlaps its input. The buffer a pass reads is
-    zero outside the previous pass's box: the zeroed buffer was written only
-    on smaller boxes, and `buf` outside them still holds the input, zero
-    outside [lo, hi)."""
+    into the one it does not read. The buffer a pass reads is zero outside
+    the previous pass's box: the zeroed buffer was written only on smaller
+    boxes, and `buf` outside them still holds the input, zero outside
+    [lo, hi)."""
     kernel = gaussian_kernel_1d(sigma)
     if kernel.size == 1:
         return buf, (lo, hi)
     radius = kernel.size // 2
+    bands = {n: _band(kernel, n) for n in set(buf.shape)}
     lo, hi = list(lo), list(hi)
     src, dst = buf, np.zeros(buf.shape)
     for axis in range(3):
-        lo[axis] = max(lo[axis] - radius, 0)
-        hi[axis] = min(hi[axis] + radius, buf.shape[axis])
-        box = tuple(slice(a, b) for a, b in zip(lo, hi))
-        ndimage.correlate1d(src[box], kernel, axis=axis, output=dst[box], mode="nearest")
+        n = buf.shape[axis]
+        lines = tuple(slice(None) if a == axis else slice(*ab) for a, ab in enumerate(zip(lo, hi)))
+        ins, outs = (np.moveaxis(f[lines], axis, -1) for f in (src, dst))   # (p, q, n) views
+        lo[axis], hi[axis] = max(lo[axis] - radius, 0), min(hi[axis] + radius, n)
+        ii, jj = np.indices(ins.shape[:2]).reshape(2, -1)
+        block, prod = np.zeros((SMOOTH_ROWS, n)), np.empty((SMOOTH_ROWS, n))
+        for k in range(0, ii.size, SMOOTH_ROWS):
+            i, j = ii[k:k + SMOOTH_ROWS], jj[k:k + SMOOTH_ROWS]
+            block[:i.size] = ins[i, j]
+            np.matmul(block, bands[n], out=prod)
+            outs[i, j, lo[axis]:hi[axis]] = prod[:i.size, lo[axis]:hi[axis]]
         src, dst = dst, src
     return src, (lo, hi)
 

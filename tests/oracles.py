@@ -6,7 +6,6 @@ form where the library's version is an optimisation or a refactoring of it
 so agreement is meaningful.
 """
 import numpy as np
-from scipy import ndimage
 
 
 def keypose_oracle(demo, eps_vel=1e-3, stop_buffer=4):
@@ -123,18 +122,32 @@ def fps_rows_oracle(points, num_points):
 
 
 def gaussian_smooth_oracle(field, sigma):
-    """The library's Gaussian smoothing as it was before it moved to the
-    support box: three scipy passes over the whole field, the kernel written
-    out with the same operations as gaussian_kernel_1d."""
+    """The library's Gaussian smoothing over the whole field instead of the
+    support box: per axis, every line multiplied by a replicate-edge band
+    matrix, 16 lines at a time as the library groups them, the kernel
+    written out with the same operations as gaussian_kernel_1d."""
     radius = int(np.floor(3.0 * sigma))
     if sigma <= 0 or radius == 0:
         return np.array(field, dtype=float)
     x = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
     kernel = kernel / kernel.sum()
-    out = np.asarray(field, dtype=float)
+    out = np.array(field, dtype=float)
     for axis in range(3):
-        out = ndimage.correlate1d(out, kernel, axis=axis, mode="nearest")
+        n = out.shape[axis]
+        band = np.zeros((n, n))
+        for i in range(n):
+            for t in range(kernel.size):
+                band[min(max(i + t - radius, 0), n - 1), i] += kernel[t]
+        moved = np.moveaxis(out, axis, -1)
+        lines = np.ascontiguousarray(moved).reshape(-1, n)
+        smoothed = np.empty_like(lines)
+        for k in range(0, len(lines), 16):
+            rows = lines[k:k + 16]
+            block = np.zeros((16, n))
+            block[:len(rows)] = rows
+            smoothed[k:k + 16] = (block @ band)[:len(rows)]
+        out = np.moveaxis(smoothed.reshape(moved.shape), -1, axis)
     return out
 
 

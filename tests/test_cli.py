@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,3 +430,64 @@ class TestTrainEval:
         assert res.returncode == 2, res.stderr
         assert re.fullmatch(r"gravkit: training diverged at iteration \d+: [^\n]+\n", res.stderr), res.stderr
         assert res.stdout == ""
+
+
+class TestOutOfMemory:
+    """A size that passes the checks but does not fit is a runtime error, not
+    a traceback. numpy refuses these sizes at once, allocating nothing."""
+
+    def test_synth_map_size_exit_2(self, tmp_path):
+        out = tmp_path / "m.gmap"
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--map-size", "1000000",
+                      "--downsample-stride", "10000", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert re.fullmatch(r"gravkit: out of memory: Unable to allocate [^\n]+\n", res.stderr), res.stderr
+        assert res.stdout == "" and not out.exists()
+
+    def test_train_eval_iters_exit_2(self, tiny_demos, tmp_path):
+        model = tmp_path / "m.bin"
+        res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "1000000000000000000",
+                      "--seed", "9", "--out-model", str(model))
+        assert res.returncode == 2, res.stderr
+        assert re.fullmatch(r"gravkit: out of memory: Unable to allocate [^\n]+\n", res.stderr), res.stderr
+        assert res.stdout == "" and not model.exists()
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from gravkit import cli
+assert cli.main(sys.argv[1:]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestDependencies:
+    def test_no_scipy_at_run_time(self, tmp_path):
+        """`import gravkit.cli` and an obstacle-scene synth, whose sphere
+        survives clearing, load no scipy module."""
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "workspace": {"min": [0, 0, 0], "max": [1, 1, 1]},
+            "objects": [{"center": [0.8, 0.8, 0.8], "radius": 0.06, "graspable": False}],
+            "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05},
+        }))
+        res = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, "synth", "--subgoal", "0.2,0.2,0.2,1",
+                              "--scene", str(scene), "--out", str(tmp_path / "m.gmap")],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_third_party_imports_are_the_declared_dependencies(self):
+        import tomllib
+        root = Path(__file__).resolve().parents[1]
+        deps = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps}
+        imported = set()
+        for path in (root / "src" / "gravkit").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert imported - set(sys.stdlib_module_names) - {"gravkit"} == declared

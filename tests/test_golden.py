@@ -67,6 +67,9 @@ def test_training_maps_and_pool():
         "214b14ba81838fbfd88cb7641e62034a3e70c0eb6e31ce00d9f6dd8a84547cfd"
 
 
+OBSTACLE_MAPS_SHA256 = "b4fb229db8270c925f5297d84f90b330fef84b5211c841e0ea77d48c3f9e7984"
+
+
 def obstacle_scenes():
     """12 seeded scenes of 1-3 spheres, each with a sub-goal far enough from
     its spheres for every sphere to survive clearing. The first five spheres
@@ -87,17 +90,21 @@ def obstacle_scenes():
     return scenes
 
 
-def test_obstacle_maps():
-    """Value maps on the obstacle path (Gaussian-smoothed avoidance map), in
-    both modes, sphere supports touching the field's faces and corners."""
+def obstacle_maps_digest():
+    """sha256 of the value maps on the obstacle path (Gaussian-smoothed
+    avoidance map) of obstacle_scenes, in both modes, sphere supports
+    touching the field's faces and corners."""
     ws, params = Workspace(), GravMapParams()
     digest = hashlib.sha256()
     for seed, (world, sub, current) in enumerate(obstacle_scenes()):
         occ = occupancy_grid(world, params.map_size, ws)
         for mode in ("infer", "train"):
             digest.update(generate_gravmap(sub, occ, current, ws, params, mode, seed=seed).points.tobytes())
-    assert digest.hexdigest() == \
-        "92170f2882350653ead8c34de8f154934d46bf5bbdd18083e78a3749e44f40d7"
+    return digest.hexdigest()
+
+
+def test_obstacle_maps():
+    assert obstacle_maps_digest() == OBSTACLE_MAPS_SHA256
 
 
 def test_full_resolution_fields():
@@ -114,7 +121,7 @@ def test_full_resolution_fields():
         for name in ("dist", "avoid", "cost", "grip"):
             digest.update(fields[name].tobytes())
     assert digest.hexdigest() == \
-        "cc1709029e544ae4357f8fb000ec15380ff300cc8ded65988db897b6acfa9c14"
+        "80c2bcb242152b803db6499bdfe56e51c3589949dd513b76e4d2ac4eeac74f8f"
 
 
 def test_synth_pgm_slice(tmp_path):
@@ -183,14 +190,27 @@ def test_episode_outcomes_and_predictions():
     assert episode_record() == EPISODE_RECORD
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_episode_record_independent_of_blas_threads(threads):
-    """Unlike training's weight gradients, evaluation gives the same bits at
-    any BLAS thread count. OpenBLAS reads the count when numpy loads, hence
-    a fresh interpreter per count."""
+def in_interpreter(expr, threads):
+    """The printed value of `expr` in a fresh interpreter with test_golden
+    imported as g. OpenBLAS reads the thread count when numpy loads, hence a
+    fresh interpreter per count."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
                                            os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", "import test_golden as g; print(g.episode_record())"],
+    out = subprocess.run([sys.executable, "-c", f"import test_golden as g; print({expr})"],
                          env=env, capture_output=True, text=True, check=True, timeout=600)
-    assert out.stdout.strip() == str(EPISODE_RECORD)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_episode_record_independent_of_blas_threads(threads):
+    """Unlike training's weight gradients, evaluation gives the same bits at
+    any BLAS thread count."""
+    assert in_interpreter("g.episode_record()", threads) == str(EPISODE_RECORD)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_obstacle_maps_independent_of_blas_threads(threads):
+    """The obstacle path's band products give the same bits at any BLAS
+    thread count, checked at the default map size (100 voxels per axis)."""
+    assert in_interpreter("g.obstacle_maps_digest()", threads) == OBSTACLE_MAPS_SHA256
