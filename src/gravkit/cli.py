@@ -179,7 +179,7 @@ def cmd_synth(args) -> int:
     else:
         ws = _workspace_from(args)
         occ = np.zeros((params.map_size,) * 3, dtype=bool)
-    sub = SubGoal(g_pos=vals[:3], g_open=int(vals[3]), g_rot=[1, 0, 0, 0, 1, 0])
+    sub = SubGoal(g_pos=vals[:3], g_open=int(vals[3]), g_rot=sim.IDENTITY_ROT6D.copy())
     # full-resolution fields only for the --pgm slice; the map bytes are the same
     result = generate_gravmap(sub, occ, current_open=args.current_open, ws=ws,
                               params=params, mode=args.mode, seed=seed,

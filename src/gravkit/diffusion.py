@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demos import GravkitError, Pose
+from .demos import GravkitError, Pose, rot6d_is_degenerate
 
 SCALED_LINEAR = "scaled_linear"
 SQUARED_COS = "squaredcos"
@@ -181,18 +181,15 @@ def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
 # ---------------------------------------------------------------------------
 
 def rot6d_to_matrix(r6) -> np.ndarray:
-    """Gram-Schmidt the two encoded columns into a rotation matrix."""
+    """Gram-Schmidt the two encoded columns into a rotation matrix; raises
+    DegenerateRotation exactly when `demos.rot6d_is_degenerate` holds."""
     r6 = np.asarray(r6, dtype=float)
+    if rot6d_is_degenerate(r6):
+        raise DegenerateRotation(f"encoded columns {r6.tolist()} are near zero or (anti)parallel")
     a1, a2 = r6[:3], r6[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 < 1e-12:
-        raise DegenerateRotation("first column is numerically zero")
-    b1 = a1 / n1
+    b1 = a1 / np.linalg.norm(a1)
     u2 = a2 - np.dot(b1, a2) * b1
-    n2 = np.linalg.norm(u2)
-    if n2 < 1e-9 * max(1.0, np.linalg.norm(a2)):
-        raise DegenerateRotation("encoded columns are (anti)parallel")
-    b2 = u2 / n2
+    b2 = u2 / np.linalg.norm(u2)
     b3 = np.cross(b1, b2)
     return np.stack([b1, b2, b3], axis=1)
 

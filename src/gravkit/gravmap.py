@@ -256,18 +256,23 @@ def farthest_point_sampling(points, num_points: int) -> np.ndarray:
         return np.arange(n)
     # contiguous coordinate columns, summed x + y + z left to right as a row sum does
     x, y, z = np.ascontiguousarray(pts.T)
+    # one block for every intermediate, so a pick allocates nothing
+    min_d2, d2, term = np.empty((3, n))
 
-    def sq_dist(c):
-        return (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
+    def sq_dist(c, out):
+        np.square(np.subtract(x, c[0], out=out), out=out)
+        for col, v in ((y, c[1]), (z, c[2])):
+            out += np.square(np.subtract(col, v, out=term), out=term)
+        return out
 
-    first = int(np.argmin(sq_dist(pts.mean(axis=0))))
+    first = int(np.argmin(sq_dist(pts.mean(axis=0), d2)))
     selected = np.empty(num_points, dtype=int)
     selected[0] = first
-    min_d2 = sq_dist(pts[first])
+    sq_dist(pts[first], min_d2)
     for t in range(1, num_points):
         nxt = int(np.argmax(min_d2))
         selected[t] = nxt
-        np.minimum(min_d2, sq_dist(pts[nxt]), out=min_d2)
+        np.minimum(min_d2, sq_dist(pts[nxt], d2), out=min_d2)
     return selected
 
 

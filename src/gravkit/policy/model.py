@@ -1,11 +1,12 @@
-"""Policy container and checkpoint format.
+"""Policy container, its one configuration, and the checkpoint format.
 
 A checkpoint is a little-endian file: u32 manifest length, a JSON manifest
-(format version, layer shapes, configuration echo), then the parameters as
-one contiguous f32 block in manifest order. That block is `ToyPolicy.flat`,
-the one float64 parameter buffer, written and read as one array; the
-layout is `nets.PARAM_SHAPES`. Parameters are quantized to f32 at the end
-of training so save -> load is bit-exact.
+(format version, layer shapes, the CONFIG echo, training meta), then the
+parameters as one contiguous f32 block in manifest order. That block is
+`ToyPolicy.flat`, the one float64 parameter buffer, written and read as one
+array; the layout is `nets.PARAM_SHAPES`. Parameters are quantized to f32 at
+the end of training so save -> load is bit-exact. The echo must equal CONFIG
+as JSON text: a file sets no size and no schedule.
 """
 from __future__ import annotations
 
@@ -16,47 +17,44 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..demos import CorruptFile, GravkitError
-from ..diffusion import SCALED_LINEAR, SQUARED_COS, NoiseSchedule, make_schedule
-from ..gravmap import GravMapParams, Workspace
-from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views
+from ..diffusion import DEFAULT_STEPS, SCALED_LINEAR, SQUARED_COS, make_schedule
+from ..gravmap import DEFAULT_GRAVMAP_PARAMS, Workspace
+from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views, step_embedding
 
 FORMAT_VERSION = 1
-MAX_STEPS = 10_000   # longest reverse chain a checkpoint may declare
+WORKSPACE = Workspace()
+SCHEDULES = (make_schedule(SCALED_LINEAR, DEFAULT_STEPS), make_schedule(SQUARED_COS, DEFAULT_STEPS))
+STEP_EMBEDDINGS = step_embedding(np.arange(1, DEFAULT_STEPS + 1))   # row k-1 embeds step k
+CONFIG = {"steps": DEFAULT_STEPS, "sched_pos": SCHEDULES[0].kind, "sched_rot": SCHEDULES[1].kind,
+          "workspace": {"min": list(WORKSPACE.min), "max": list(WORKSPACE.max)},
+          "gravmap": asdict(DEFAULT_GRAVMAP_PARAMS)}
 
 
 @dataclass
 class ToyPolicy:
     flat: np.ndarray    # the PARAM_COUNT float64 parameters, in checkpoint order
-    workspace: Workspace = Workspace()
-    gravmap_params: GravMapParams = GravMapParams()
-    steps: int = 100
-    sched_pos_kind: str = SCALED_LINEAR
-    sched_rot_kind: str = SQUARED_COS
     meta: dict = field(default_factory=dict)
-
-    _scheds: tuple | None = None
     params: dict = field(init=False, repr=False)   # name -> view into flat
+
+    # the one configuration, as class constants (no annotation: not fields)
+    workspace = WORKSPACE
+    gravmap_params = DEFAULT_GRAVMAP_PARAMS
+    steps = DEFAULT_STEPS
 
     def __post_init__(self):
         self.params = param_views(self.flat)
 
     @classmethod
-    def init(cls, seed, **kw):
+    def init(cls, seed):
         """He-scaled normal weights for layers that feed a ReLU, 1/fan_in
         variance for the others, drawn in LAYERS order; biases stay zero."""
         rng = np.random.default_rng(seed)
-        policy = cls(flat=np.zeros(PARAM_COUNT), **kw)
+        policy = cls(flat=np.zeros(PARAM_COUNT))
         for w, _, fan_in, _, feeds_relu in LAYERS:
             scale = np.sqrt(2.0 / fan_in) if feeds_relu else np.sqrt(1.0 / fan_in)
             rng.standard_normal(out=policy.params[w])
             policy.params[w] *= scale
         return policy
-
-    def schedules(self) -> tuple[NoiseSchedule, NoiseSchedule]:
-        if self._scheds is None:
-            self._scheds = (make_schedule(self.sched_pos_kind, self.steps),
-                            make_schedule(self.sched_rot_kind, self.steps))
-        return self._scheds
 
     def quantize(self):
         """Round every parameter to its f32 value (in-place) so that the
@@ -67,18 +65,18 @@ class ToyPolicy:
         return self.flat.astype("<f4").tobytes()
 
 
+def _json_text(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
 def save_policy(policy: ToyPolicy, path):
     manifest = {
         "format_version": FORMAT_VERSION,
-        "steps": policy.steps,
-        "sched_pos": policy.sched_pos_kind,
-        "sched_rot": policy.sched_rot_kind,
-        "workspace": {"min": list(policy.workspace.min), "max": list(policy.workspace.max)},
-        "gravmap": asdict(policy.gravmap_params),
+        **CONFIG,
         "meta": policy.meta,
         "layers": [{"name": name, "shape": list(shape)} for name, shape in PARAM_SHAPES.items()],
     }
-    blob = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    blob = _json_text(manifest).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -86,15 +84,15 @@ def save_policy(policy: ToyPolicy, path):
 
 
 def load_policy(path) -> ToyPolicy:
-    """Read a checkpoint; a truncated, padded or corrupt file raises
-    CorruptFile naming it."""
+    """Read a checkpoint; a truncated, padded or corrupt file, or one whose
+    configuration echo differs from CONFIG, raises CorruptFile naming it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return _policy_from_bytes(raw)
     except KeyError as exc:
         raise CorruptFile(f"{path}: manifest field {exc} is missing") from exc
-    except (GravkitError, TypeError, ValueError, OverflowError) as exc:
+    except (GravkitError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
 
 
@@ -109,6 +107,11 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
         raise GravkitError("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise GravkitError(f"unsupported checkpoint version {manifest.get('format_version')}")
+    for name, value in CONFIG.items():
+        # as JSON text, so 100.0 and true do not pass for 100 and 1
+        if _json_text(manifest[name]) != _json_text(value):
+            raise GravkitError(f"manifest field {name!r} differs from this program's "
+                               f"{_json_text(value)}")
     if [layer["name"] for layer in manifest["layers"]] != list(PARAM_SHAPES):
         raise GravkitError("manifest layers do not match the model's")
     for layer in manifest["layers"]:
@@ -118,26 +121,9 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
     size = 4 + mlen + 4 * PARAM_COUNT
     if len(raw) != size:
         raise GravkitError(f"{PARAM_COUNT} parameters take {size} bytes, the file has {len(raw)}")
-    steps = manifest["steps"]
-    if type(steps) is not int or not 1 <= steps <= MAX_STEPS:   # type(): bool is an int
-        raise GravkitError(f"manifest field 'steps' must be an integer in 1..{MAX_STEPS}, got {steps!r}")
     flat = np.frombuffer(raw, dtype="<f4", offset=4 + mlen).astype(float)
     if not np.isfinite(flat).all():
         name, arr = next((n, a) for n, a in param_views(flat).items() if not np.isfinite(a).all())
         index = np.unravel_index(np.argmin(np.isfinite(arr)), arr.shape)
         raise GravkitError(f"parameter {name}{list(map(int, index))} is not finite: {arr[index]}")
-    try:
-        gravmap_params = GravMapParams(**manifest["gravmap"])
-    except (TypeError, ValueError) as exc:
-        raise GravkitError(f"manifest field 'gravmap': {exc}") from exc
-    policy = ToyPolicy(
-        flat=flat,
-        workspace=Workspace(tuple(manifest["workspace"]["min"]), tuple(manifest["workspace"]["max"])),
-        gravmap_params=gravmap_params,
-        steps=steps,
-        sched_pos_kind=manifest["sched_pos"],
-        sched_rot_kind=manifest["sched_rot"],
-        meta=manifest.get("meta", {}),
-    )
-    policy.schedules()   # an unknown schedule kind fails here, not at first use
-    return policy
+    return ToyPolicy(flat=flat, meta=manifest.get("meta", {}))

@@ -156,7 +156,6 @@ def encoder_forward(maps: np.ndarray, params: dict):
     # one set of block buffers, reused by every block
     size = max(hi - lo for lo, hi in blocks) * n
     buf1, buf2 = np.empty((size, ENC_H1)), np.empty((size, ENC_H2))
-    ties = np.empty((size, ENC_H2), dtype=bool)
     pooled = np.empty((m, ENC_H2))
     arg = np.empty((m, ENC_H2), dtype=np.intp)
     winners, inverse, kept = [], [], 0
@@ -165,11 +164,10 @@ def encoder_forward(maps: np.ndarray, params: dict):
         xb = x[lo * n:hi * n]
         h1, h2 = _mlp_forward(xb, params, ENC1, ENC2, buf1[:k], buf2[:k])
         per_map = h2.reshape(hi - lo, n, ENC_H2)
-        per_map.max(axis=1, out=pooled[lo:hi])
-        # first point attaining each channel's maximum, as argmax would pick
-        # it (ties: dead channels at 0, duplicate points)
-        is_max = np.equal(per_map, pooled[lo:hi, None, :], out=ties[:k].reshape(per_map.shape))
-        is_max.argmax(axis=1, out=arg[lo:hi])
+        # argmax takes the first point attaining each channel's maximum (ties:
+        # dead channels at 0, duplicate points)
+        per_map.argmax(axis=1, out=arg[lo:hi])
+        pooled[lo:hi] = np.take_along_axis(per_map, arg[lo:hi, None, :], axis=1)[:, 0]
         rows, blk_inv = np.unique(arg[lo:hi] + (np.arange(hi - lo) * n)[:, None],
                                   return_inverse=True)
         winners.append((xb[rows], h1[rows], h2[rows]))

@@ -14,8 +14,8 @@ from .. import diffusion
 from ..demos import Frame, TaskKind
 from ..gravmap import Workspace, generate_gravmap
 from ..sim import Command, check_success, make_world, next_subgoal, occupancy_grid, step
-from .model import ToyPolicy
-from .nets import TOKEN_DIM, chain_denoiser, encode_gravmap, step_embedding
+from .model import SCHEDULES, STEP_EMBEDDINGS, ToyPolicy
+from .nets import TOKEN_DIM, chain_denoiser, encode_gravmap
 
 MOVE_FRAME_CAP = 60   # straight-line frames per predicted keypose
 SETTLE_FRAMES = 3     # frames holding the target with the predicted openness
@@ -58,8 +58,6 @@ def _null_frame(world) -> Frame:
 def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator,
                 guided: bool = True, shifted: bool = False, max_steps: int = 25) -> bool:
     ws, gp = policy.workspace, policy.gravmap_params
-    sched_pos, sched_rot = policy.schedules()
-    emb_table = step_embedding(np.arange(1, sched_pos.steps + 1))
     world = make_world(task_kind, rng, shifted=shifted)
     frame = _null_frame(world)
     prev_frame = frame
@@ -82,10 +80,9 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
                 token_cache[key] = token
         else:
             token = zero_token
-        denoiser = chain_denoiser(policy.params, emb_table, proprio_vec(prev_frame, frame, ws),
+        denoiser = chain_denoiser(policy.params, STEP_EMBEDDINGS, proprio_vec(prev_frame, frame, ws),
                                   scene_feat_from_frame(frame, ws), token)
-        pose, open_pred = diffusion.sample(denoiser, sched_pos, sched_rot,
-                                           seed=int(rng.integers(2**63)))
+        pose, open_pred = diffusion.sample(denoiser, *SCHEDULES, seed=int(rng.integers(2**63)))
         target = denormalize_pos(np.clip(pose.pos, -1.0, 1.0), ws)
         # the observation that produced this prediction becomes the "previous
         # keypose" entry of the next history pair, mirroring training

@@ -19,7 +19,8 @@ from ..gravmap import generate_gravmap
 from ..keypose import distill_demo
 from ..losses import (W_AUX_POS, W_CON, W_POS, W_ROT, NonFiniteLoss, bce, contrastive, noise_l1,
                       total_loss)
-from .model import ToyPolicy
+from ..sim import IDENTITY_ROT6D
+from .model import SCHEDULES, ToyPolicy
 from .nets import (PARAM_COUNT, PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch,
                    encoder_backward, encoder_forward, param_views)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
@@ -111,7 +112,7 @@ def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> np.ndarray:
     pool = []
     for _ in range(config.pool_size):
         sub = SubGoal(g_pos=rng.uniform(lo, hi), g_open=int(rng.integers(2)),
-                      g_rot=np.array([1.0, 0, 0, 0, 1.0, 0]))
+                      g_rot=IDENTITY_ROT6D.copy())
         pool.append(generate_gravmap(sub, empty, current_open=int(rng.integers(2)),
                                      ws=ws, params=gp, mode="infer").points)
     return np.array(pool)
@@ -129,7 +130,7 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     Returns (grads, loss, terms); grads is one flat buffer laid out like
     `policy.flat` (`nets.param_views` names its parts).
     """
-    sched_pos, sched_rot = policy.schedules()
+    sched_pos, sched_rot = SCHEDULES
     params = policy.params
     b = len(maps)
 

@@ -146,9 +146,14 @@ def check_success(world: World, task_kind: TaskKind) -> bool:
     tolerance (inclusive) and the gripper is open."""
     if task_kind == TaskKind.TOUCH_ONLY:
         return world.peak_touch[world.target_idx] > SPIKE_FORCE
-    # squared comparison keeps the inclusive boundary exact
+    return target_placed(world) and world.gripper_open == 1
+
+
+def target_placed(world: World) -> bool:
+    """The target's centre lies within the goal tolerance (inclusive); the
+    squared comparison keeps the boundary exact."""
     d2 = float(((world.target.center - world.goal_center) ** 2).sum())
-    return d2 <= world.goal_tol**2 and world.gripper_open == 1
+    return d2 <= world.goal_tol**2
 
 
 def occupancy_grid(world: World, map_size: int, ws: Workspace | None = None) -> np.ndarray:
@@ -346,10 +351,9 @@ def next_subgoal(world: World, task_kind: TaskKind) -> SubGoal:
         else:
             pos, open_state = touch_point, 1
     else:
-        placed = float(np.linalg.norm(target.center - world.goal_center)) <= world.goal_tol
         if world.attached == world.target_idx:
             pos, open_state = world.goal_center.copy(), 1
-        elif placed and world.gripper_open == 1:
+        elif target_placed(world) and world.gripper_open == 1:
             pos, open_state = world.goal_center + np.array([0.0, 0.0, LIFT]), 1
         else:
             pos, open_state = target.center.copy(), 0

@@ -1,26 +1,32 @@
-"""Derandomized fuzzing of the CLI's file readers, run in-process.
+"""Derandomized fuzzing of the file readers, run in-process.
 
 Valid `distill` demo logs and `synth --scene` files are mutated (a JSON
 field deleted, retyped, made non-finite or out of f32 range, the file
 truncated or one byte flipped) and handed to `cli.main`. Whatever the
 input, a run must end with a documented exit code, write exactly one
 `gravkit:` line to stderr when it fails, raise no traceback and no numpy
-warning, and write only finite numbers when it succeeds.
+warning, and write only finite numbers when it succeeds. The fixture
+checkpoint's manifest gets the same mutations, plus negative and huge
+numbers, through `load_policy`, which no CLI command calls yet.
 """
 import contextlib
 import copy
 import io
 import json
 import math
+import struct
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravkit import cli
-from gravkit.demos import TaskKind, demo_to_record
+from gravkit.demos import CorruptFile, TaskKind, demo_to_record
 from gravkit.gravmap import load_gmap
+from gravkit.policy import load_policy
+from gravkit.policy.model import CONFIG
 from gravkit.sim import scripted_expert
 
 RETYPED = [True, False, None, "0.5", [], {}, 1, 0.5]
@@ -54,12 +60,42 @@ def encode_scene(scene):
     return json.dumps(scene, separators=(",", ":")).encode()
 
 
+MODEL = (Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin").read_bytes()
+MODEL_HEADER = 4 + struct.unpack_from("<I", MODEL)[0]
+MANIFEST = json.loads(MODEL[4:MODEL_HEADER])
+LAYERS = MANIFEST.pop("layers")   # test_policy flips their bytes; here they stay as written
+WEIGHTS = MODEL[MODEL_HEADER:]
+MANIFEST_REPLACEMENTS = {**REPLACEMENTS, "negative": [-1, -0.5, -10**6],
+                         "huge": [10**6, 2**63, 10**18]}
+
+
+def json_text(value):
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def encode_manifest(manifest):
+    return json_text({**manifest, "layers": LAYERS}).encode()
+
+
+def all_but_meta(text):
+    """A manifest's JSON text without `meta`, or None when it does not parse
+    as a JSON object."""
+    try:
+        manifest = json.loads(text.decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(manifest, dict):
+        return None
+    manifest.pop("meta", None)
+    return json_text(manifest)
+
+
 @st.composite
-def mutated(draw, valid, encode):
+def mutated(draw, valid, encode, replacements=REPLACEMENTS):
     """One mutation of `valid` (a JSON value), returned as file bytes."""
-    kind = draw(st.sampled_from(["delete", *REPLACEMENTS, "truncate", "flip"]))
+    kind = draw(st.sampled_from(["delete", *replacements, "truncate", "flip"]))
     doc = copy.deepcopy(valid)
-    if kind == "delete" or kind in REPLACEMENTS:
+    if kind == "delete" or kind in replacements:
         *parent_path, key = draw(st.sampled_from(list(json_paths(valid))))
         parent = doc
         for step in parent_path:
@@ -67,7 +103,7 @@ def mutated(draw, valid, encode):
         if kind == "delete":
             del parent[key]
         else:
-            parent[key] = draw(st.sampled_from(REPLACEMENTS[kind]))
+            parent[key] = draw(st.sampled_from(replacements[kind]))
     blob = encode(doc)
     if kind == "truncate":
         blob = blob[:draw(st.integers(0, len(blob) - 1))]
@@ -153,3 +189,25 @@ def test_mutated_scene_file(workdir, blob):
     if code == 0:
         assert len(load_gmap(out)) == 1024   # load_gmap rejects non-finite rows and bounds
         assert_finite_json(mirror.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=mutated(MANIFEST, encode_manifest, MANIFEST_REPLACEMENTS))
+@example(text=encode_manifest({**MANIFEST, "gravmap": {**MANIFEST["gravmap"], "map_size": 1_000_000,
+                                                       "downsample": 1000}}))
+@example(text=encode_manifest({**MANIFEST, "meta": {"note": "meta is free-form"}}))
+def test_mutated_checkpoint_manifest(workdir, text):
+    """A checkpoint loads, with the fixture's weights, only when its
+    configuration echo is the program's, and it does load when only `meta`
+    moved; anything else is a CorruptFile naming the file."""
+    path = workdir / "model.bin"
+    path.write_bytes(struct.pack("<I", len(text)) + text + WEIGHTS)
+    try:
+        policy = load_policy(path)
+    except CorruptFile as exc:
+        assert str(exc).startswith(f"{path}: ")
+        assert all_but_meta(text) != all_but_meta(MODEL[4:MODEL_HEADER]), "only meta moved"
+    else:
+        assert policy.param_bytes() == WEIGHTS
+        manifest = json.loads(text.decode("utf-8"))
+        assert json_text({name: manifest[name] for name in CONFIG}) == json_text(CONFIG)

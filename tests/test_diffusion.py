@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gravkit.demos import rot6d_is_degenerate
 from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, DegenerateRotation, InvalidRange,
                                NotARotation, StepOutOfRange, add_noise, denoise_step,
                                make_schedule, matrix_to_rot6d, posterior_sigma,
@@ -246,6 +247,19 @@ class TestRot6d:
             rot6d_to_matrix([0, 0, 0, 0, 1, 0])
         with pytest.raises(DegenerateRotation):
             rot6d_to_matrix([1, 0, 0, -1, 0, 0])
+
+    @pytest.mark.parametrize("angle, degenerate", [(1e-7, True), (1e-5, False)])
+    def test_one_validity_rule_with_demo_checks(self, angle, degenerate):
+        """Columns 1e-7 rad apart fail demo validation and decoding alike;
+        1e-5 rad apart pass both."""
+        r6 = np.array([1.0, 0.0, 0.0, np.cos(angle), np.sin(angle), 0.0])
+        assert rot6d_is_degenerate(r6) == degenerate
+        if degenerate:
+            with pytest.raises(DegenerateRotation):
+                rot6d_to_matrix(r6)
+        else:
+            r = rot6d_to_matrix(r6)
+            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
 
     def test_not_a_rotation_raises(self):
         with pytest.raises(NotARotation):

@@ -17,7 +17,8 @@ import pytest
 from gravkit import cli, diffusion
 from gravkit.demos import SubGoal, TaskKind
 from gravkit.gravmap import GravMapParams, Workspace, generate_gravmap, world_to_voxel
-from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, step_embedding, train
+from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, train
+from gravkit.policy.model import SCHEDULES, STEP_EMBEDDINGS
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import SceneObject, World, occupancy_grid, save_scene, scripted_expert
@@ -147,13 +148,12 @@ def test_synth_pgm_slice(tmp_path):
 ])
 def test_sample_with_policy_denoiser(stochastic, pose_hex):
     policy = ToyPolicy.init(seed=5)
-    sp, sr = policy.schedules()
 
     rng = np.random.default_rng(21)
     rows = (rng.standard_normal(8), rng.standard_normal(16), rng.standard_normal(TOKEN_DIM))
     # the closure run_episode builds for each prediction
-    denoiser = chain_denoiser(policy.params, step_embedding(np.arange(1, sp.steps + 1)), *rows)
-    pose, open_state = diffusion.sample(denoiser, sp, sr, seed=13, stochastic=stochastic)
+    denoiser = chain_denoiser(policy.params, STEP_EMBEDDINGS, *rows)
+    pose, open_state = diffusion.sample(denoiser, *SCHEDULES, seed=13, stochastic=stochastic)
     assert (pose.pos.tobytes() + pose.rot6d.tobytes()).hex() == pose_hex
     assert open_state == 1
 

@@ -146,6 +146,15 @@ class TestGaussianSmooth:
         field[where] = 1.0
         self.assert_same_bytes(field, sigma)
 
+    def test_default_size_box_of_many_blocks(self):
+        """At the default 100^3 size and sigma, a box whose every pass has
+        more lines than one SMOOTH_ROWS product holds."""
+        field = np.zeros((GravMapParams().map_size,) * 3)
+        box = field[40:48, 10:17, 90:99]
+        assert min(box.shape) ** 2 > gravmap.SMOOTH_ROWS
+        box[...] = np.random.default_rng(7).random(box.shape)
+        self.assert_same_bytes(field, GravMapParams().sigma_avoid)
+
     @pytest.mark.parametrize("sigma", [0.0, 2.0])
     def test_all_zero_field(self, sigma):
         self.assert_same_bytes(np.zeros((9, 7, 5)), sigma)

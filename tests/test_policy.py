@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravkit.demos import CorruptFile, TaskKind
-from gravkit.policy.model import MAX_STEPS
+from gravkit.policy.model import CONFIG
 from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
                             denoiser_forward_batch, encode_gravmap, evaluate, load_policy,
                             save_policy, train)
@@ -577,55 +577,67 @@ class TestCheckpointFile:
         finally:
             path.write_bytes(blob)
 
-    def test_unknown_schedule_kind_named(self, checkpoint):
-        path, blob, _ = checkpoint
-        path.write_bytes(blob.replace(b'"sched_pos":"scaled_linear"', b'"sched_pos":"scaled_lineaX"'))
-        try:
-            with pytest.raises(CorruptFile, match="unknown schedule kind 'scaled_lineaX'"):
-                load_policy(path)
-        finally:
-            path.write_bytes(blob)
-
     @staticmethod
-    def write_with_steps(path, blob, header, steps):
+    def assert_rejected(checkpoint, edit, field):
+        """The fixture with `edit(manifest)` applied fails to load with a
+        CorruptFile naming the file and `field`; the file is restored."""
+        path, blob, header = checkpoint
         manifest = json.loads(blob[4:header])
-        manifest["steps"] = steps
+        edit(manifest)
         text = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode()
         path.write_bytes(struct.pack("<I", len(text)) + text + blob[header:])
-
-    @pytest.mark.parametrize("steps", [True, 2.7, "100", 0, -3, MAX_STEPS + 1, 100_000_000_000, None])
-    def test_bad_steps_named(self, checkpoint, steps):
-        path, blob, header = checkpoint
-        self.write_with_steps(path, blob, header, steps)
         try:
             with pytest.raises(CorruptFile, match=re.escape(
-                    f"{path}: manifest field 'steps' must be an integer in 1..{MAX_STEPS}, got {steps!r}")):
+                    f"{path}: manifest field {field!r} differs from this program's "
+                    f"{json.dumps(CONFIG[field], separators=(',', ':'), sort_keys=True)}")):
                 load_policy(path)
         finally:
             path.write_bytes(blob)
+
+    def test_unknown_schedule_kind_named(self, checkpoint):
+        for field in ("sched_pos", "sched_rot"):
+            self.assert_rejected(checkpoint, lambda m: m.update({field: "scaled_lineaX"}), field)
+
+    def test_swapped_schedule_kinds_named(self, checkpoint):
+        """Both kinds are valid schedules, but not the ones this program runs."""
+        def swap(m):
+            m["sched_pos"], m["sched_rot"] = m["sched_rot"], m["sched_pos"]
+        self.assert_rejected(checkpoint, swap, "sched_pos")
+
+    @pytest.mark.parametrize("steps", [True, 2.7, "100", 0, -3, 10_001, 100_000_000_000, None,
+                                       1, 99, 100.0, [100]])
+    def test_bad_steps_named(self, checkpoint, steps):
+        self.assert_rejected(checkpoint, lambda m: m.update(steps=steps), "steps")
 
     @pytest.mark.parametrize("field, value", [("map_size", 100.0), ("downsample", True),
-                                              ("offset_range", 2.5), ("num_points", "1024")])
+                                              ("offset_range", 2.5), ("num_points", "1024"),
+                                              ("num_points", 512), ("sigma_avoid", 10),
+                                              ("closed_value", None)])
     def test_mistyped_map_param_named(self, checkpoint, field, value):
+        self.assert_rejected(checkpoint, lambda m: m["gravmap"].update({field: value}), "gravmap")
+
+    def test_huge_map_named(self, checkpoint):
+        """A 10^6-voxel-per-axis map (a 10^18-byte occupancy grid) is refused
+        at load, before anything is sized from it."""
+        self.assert_rejected(checkpoint, lambda m: m["gravmap"].update(map_size=1_000_000,
+                                                                       downsample=1000), "gravmap")
+
+    @pytest.mark.parametrize("bounds", [{"min": [0, 0, 0], "max": [1.0, 1.0, 1.0]},
+                                        {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 2.0]},
+                                        {"min": [0.0, 0.0, 0.0]}, [0.0, 1.0]])
+    def test_other_workspace_named(self, checkpoint, bounds):
+        self.assert_rejected(checkpoint, lambda m: m.update(workspace=bounds), "workspace")
+
+    def test_deeply_nested_manifest_named(self, checkpoint):
+        """JSON nested past the parser's recursion limit is a corrupt file,
+        not a RecursionError."""
         path, blob, header = checkpoint
-        manifest = json.loads(blob[4:header])
-        manifest["gravmap"][field] = value
-        text = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode()
+        text = blob[4:header].replace(b'"meta":{', b'"meta":{"deep":' + b"[" * 100_000
+                                      + b"]" * 100_000 + b",", 1)
         path.write_bytes(struct.pack("<I", len(text)) + text + blob[header:])
         try:
-            with pytest.raises(CorruptFile, match=re.escape(
-                    f"{path}: manifest field 'gravmap': {field} must be an integer, got {value!r}")):
+            with pytest.raises(CorruptFile, match=re.escape(str(path))):
                 load_policy(path)
-        finally:
-            path.write_bytes(blob)
-
-    @pytest.mark.parametrize("steps", [1, MAX_STEPS])
-    def test_steps_at_the_bounds_load(self, checkpoint, steps):
-        path, blob, header = checkpoint
-        self.write_with_steps(path, blob, header, steps)
-        try:
-            policy = load_policy(path)
-            assert policy.steps == steps and policy.schedules()[0].steps == steps
         finally:
             path.write_bytes(blob)
 

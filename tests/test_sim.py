@@ -12,7 +12,7 @@ from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
 from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED, Command,
                          SceneObject, World, check_success, load_scene, make_world,
                          next_subgoal, occupancy_grid, save_scene, scripted_expert,
-                         scripted_long_demo, step)
+                         scripted_long_demo, step, target_placed)
 
 from oracles import occupancy_grid_oracle
 
@@ -240,6 +240,18 @@ class TestSuccess:
         assert check_success(w, TaskKind.GRASP_PLACE)
         w.objects[0].center = np.array([0.75 + 2**-20, 0.5, 0.25])
         assert not check_success(w, TaskKind.GRASP_PLACE)
+
+    @pytest.mark.parametrize("center, placed", [
+        ([0.48610286942499625, 0.4938078874879913, 0.09762906155300483], False),
+        ([0.5359576886818026, 0.4864237154823771, 0.01801986361256227], True)])
+    def test_provider_and_success_agree_at_the_boundary(self, center, placed):
+        """Targets on the tolerance boundary, where the distance and its
+        square round to opposite sides: the sub-goal provider moves on to the
+        lift exactly when check_success holds."""
+        w = simple_world(goal_center=np.array([0.5, 0.5, 0.05]), goal_tol=0.05)
+        w.objects[0].center = np.array(center)
+        assert target_placed(w) == check_success(w, TaskKind.GRASP_PLACE) == placed
+        assert next_subgoal(w, TaskKind.GRASP_PLACE).g_open == int(placed)
 
     def test_closed_gripper_blocks_place_success(self):
         w = simple_world()
