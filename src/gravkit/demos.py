@@ -220,33 +220,53 @@ def demo_to_record(demo: Demo) -> dict:
     }
 
 
+def read_json(path, error, blob: bytes | None = None, lines: bool = False):
+    """The JSON value of an input file, decoded from UTF-8 bytes: `blob`, or
+    the file at `path` read whole. With lines=True the text is JSON Lines,
+    split as text-mode reading splits it (universal newlines), and the
+    result is a (line number, value) pair per non-blank line.
+
+    A file that cannot be read raises IoError. Bytes that are not UTF-8, text
+    that is not JSON, and JSON nested too deep to parse raise `error` naming
+    `path`; in JSON Lines, a SchemaViolation-style `error` with the line."""
+    def invalid(message, line):
+        return error(f"{path} {message}", line=line) if lines else error(f"{path} {message}")
+
+    if blob is None:
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise invalid(f"is not UTF-8 text ({exc.reason})", blob.count(b"\n", 0, exc.start) + 1) from None
+
+    def parse(doc, line):
+        try:
+            return json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise invalid(f"is not valid JSON ({exc.msg if lines else exc})", line) from None
+        except RecursionError:
+            raise invalid("is JSON nested too deeply to parse", line) from None
+
+    if not lines:
+        return parse(text, None)
+    return [(lineno, parse(raw, lineno))
+            for lineno, raw in enumerate(io.StringIO(text, newline=None).readlines(), start=1)
+            if raw.strip()]
+
+
 def load_demos(path) -> list[Demo]:
     """Parse a JSONL demo log; every record must pass validate_demo.
 
     Raises EmptyInput for a log with zero records, SchemaViolation (with the
     offending line number) for malformed records or bytes that are not
-    UTF-8, IoError for unreadable files.
+    UTF-8 or not JSON, IoError for unreadable files.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        # split as text-mode reading would: universal newlines
-        lines = io.StringIO(blob.decode("utf-8"), newline=None).readlines()
-    except UnicodeDecodeError as exc:
-        raise SchemaViolation(f"{path} is not UTF-8 text ({exc.reason})",
-                              line=blob.count(b"\n", 0, exc.start) + 1) from None
-    demos = []
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"invalid JSON ({exc.msg})", line=lineno) from exc
-        demos.append(demo_from_record(rec, line=lineno))
+    demos = [demo_from_record(rec, line=lineno)
+             for lineno, rec in read_json(path, SchemaViolation, lines=True)]
     if not demos:
         raise EmptyInput(f"no demo records in {path}")
     return demos

@@ -9,6 +9,10 @@ stride-downsampled voxel lattice reduced by farthest point sampling.
 
 Both channels come from one formula evaluated at the voxels that are read:
 the sampled ones for every map, all (S, S, S) of them only for with_fields.
+The formula is batch-native over sub-goal voxels: `empty_scene_channels`
+runs it on a batch of empty-scene maps, with no occupancy grid, and
+`generate_gravmap` on one map. An empty scene's raw cost runs from 0 at the
+sub-goal to 2 at the farthest corner, so its bounds are closed-form.
 An obstacle that survives clearing adds just its penalty field, smoothed on
 the box around its voxels grown by the kernel radius, each axis's pass a
 product of whole-axis lines by a band matrix. The cost's min-max
@@ -16,6 +20,10 @@ bounds come from the raw cost on that box and two closed-form values for
 the rest of the grid, where the penalty is zero: the farthest corner's and
 the nearest voxel's outside the box. A plain map builds no (S, S, S)
 distance, cost or occupancy temporary: only the two smoothing buffers.
+
+Every map reads the same memoised lattice, so a set of maps can be held as
+its (B, num_points, 2) cost and grip channels; `assemble_points` joins them
+to the shared xyz to give the (B, num_points, 5) rows of GravMap.points.
 """
 from __future__ import annotations
 
@@ -31,6 +39,7 @@ from .demos import F32_MAX, CorruptFile, GravkitError, SubGoal
 log = logging.getLogger(__name__)
 
 SMOOTH_ROWS = 16   # lines per band product in _smooth_box
+SYNTH_CHUNK_POINTS = 16384   # sampled points per chunk of a batch synthesis
 
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
@@ -91,8 +100,10 @@ class GravMapParams:
         if self.offset_range < 0 or self.gripper_radius < 0 or self.sigma_avoid < 0:
             raise ValueError("ranges and radii must be non-negative")
 
-    def encode_open(self, open_state) -> float:
-        return 1.0 if open_state else float(self.closed_value)
+    def encode_open(self, open_state):
+        """1.0 for an open state, closed_value for a closed one; element-wise
+        on an array of states."""
+        return np.where(np.asarray(open_state, dtype=bool), 1.0, float(self.closed_value))
 
 
 DEFAULT_GRAVMAP_PARAMS = GravMapParams()
@@ -230,10 +241,10 @@ def _smooth_box(buf: np.ndarray, sigma: float, lo, hi):
 def build_gripper_map(dist: np.ndarray, g_open, g_open_init,
                       params: GravMapParams = DEFAULT_GRAVMAP_PARAMS) -> np.ndarray:
     """Desired openness within gripper_radius voxels of the sub-goal, the
-    current openness everywhere else. Closed encodes to params.closed_value."""
-    out = np.full_like(dist, params.encode_open(g_open_init), dtype=float)
-    out[dist <= params.gripper_radius] = params.encode_open(g_open)
-    return out
+    current openness everywhere else. Closed encodes to params.closed_value.
+    The two states may be arrays that broadcast against `dist`, one per map."""
+    return np.where(dist <= params.gripper_radius, params.encode_open(g_open),
+                    params.encode_open(g_open_init))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +339,10 @@ def _avoidance(occupancy: np.ndarray, center, params: GravMapParams):
 
 def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
     """The cost before normalisation, 2 d/dmax + penalty (None: none), formed
-    in place in `dist`; dmax = 0 means every distance is 0, which stays 0."""
-    if dmax > 0:
+    in place in `dist`; dmax = 0 means every distance is 0, which stays 0.
+    dmax may be an array that broadcasts against `dist`, one per map; it is 0
+    only on a one-voxel grid, so for every map or none."""
+    if np.all(dmax > 0):
         dist /= dmax
     dist *= 2.0
     if penalty is not None:
@@ -337,44 +350,124 @@ def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
     return dist
 
 
-def _cost_bounds(map_size: int, center, m_a, box):
-    """(dmax, lo, hi): the largest distance from the sub-goal voxel, to the
-    corner farthest along each axis, and the raw cost's min-max over every
-    voxel.
+def _dmax(map_size: int, centers) -> np.ndarray:
+    """The largest distance from each sub-goal voxel of `centers` (..., 3),
+    to the corner farthest along each axis: the exact integer squared sum,
+    rounded once to float64 before its square root."""
+    centers = np.asarray(centers)
+    far2 = [float(sum(max(c, map_size - 1 - c) ** 2 for c in row))
+            for row in centers.reshape(-1, 3).tolist()]
+    return np.sqrt(far2).reshape(centers.shape[:-1])
 
-    The raw cost is formed on the penalty's box only; a map without a
-    penalty takes the sub-goal voxel as its box. Outside the box the penalty
-    is +0.0 and the raw cost 2 d/dmax, which rounds monotonically in d,
-    itself monotone in the exact integer squared distance. So no voxel there
-    exceeds the farthest corner's 2, which the box's max reaches anyway when
-    it holds that corner; and the least there is at the voxel outside the
-    box nearest the sub-goal: the sub-goal voxel itself, or one face step
-    out of the box around it (none when the box is the whole grid)."""
-    dmax = np.sqrt(float(sum(max(c, map_size - 1 - c) ** 2 for c in center)))
+
+def _cost_bounds(map_size: int, center, m_a, box):
+    """(dmax, lo, hi): the largest distance from the sub-goal voxel `center`,
+    and the raw cost's min-max over every voxel.
+
+    Without a penalty (m_a None) `center` may be a batch of voxels (..., 3),
+    with one dmax each, and the bounds are closed-form: the raw cost 2 d/dmax
+    is 0 at the sub-goal voxel and exactly 2 at the farthest corner, dmax /
+    dmax rounding to 1, and it rounds monotonically in d in between. On a
+    one-voxel grid dmax and every distance are 0, and so is hi.
+
+    With a penalty, for one voxel, the raw cost is formed on the penalty's
+    box only. Outside the box the penalty is +0.0 and the raw cost 2 d/dmax.
+    So no voxel there exceeds the farthest corner's 2, which the box's max
+    reaches anyway when it holds that corner; and the least there is at the
+    voxel outside the box nearest the sub-goal: the sub-goal voxel itself,
+    or one face step out of the box around it (none when the box is the
+    whole grid)."""
+    dmax = _dmax(map_size, center)
     if m_a is None:
-        box = (center, [c + 1 for c in center])
-    inside = tuple(slice(a, b) for a, b in zip(*box))
-    raw = _raw_cost(_voxel_distance(*np.ogrid[inside], center), dmax, None if m_a is None else m_a[inside])
-    steps = [0]   # distances to voxels outside the box, the nearest one among them
-    if all(a <= c < b for c, a, b in zip(center, *box)):
-        steps = ([c - a + 1 for c, a in zip(center, box[0]) if a > 0]
-                 + [b - c for c, b in zip(center, box[1]) if b < map_size])
-    far, *near = _raw_cost(np.array([dmax, *steps]), dmax, None)
-    lo, hi = min([raw.min(), *near]), max(raw.max(), far)
+        lo, hi = 0.0, (2.0 if map_size > 1 else 0.0)
+    else:
+        inside = tuple(slice(a, b) for a, b in zip(*box))
+        raw = _raw_cost(_voxel_distance(*np.ogrid[inside], center), dmax, m_a[inside])
+        steps = [0]   # distances to voxels outside the box, the nearest one among them
+        if all(a <= c < b for c, a, b in zip(center, *box)):
+            steps = ([c - a + 1 for c, a in zip(center, box[0]) if a > 0]
+                     + [b - c for c, b in zip(center, box[1]) if b < map_size])
+        far, *near = _raw_cost(np.array([dmax, *steps]), dmax, None)
+        lo, hi = min([raw.min(), *near]), max(raw.max(), far)
     if hi == lo:
         log.warning("degenerate cost field (constant %.6g); returning zeros", lo)
     return dmax, lo, hi
 
 
-def _channels(idx, center, subgoal: SubGoal, current_open, m_a, bounds, params: GravMapParams):
+def _channels(idx, centers, g_open, current_open, bounds, params: GravMapParams, penalty=None):
     """Distance, cost and gripper channel at the voxels `idx`, a tuple of
-    broadcastable index arrays. The cost is (raw - lo) / (hi - lo), or all
-    zeros when the raw cost is constant."""
+    broadcastable index arrays, of the maps whose sub-goal voxels are
+    `centers` (..., 3). Each channel has the centers' leading shape followed
+    by the indices' shape. g_open, current_open and the bounds' dmax hold
+    one value per map, lo and hi one for all; `penalty` (one map's, at
+    `idx`) is added to the raw cost. The cost is (raw - lo) / (hi - lo), or
+    all zeros when the raw cost is constant."""
     dmax, lo, hi = bounds
-    dist = _voxel_distance(*idx, center)
-    raw = _raw_cost(dist.copy(), dmax, None if m_a is None else m_a[idx])
-    cost = np.zeros_like(raw) if hi == lo else (raw - lo) / (hi - lo)
-    return dist, cost, build_gripper_map(dist, subgoal.g_open, current_open, params)
+    centers = np.asarray(centers)
+    per_map_shape = centers.shape[:-1] + (1,) * np.broadcast(*idx).ndim
+
+    def per_map(values):
+        return np.reshape(values, per_map_shape)
+
+    dist = _voxel_distance(*idx, [per_map(c) for c in np.moveaxis(centers, -1, 0)])
+    cost = _raw_cost(dist.copy(), per_map(dmax), penalty)
+    if hi == lo:
+        cost[...] = 0.0
+    else:
+        cost -= lo
+        cost /= hi - lo
+    return dist, cost, build_gripper_map(dist, per_map(g_open), per_map(current_open), params)
+
+
+def _subgoal_voxel(subgoal: SubGoal, ws: Workspace, params: GravMapParams, mode: str, seed):
+    """The sub-goal's voxel; in train mode jittered by augment_offset, its rng
+    seeded from `seed`. Inference never perturbs it."""
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    center = world_to_voxel(subgoal.g_pos, ws, params.map_size)
+    if mode == "train":
+        rng = np.random.default_rng(seed)
+        center = augment_offset(center, params.offset_range, params.map_size, rng)
+    return center
+
+
+def assemble_points(xyz: np.ndarray, channels: np.ndarray, out=None) -> np.ndarray:
+    """Point rows (x, y, z, cost, grip), (..., N, 5), from the lattice xyz
+    (N, 3) that every map shares and the maps' cost and grip channels
+    (..., N, 2). Writes into `out` when it is given."""
+    if out is None:
+        out = np.empty(channels.shape[:-1] + (5,))
+    out[..., :3] = xyz
+    out[..., 3:] = channels
+    return out
+
+
+def empty_scene_channels(subgoals, current_open, ws: Workspace = Workspace(),
+                         params: GravMapParams = DEFAULT_GRAVMAP_PARAMS, mode: str = "infer",
+                         seeds=None, out=None) -> np.ndarray:
+    """Cost and grip channels, (B, num_points, 2), of the empty-scene maps of
+    B sub-goals. Row b holds, bit for bit, the points[:, 3:] that
+    generate_gravmap gives for subgoals[b] on an all-False occupancy grid,
+    with current_open[b] and, in train mode, seeds[b]. No grid is built or
+    scanned. The maps are synthesised SYNTH_CHUNK_POINTS sampled points at a
+    time, so the temporaries stay small; they are written into `out` when it
+    is given."""
+    seeds = [None] * len(subgoals) if seeds is None else seeds
+    rows = [(_subgoal_voxel(sub, ws, params, mode, seed), sub.g_open, cur)
+            for sub, cur, seed in zip(subgoals, current_open, seeds, strict=True)]
+    centers = np.array([c for c, _, _ in rows], dtype=int).reshape(-1, 3)
+    g_open = np.array([g for _, g, _ in rows])
+    current = np.array([c for _, _, c in rows])
+    dmax, lo, hi = _cost_bounds(params.map_size, centers, None, None)
+    _, vox = _sample_lattice(ws, params)
+    if out is None:
+        out = np.empty((len(rows), len(vox), 2))
+    step = max(1, SYNTH_CHUNK_POINTS // len(vox))
+    for a in range(0, len(rows), step):
+        part = slice(a, a + step)
+        _, out[part, :, 0], out[part, :, 1] = _channels(
+            tuple(vox.T), centers[part], g_open[part], current[part], (dmax[part], lo, hi), params)
+    return out
 
 
 def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
@@ -388,32 +481,29 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
     it. Occupancy must be a boolean field of shape (map_size,)*3; the
     non-goal region of the gripper channel carries `current_open`. Cost and
     grip are evaluated at the sampled lattice voxels, and again at every
-    voxel when with_fields is set.
+    voxel when with_fields is set. A batch of empty-scene maps is
+    `empty_scene_channels`, on the same formula.
 
     Returns the GravMap, or (GravMap, fields) when with_fields is set: the
     same channels at every voxel ("dist", "avoid", "cost", "grip") and the
     (possibly jittered) center voxel.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    center = _subgoal_voxel(subgoal, ws, params, mode, seed)
     s = params.map_size
     if occupancy.shape != (s, s, s):
         raise ValueError(f"occupancy shape {occupancy.shape} != {(s, s, s)}")
 
-    center = world_to_voxel(subgoal.g_pos, ws, s)
-    if mode == "train":
-        rng = np.random.default_rng(seed)
-        center = augment_offset(center, params.offset_range, s, rng)
-
     m_a, box = _avoidance(occupancy, center, params)
     bounds = _cost_bounds(s, center, m_a, box)
     xyz, vox = _sample_lattice(ws, params)
-    _, cost, grip = _channels(tuple(vox.T), center, subgoal, current_open, m_a, bounds, params)
-    gmap = GravMap(points=np.column_stack([xyz, cost, grip]), workspace=ws)
+    idx = tuple(vox.T)
+    _, cost, grip = _channels(idx, center, subgoal.g_open, current_open, bounds, params,
+                              None if m_a is None else m_a[idx])
+    gmap = GravMap(points=assemble_points(xyz, np.stack([cost, grip], axis=-1)), workspace=ws)
     if not with_fields:
         return gmap
-    dist, cost, grip = _channels(tuple(np.ogrid[:s, :s, :s]), center, subgoal, current_open,
-                                 m_a, bounds, params)
+    dist, cost, grip = _channels(tuple(np.ogrid[:s, :s, :s]), center, subgoal.g_open, current_open,
+                                 bounds, params, m_a)
     avoid = np.zeros(occupancy.shape) if m_a is None else m_a
     return gmap, {"center": center, "dist": dist, "avoid": avoid, "cost": cost, "grip": grip}
 

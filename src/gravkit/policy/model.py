@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..demos import CorruptFile, GravkitError
+from ..demos import CorruptFile, GravkitError, read_json
 from ..diffusion import DEFAULT_STEPS, SCALED_LINEAR, SQUARED_COS, make_schedule
 from ..gravmap import DEFAULT_GRAVMAP_PARAMS, Workspace
 from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views, step_embedding
@@ -102,7 +102,7 @@ def _policy_from_bytes(raw: bytes) -> ToyPolicy:
     (mlen,) = struct.unpack_from("<I", raw, 0)
     if 4 + mlen > len(raw):
         raise GravkitError(f"{mlen}-byte manifest runs past the end of the {len(raw)}-byte file")
-    manifest = json.loads(raw[4:4 + mlen].decode("utf-8"))
+    manifest = read_json("manifest", GravkitError, blob=raw[4:4 + mlen])
     if not isinstance(manifest, dict):
         raise GravkitError("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:

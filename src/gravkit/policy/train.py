@@ -5,7 +5,9 @@ target action at the next, sub-goal from the goal assignment). Value maps
 for the transitions are synthesized up front in train mode (a few jittered
 variants per transition) together with a pool of randomly generated maps
 that serve as contrastive negatives; per-iteration work is then pure linear
-algebra.
+algebra. Every map reads the same lattice, so the training set holds only
+the maps' cost and grip channels; each iteration joins a batch's channels
+to the shared xyz.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..demos import Demo, GravkitError, SubGoal
 from ..diffusion import add_noise
-from ..gravmap import generate_gravmap
+from ..gravmap import _sample_lattice, assemble_points, empty_scene_channels
 from ..keypose import distill_demo
 from ..losses import (W_AUX_POS, W_CON, W_POS, W_ROT, NonFiniteLoss, bce, contrastive, noise_l1,
                       total_loss)
@@ -66,17 +68,21 @@ def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
     """Distill demos into training transitions with pre-synthesized maps.
 
     Returns stacked arrays with one row per transition: maps
-    (T, MAP_VARIANTS, num_points, 5), proprio (T, 8), scene (T, 16),
-    targets (T, 10) = normalized target position, target rotation encoding,
-    target openness, and aux (T, 4) = normalized assigned sub-goal position,
-    sub-goal openness.
+    (T, MAP_VARIANTS, num_points, 2), the cost and grip channels of each
+    variant's map, proprio (T, 8), scene (T, 16), targets (T, 10) =
+    normalized target position, target rotation encoding, target openness,
+    and aux (T, 4) = normalized assigned sub-goal position, sub-goal
+    openness. The maps' xyz is the lattice every map shares
+    (`gravmap.assemble_points` joins the two).
 
     Demos carry no scene geometry, so training maps use empty occupancy;
-    obstacle bumps only appear in inference-time maps.
+    obstacle bumps only appear in inference-time maps. Every demo is
+    distilled first; the maps are then synthesized as one batch, straight
+    into the returned array.
     """
     ws, gp = policy.workspace, policy.gravmap_params
-    empty = np.zeros((gp.map_size,) * 3, dtype=bool)
-    maps, proprio, scene, targets, aux = [], [], [], [], []
+    subgoals, current, seeds = [], [], []
+    proprio, scene, targets, aux = [], [], [], []
     for di, demo in enumerate(demos):
         keyposes, _, assignment = distill_demo(demo)
         src_keys = ([0] if keyposes[0] != 0 else []) + keyposes[:-1]
@@ -85,56 +91,59 @@ def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
         for pi, (src, tgt) in enumerate(zip(src_keys, tgt_keys)):
             src_fr, tgt_fr = demo.frames[src], demo.frames[tgt]
             sub = assignment[tgt]
-            maps.append([
-                generate_gravmap(sub, empty, current_open=src_fr.open, ws=ws, params=gp,
-                                 mode="train", seed=[config.seed, di, pi, v]).points
-                for v in range(MAP_VARIANTS)
-            ])
+            for v in range(MAP_VARIANTS):
+                subgoals.append(sub)
+                current.append(src_fr.open)
+                seeds.append([config.seed, di, pi, v])
             proprio.append(proprio_vec(demo.frames[prev], src_fr, ws))
             scene.append(scene_feat_from_frame(src_fr, ws))
             targets.append(np.concatenate([normalize_pos(tgt_fr.pose.pos, ws),
                                            tgt_fr.pose.rot6d, [tgt_fr.open]]))
             aux.append(np.concatenate([normalize_pos(sub.g_pos, ws), [sub.g_open]]))
             prev = src
-    if not maps:
+    if not proprio:
         raise GravkitError("no training transitions distilled from demos")
-    return tuple(np.array(a, dtype=float) for a in (maps, proprio, scene, targets, aux))
+    maps = np.empty((len(proprio), MAP_VARIANTS, gp.num_points, 2))
+    empty_scene_channels(subgoals, current, ws, gp, "train", seeds,
+                         out=maps.reshape(-1, gp.num_points, 2))
+    return (maps, *(np.array(a, dtype=float) for a in (proprio, scene, targets, aux)))
 
 
 def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> np.ndarray:
-    """(pool_size, num_points, 5) maps of random in-workspace sub-goals with
-    random openness, inference mode."""
+    """(pool_size, num_points, 2) cost and grip channels of the maps of
+    random in-workspace sub-goals with random openness, inference mode."""
     ws, gp = policy.workspace, policy.gravmap_params
-    empty = np.zeros((gp.map_size,) * 3, dtype=bool)
     rng = np.random.default_rng([config.seed, 909090])
     lo = np.asarray(ws.min) + 0.05
     hi = np.asarray(ws.max) - 0.05
-    pool = []
+    subgoals, current = [], []
     for _ in range(config.pool_size):
-        sub = SubGoal(g_pos=rng.uniform(lo, hi), g_open=int(rng.integers(2)),
-                      g_rot=IDENTITY_ROT6D.copy())
-        pool.append(generate_gravmap(sub, empty, current_open=int(rng.integers(2)),
-                                     ws=ws, params=gp, mode="infer").points)
-    return np.array(pool)
+        subgoals.append(SubGoal(g_pos=rng.uniform(lo, hi), g_open=int(rng.integers(2)),
+                                g_rot=IDENTITY_ROT6D.copy()))
+        current.append(int(rng.integers(2)))
+    return empty_scene_channels(subgoals, current, ws, gp, "infer")
 
 
-def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, policy: ToyPolicy):
+def compute_gradients(maps, proprio, scene, targets, aux, k, eps, policy: ToyPolicy, out=None):
     """Exact reverse-mode gradients of the full objective for one batch.
 
-    The batch is B rows of `build_transitions` arrays, with one map variant
-    per row (maps (B, num_points, 5)), diffusion steps k (B,) and ground-truth
-    noise eps (B, 9), 3 position then 6 rotation channels. The contrastive
-    term compares the first row's map feature against the generated
-    `negatives` (n, num_points, 5), each feature being its own positive.
+    The batch is B rows of `build_transitions` arrays, diffusion steps k
+    (B,) and ground-truth noise eps (B, 9), 3 position then 6 rotation
+    channels. `maps` (B + n, num_points, 5) is the encoder's input as full
+    point rows (see `gravmap.assemble_points`): one map variant per batch
+    row, then n generated negatives. The contrastive term compares the
+    first row's map feature against the negatives' features, each feature
+    being its own positive.
 
     Returns (grads, loss, terms); grads is one flat buffer laid out like
-    `policy.flat` (`nets.param_views` names its parts).
+    `policy.flat` (`nets.param_views` names its parts): `out` when it is
+    given, every entry overwritten, else a new one.
     """
     sched_pos, sched_rot = SCHEDULES
     params = policy.params
-    b = len(maps)
+    b = len(proprio)
 
-    tokens, enc_cache = encoder_forward(np.concatenate([maps, negatives]), params)
+    tokens, enc_cache = encoder_forward(maps, params)
     feat_idx = np.array([0] + list(range(b, tokens.shape[0])))
     features = tokens[feat_idx]
 
@@ -157,7 +166,7 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, negatives, pol
     terms = {"open": l_open, "pos": l_pos, "rot": l_rot,
              "aux_pos": l_aux_pos, "aux_open": l_auxo, "con": l_con}
 
-    grads = np.empty(PARAM_COUNT)     # every entry is written once by nets._write_grads
+    grads = np.empty(PARAM_COUNT) if out is None else out   # nets._write_grads writes each entry once
     views = param_views(grads)
     d_tokens = np.zeros_like(tokens)
     d_tokens[:b] = denoiser_backward(d_eps_pos, d_open_logit, d_aux_pos, d_auxo_logit,
@@ -219,13 +228,17 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
     """
     if policy is None:
         policy = ToyPolicy.init(seed=config.seed)
+    # every per-run buffer comes first, so a size that does not fit fails before set-up
+    curve = np.empty(config.iters)
+    grads = np.empty(PARAM_COUNT)
+    xyz = _sample_lattice(policy.workspace, policy.gravmap_params)[0]
+    rows = np.empty((config.batch + CONTRAST_N - 1, len(xyz), 5))   # the batch's maps, then negatives
     maps, proprio, scene, targets, aux = build_transitions(demos, policy, config)
     pool = build_negative_pool(policy, config)
 
     rng = np.random.default_rng([config.seed, 1])
     opt = Adam(config.lr)
     steps = policy.steps
-    curve = np.empty(config.iters)
     for it in range(config.iters):
         idx = rng.integers(len(proprio), size=config.batch)
         variants = rng.integers(MAP_VARIANTS, size=config.batch)
@@ -235,11 +248,12 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
         noise = rng.normal(0.0, FEATURE_NOISE, (config.batch, PROPRIO_DIM + SCENE_DIM))
         p_rows = proprio[idx] + noise[:, :PROPRIO_DIM]
         s_rows = scene[idx] + noise[:, PROPRIO_DIM:]
+        assemble_points(xyz, maps[idx, variants], out=rows[:config.batch])
+        assemble_points(xyz, pool[neg], out=rows[config.batch:])
         try:
             with np.errstate(over="raise", invalid="raise"):
-                grads, loss, _ = compute_gradients(maps[idx, variants], p_rows, s_rows,
-                                                   targets[idx], aux[idx], ks, eps, pool[neg],
-                                                   policy)
+                grads, loss, _ = compute_gradients(rows, p_rows, s_rows, targets[idx], aux[idx], ks, eps,
+                                                   policy, out=grads)
                 opt.step(policy.flat, grads)
         except (NonFiniteLoss, FloatingPointError) as exc:
             raise TrainingDiverged(it, exc) from exc

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demos import F32_MAX, Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _in_range, _vec
+from .demos import (F32_MAX, Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _in_range, _vec,
+                    read_json)
 from .gravmap import Workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
@@ -409,9 +410,9 @@ def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
 
 def load_scene(path) -> World:
     """Read a scene file; a missing or mistyped field raises SchemaViolation
-    naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
+    naming it, and so do bytes that are not UTF-8 JSON, naming the file. An
+    unreadable file raises IoError."""
+    rec = read_json(path, SchemaViolation)
     ws, goal = _scene_field(rec, "workspace"), _scene_field(rec, "goal")
     objects = _scene_field(rec, "objects")
     if not isinstance(objects, list):

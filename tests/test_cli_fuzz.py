@@ -1,13 +1,14 @@
 """Derandomized fuzzing of the file readers, run in-process.
 
 Valid `distill` demo logs and `synth --scene` files are mutated (a JSON
-field deleted, retyped, made non-finite or out of f32 range, the file
-truncated or one byte flipped) and handed to `cli.main`. Whatever the
-input, a run must end with a documented exit code, write exactly one
-`gravkit:` line to stderr when it fails, raise no traceback and no numpy
-warning, and write only finite numbers when it succeeds. The fixture
-checkpoint's manifest gets the same mutations, plus negative and huge
-numbers, through `load_policy`, which no CLI command calls yet.
+field deleted, retyped, made non-finite or out of f32 range, or replaced by
+arrays nested 10^5 deep, the file truncated or one byte flipped) and handed
+to `cli.main`. Whatever the input, a run must end with a documented exit
+code, write exactly one `gravkit:` line to stderr when it fails, raise no
+traceback and no numpy warning, and write only finite numbers when it
+succeeds. The fixture checkpoint's manifest gets the same mutations, plus
+negative and huge numbers, through `load_policy`, which no CLI command
+calls yet.
 """
 import contextlib
 import copy
@@ -42,6 +43,10 @@ SCENE = {
                 {"center": [0.35, 0.7, 0.5], "radius": 0.05, "graspable": True}],
     "goal": {"center": [0.5, 0.5, 0.05], "tol": 0.05},
 }
+
+
+NEST_MARK = "nested-arrays-go-here"
+NESTED = b"[" * 10**5 + b"]" * 10**5   # deeper than the JSON parser's recursion limit
 
 
 def json_paths(node, prefix=()):
@@ -82,7 +87,7 @@ def all_but_meta(text):
     as a JSON object."""
     try:
         manifest = json.loads(text.decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(manifest, dict):
         return None
@@ -90,12 +95,17 @@ def all_but_meta(text):
     return json_text(manifest)
 
 
+def nest(blob):
+    """`blob` with the JSON string NEST_MARK replaced by NESTED."""
+    return blob.replace(json.dumps(NEST_MARK).encode(), NESTED)
+
+
 @st.composite
 def mutated(draw, valid, encode, replacements=REPLACEMENTS):
     """One mutation of `valid` (a JSON value), returned as file bytes."""
-    kind = draw(st.sampled_from(["delete", *replacements, "truncate", "flip"]))
+    kind = draw(st.sampled_from(["delete", *replacements, "nest", "truncate", "flip"]))
     doc = copy.deepcopy(valid)
-    if kind == "delete" or kind in replacements:
+    if kind in ("delete", "nest") or kind in replacements:
         *parent_path, key = draw(st.sampled_from(list(json_paths(valid))))
         parent = doc
         for step in parent_path:
@@ -103,9 +113,11 @@ def mutated(draw, valid, encode, replacements=REPLACEMENTS):
         if kind == "delete":
             del parent[key]
         else:
-            parent[key] = draw(st.sampled_from(replacements[kind]))
+            parent[key] = NEST_MARK if kind == "nest" else draw(st.sampled_from(replacements[kind]))
     blob = encode(doc)
-    if kind == "truncate":
+    if kind == "nest":
+        blob = nest(blob)
+    elif kind == "truncate":
         blob = blob[:draw(st.integers(0, len(blob) - 1))]
     elif kind == "flip":
         at = draw(st.integers(0, len(blob) - 1))
@@ -168,6 +180,7 @@ def test_valid_inputs_exit_0(workdir):
 
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(blob=mutated(DEMO_RECORDS, encode_demos))
+@example(blob=nest(encode_demos([DEMO_RECORDS[0], {**DEMO_RECORDS[1], "task_kind": NEST_MARK}])))
 def test_mutated_demo_log(workdir, blob):
     demos, out = workdir / "demos.jsonl", workdir / "subgoals.jsonl"
     demos.write_bytes(blob)
@@ -179,6 +192,7 @@ def test_mutated_demo_log(workdir, blob):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(blob=mutated(SCENE, encode_scene))
+@example(blob=nest(encode_scene({**SCENE, "workspace": NEST_MARK})))
 def test_mutated_scene_file(workdir, blob):
     scene, out, mirror = workdir / "scene.json", workdir / "m.gmap", workdir / "m.json"
     scene.write_bytes(blob)
@@ -196,6 +210,7 @@ def test_mutated_scene_file(workdir, blob):
 @example(text=encode_manifest({**MANIFEST, "gravmap": {**MANIFEST["gravmap"], "map_size": 1_000_000,
                                                        "downsample": 1000}}))
 @example(text=encode_manifest({**MANIFEST, "meta": {"note": "meta is free-form"}}))
+@example(text=nest(encode_manifest({**MANIFEST, "meta": NEST_MARK})))
 def test_mutated_checkpoint_manifest(workdir, text):
     """A checkpoint loads, with the fixture's weights, only when its
     configuration echo is the program's, and it does load when only `meta`

@@ -72,6 +72,18 @@ def test_non_utf8_log_names_file_and_line(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("bad, named", [(b"[" * 10**5 + b"]" * 10**5, "is JSON nested too deeply to parse"),
+                                        (b'{"task_kind": ', "is not valid JSON (Expecting value)")],
+                         ids=["nested", "truncated"])
+def test_unparsable_line_names_file_and_line(tmp_path, bad, named):
+    path = tmp_path / "demos.jsonl"
+    good = json.dumps(demo_to_record(two_frame_demo())).encode()
+    path.write_bytes(good + b"\r\n" + bad + b"\n")
+    with pytest.raises(SchemaViolation, match=f"^line 2: {re.escape(f'{path} {named}')}$") as exc:
+        load_demos(path)
+    assert exc.value.line == 2
+
+
 @pytest.mark.parametrize("mutate,expect", [
     (lambda r: r["frames"][0].pop("touch"), "missing"),
     (lambda r: r["frames"][0].update(open=2), "open"),

@@ -16,7 +16,8 @@ import pytest
 
 from gravkit import cli, diffusion
 from gravkit.demos import SubGoal, TaskKind
-from gravkit.gravmap import GravMapParams, Workspace, generate_gravmap, world_to_voxel
+from gravkit.gravmap import (GravMapParams, Workspace, _sample_lattice, assemble_points, generate_gravmap,
+                             world_to_voxel)
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, train
 from gravkit.policy.model import SCHEDULES, STEP_EMBEDDINGS
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
@@ -58,13 +59,17 @@ def test_short_training_run():
 
 def test_training_maps_and_pool():
     """The set-up of test_short_training_run: every transition array (maps
-    included) and the negative pool."""
+    included) and the negative pool. The maps are hashed as full
+    (x, y, z, cost, grip) rows, their channels joined to the shared lattice
+    xyz, as the encoder reads them."""
     demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(3)]
     config = TrainConfig(iters=20, seed=7, pool_size=8)
     policy = ToyPolicy.init(seed=config.seed)
-    assert _sha(b"".join(a.tobytes() for a in build_transitions(demos, policy, config))) == \
+    xyz = _sample_lattice(policy.workspace, policy.gravmap_params)[0]
+    maps, *rows = build_transitions(demos, policy, config)
+    assert _sha(b"".join(a.tobytes() for a in (assemble_points(xyz, maps), *rows))) == \
         "fe69c0a4b1ef61eb13fb13c1bfd66f275de529f577694ddf25f6c7e6a5721c4e"
-    assert _sha(build_negative_pool(policy, config).tobytes()) == \
+    assert _sha(assemble_points(xyz, build_negative_pool(policy, config)).tobytes()) == \
         "214b14ba81838fbfd88cb7641e62034a3e70c0eb6e31ce00d9f6dd8a84547cfd"
 
 

@@ -484,6 +484,75 @@ class TestSampledPointsMatchFields:
         assert sum("degenerate cost field" in r.getMessage() for r in caplog.records) == 2
 
 
+class TestBatchSynthesis:
+    """empty_scene_channels on a batch gives, byte for byte, the cost and
+    grip columns that generate_gravmap gives one map at a time on an
+    all-False occupancy grid."""
+
+    # inside the workspace, on its faces, edges and corners, and beyond it (clamped onto them)
+    POSITIONS = [(0.5, 0.5, 0.5), (0.0, 0.4, 0.6), (0.5, 1.0, 0.5), (0.0, 0.0, 0.5), (1.0, 0.3, 1.0),
+                 (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.99, 0.01, 0.3), (-2.0, 0.5, 3.0)]
+
+    @staticmethod
+    def subgoals_and_states():
+        """18 sub-goals, one past a 16-map chunk at 1024 points, every
+        pairing of desired and current openness."""
+        subs = [SubGoal(g_pos=pos, g_open=i % 2, g_rot=[1, 0, 0, 0, 1, 0])
+                for i, pos in enumerate(TestBatchSynthesis.POSITIONS * 2)]
+        return subs, [(i // 2) % 2 for i in range(len(subs))]
+
+    @staticmethod
+    def assert_batch_matches(batch, subs, current, params, mode, seeds):
+        occ = empty_occ(params.map_size)
+        for i, sub in enumerate(subs):
+            one = generate_gravmap(sub, occ, current[i], WS, params, mode,
+                                   seed=None if seeds is None else seeds[i])
+            assert batch[i].tobytes() == one.points[:, 3:].tobytes(), i
+            assert gravmap.assemble_points(one.points[:, :3], batch[i]).tobytes() == one.points.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("params", [GravMapParams(), small_params(20, 32),
+                                        small_params(12, 8, downsample=2, offset_range=5,
+                                                     gripper_radius=4.5, closed_value=-1.0)],
+                             ids=["default", "20-voxel", "12-voxel"])
+    def test_batch_equals_one_at_a_time(self, monkeypatch, mode, params):
+        subs, current = self.subgoals_and_states()
+        seeds = [[3, i] for i in range(len(subs))] if mode == "train" else None
+
+        def no_grid(*args):
+            raise AssertionError("a batch scanned an occupancy grid")
+
+        monkeypatch.setattr(gravmap, "_avoidance", no_grid)
+        batch = gravmap.empty_scene_channels(subs, current, WS, params, mode, seeds)
+        monkeypatch.undo()
+        assert batch.shape == (len(subs), params.num_points, 2)
+        self.assert_batch_matches(batch, subs, current, params, mode, seeds)
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        """One map per chunk, written into a given array, gives the same bits."""
+        subs, current = self.subgoals_and_states()
+        params = small_params(20, 32)
+        seeds = [[5, i] for i in range(len(subs))]
+        whole = gravmap.empty_scene_channels(subs, current, WS, params, "train", seeds)
+        monkeypatch.setattr(gravmap, "SYNTH_CHUNK_POINTS", 1)
+        out = np.full((len(subs), params.num_points, 2), np.nan)
+        assert gravmap.empty_scene_channels(subs, current, WS, params, "train", seeds, out=out) is out
+        assert out.tobytes() == whole.tobytes()
+
+    def test_one_voxel_batch_is_zero_cost(self, caplog):
+        """map_size 1: dmax is 0, so every cost is 0, with one warning per batch."""
+        params = GravMapParams(map_size=1, downsample=1, num_points=1)
+        subs = [SubGoal(g_pos=pos, g_open=g, g_rot=[1, 0, 0, 0, 1, 0])
+                for pos, g in [((0.5, 0.5, 0.5), 1), ((0.0, 1.0, 0.0), 0), ((3.0, -1.0, 0.2), 1)]]
+        current = [0, 1, 1]
+        with caplog.at_level("WARNING", logger="gravkit.gravmap"):
+            batch = gravmap.empty_scene_channels(subs, current, WS, params, "train", [[0], [1], [2]])
+        assert sum("degenerate cost field" in r.getMessage() for r in caplog.records) == 1
+        assert batch[:, :, 0].tobytes() == np.zeros((3, 1)).tobytes()
+        assert batch[:, 0, 1].tolist() == [1.0, 0.0, 1.0]   # the sub-goal's voxel is every voxel
+        self.assert_batch_matches(batch, subs, current, params, "train", [[0], [1], [2]])
+
+
 class TestCostBounds:
     """(dmax, lo, hi) formed on the penalty's box, with the farthest corner's
     value and the value at the voxel outside the box nearest the sub-goal,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravkit.demos import CorruptFile, TaskKind
+from gravkit.gravmap import _sample_lattice, assemble_points
 from gravkit.policy.model import CONFIG
 from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
                             denoiser_forward_batch, encode_gravmap, evaluate, load_policy,
@@ -29,6 +31,8 @@ from gravkit.sim import scripted_expert
 from oracles import (denoiser_backward_oracle, denoiser_oracle, encoder_backward_oracle,
                      encoder_oracle, sigmoid_oracle)
 
+train_mod = importlib.import_module("gravkit.policy.train")   # gravkit.policy.train is the function
+
 
 @pytest.fixture(scope="module")
 def policy():
@@ -37,17 +41,21 @@ def policy():
 
 @pytest.fixture(scope="module")
 def tiny_setup(policy):
+    """A compute_gradients batch of 4 rows, its maps followed by 3
+    negatives, each map's channels joined to the shared lattice xyz as
+    train() joins them."""
     demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(2)]
     config = TrainConfig(iters=10, seed=5, pool_size=8)
     maps, proprio, scene, targets, aux = build_transitions(demos, policy, config)
     pool = build_negative_pool(policy, config)
+    xyz = _sample_lattice(policy.workspace, policy.gravmap_params)[0]
     rng = np.random.default_rng(0)
     draws = [(rng.integers(1, 101), rng.standard_normal(9)) for _ in range(4)]
     k = np.array([kk for kk, _ in draws])
     eps = np.stack([e for _, e in draws])
     rows = np.arange(4) % len(proprio)
-    batch = (maps[rows, 0], proprio[rows], scene[rows], targets[rows], aux[rows], k, eps)
-    return batch, pool[:3]
+    encoder_input = assemble_points(xyz, np.concatenate([maps[rows, 0], pool[:3]]))
+    return encoder_input, proprio[rows], scene[rows], targets[rows], aux[rows], k, eps
 
 
 def one_row(pose, step, proprio, scene, token, params):
@@ -120,8 +128,8 @@ class TestDenoiser:
 
 class TestGradients:
     def test_fd_check_random_parameters(self, policy, tiny_setup):
-        batch, negs = tiny_setup
-        grads, loss, _ = compute_gradients(*batch, negs, policy)
+        batch = tiny_setup
+        grads, loss, _ = compute_gradients(*batch, policy)
         assert np.isfinite(loss)
         grads = nets.param_views(grads)
         params = policy.params
@@ -135,9 +143,9 @@ class TestGradients:
             idx = tuple(int(rng.integers(s)) for s in arr.shape)
             orig = arr[idx]
             arr[idx] = orig + h
-            _, hi, _ = compute_gradients(*batch, negs, policy)
+            _, hi, _ = compute_gradients(*batch, policy)
             arr[idx] = orig - h
-            _, lo, _ = compute_gradients(*batch, negs, policy)
+            _, lo, _ = compute_gradients(*batch, policy)
             arr[idx] = orig
             fd = (hi - lo) / (2 * h)
             an = grads[name][idx]
@@ -154,26 +162,36 @@ class TestGradients:
             write(grads, layer, x, d_out)
 
         monkeypatch.setattr(nets, "_write_grads", recording_write)
-        batch, negs = tiny_setup
-        grads, _, _ = compute_gradients(*batch, negs, policy)
+        batch = tiny_setup
+        grads, _, _ = compute_gradients(*batch, policy)
         names = [name for layer in LAYERS for name in layer[:2]]
         assert sorted(written) == sorted(names)
         assert grads.shape == (nets.PARAM_COUNT,)
 
     def test_gradients_deterministic(self, policy, tiny_setup):
-        batch, negs = tiny_setup
-        g1, l1, _ = compute_gradients(*batch, negs, policy)
-        g2, l2, _ = compute_gradients(*batch, negs, policy)
+        batch = tiny_setup
+        g1, l1, _ = compute_gradients(*batch, policy)
+        g2, l2, _ = compute_gradients(*batch, policy)
         assert l1 == l2
         assert g1.tobytes() == g2.tobytes()
 
+    def test_gradients_written_into_out(self, policy, tiny_setup):
+        """A reused buffer, whatever it held, comes back holding the same
+        gradients a new one gets."""
+        batch = tiny_setup
+        want, loss, _ = compute_gradients(*batch, policy)
+        out = np.full(nets.PARAM_COUNT, np.nan)
+        got, again, _ = compute_gradients(*batch, policy, out=out)
+        assert got is out and again == loss
+        assert got.tobytes() == want.tobytes()
+
     def test_rot_head_gradient_independent_of_token(self, policy, tiny_setup):
-        batch, negs = tiny_setup
-        g1 = nets.param_views(compute_gradients(*batch, negs, policy)[0])
-        # change every map (hence every token); rotation-path grads must not move
+        batch = tiny_setup
+        g1 = nets.param_views(compute_gradients(*batch, policy)[0])
+        # change every batch row's map (hence its token); rotation-path grads must not move
         maps = batch[0].copy()
-        maps[:, :, 3] = 1.0 - maps[:, :, 3]
-        g2 = nets.param_views(compute_gradients(maps, *batch[1:], negs, policy)[0])
+        maps[:4, :, 3] = 1.0 - maps[:4, :, 3]
+        g2 = nets.param_views(compute_gradients(maps, *batch[1:], policy)[0])
         for name in ("den.rot_w", "den.rot_b", "den.b_w1", "den.b_b1", "den.b_w2", "den.b_b2"):
             np.testing.assert_array_equal(g1[name], g2[name])
         assert np.any(g1["den.pos_w"] != g2["den.pos_w"])
@@ -215,6 +233,53 @@ class TestTraining:
         assert loaded.steps == policy.steps
         assert loaded.workspace == policy.workspace
 
+    def test_one_gradient_buffer_per_run(self, demo_set, monkeypatch):
+        """train() hands compute_gradients the one flat buffer it allocated,
+        and every iteration gets that buffer back: no iteration after the
+        first allocates a new one."""
+        real = train_mod.compute_gradients
+        given, returned = [], []
+
+        def recording(*args, out=None, **kwargs):
+            given.append(out)
+            result = real(*args, out=out, **kwargs)
+            returned.append(result[0])
+            return result
+
+        monkeypatch.setattr(train_mod, "compute_gradients", recording)
+        train(TrainConfig(iters=4, seed=3, pool_size=8), demo_set)
+        assert len(given) == 4 and given[0] is not None
+        assert all(buf is given[0] for buf in given + returned)
+
+    def test_huge_iteration_count_fails_before_set_up(self, demo_set, monkeypatch):
+        """The loss curve is allocated before the training set is built, so a
+        count that cannot fit synthesizes no map."""
+        def never(*args):
+            raise AssertionError("the training set was built")
+
+        monkeypatch.setattr(train_mod, "build_transitions", never)
+        monkeypatch.setattr(train_mod, "build_negative_pool", never)
+        with pytest.raises(MemoryError):
+            train(TrainConfig(iters=10**18, seed=0, pool_size=8), demo_set)
+
+    def test_training_set_peak_memory(self, policy):
+        """build_transitions on the 3-demo set of test_training_maps_and_pool
+        holds little beyond the arrays it returns: the maps are synthesized
+        in chunks, straight into the channel array, with no per-map list and
+        no stacked copy."""
+        demos = [scripted_expert(TaskKind.TOUCH_ONLY, s) for s in range(3)]
+        config = TrainConfig(iters=20, seed=7, pool_size=8)
+        _sample_lattice(policy.workspace, policy.gravmap_params)   # the memoised lattice
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            arrays = build_transitions(demos, policy, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert arrays[0].shape == (12, 2, 1024, 2)
+        assert peak <= sum(a.nbytes for a in arrays) + 2**20
+
     def test_pool_must_hold_one_map_per_negative(self):
         assert CONTRAST_N - 1 == 7
         with pytest.raises(ValueError, match="pool_size"):
@@ -248,7 +313,7 @@ class TestTraining:
         cfg = TrainConfig(iters=10, seed=0, pool_size=8)
         maps, proprio, scene, targets, aux = build_transitions([demo], policy, cfg)
         # frame0 -> k0 plus one per consecutive keypose pair
-        assert maps.shape == (4, 2, 1024, 5)
+        assert maps.shape == (4, 2, 1024, 2)   # cost and grip; the xyz is the shared lattice's
         assert proprio.shape == (4, 8) and scene.shape == (4, 16)
         assert targets.shape == (4, 10) and aux.shape == (4, 4)
         assert np.all(np.abs(targets[:, :3]) <= 1.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravkit.demos import SchemaViolation, TaskKind, validate_demo
+from gravkit.demos import IoError, SchemaViolation, TaskKind, validate_demo
 from gravkit.gravmap import Workspace, voxel_center
 from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
 from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED, Command,
@@ -332,6 +332,22 @@ class TestSceneIo:
         mutate(rec)
         path.write_text(json.dumps(rec))
         with pytest.raises(SchemaViolation, match=re.escape(named)):
+            load_scene(path)
+
+    @pytest.mark.parametrize("blob, named", [
+        (b"\xff" + b"{}", "is not UTF-8 text (invalid start byte)"),
+        (b'{"workspace": ', "is not valid JSON (Expecting value: line 1 column 15 (char 14))"),
+        (b"[" * 10**5 + b"]" * 10**5, "is JSON nested too deeply to parse"),
+    ], ids=["non-utf8", "truncated", "nested"])
+    def test_unparsable_scene_names_file(self, tmp_path, blob, named):
+        path = tmp_path / "scene.json"
+        path.write_bytes(blob)
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(f'{path} {named}')}$"):
+            load_scene(path)
+
+    def test_unreadable_scene_is_io_error(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(IoError, match=f"^cannot read {re.escape(str(path))}: "):
             load_scene(path)
 
     def test_graspable_defaults_to_false(self, tmp_path):
