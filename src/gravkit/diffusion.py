@@ -110,12 +110,6 @@ def _reverse_terms(sched: NoiseSchedule) -> np.ndarray:
                      np.sqrt((1.0 - abar_prev) / (1.0 - sched.alpha_bar) * sched.beta)], axis=1)
 
 
-def posterior_sigma(k: int, sched: NoiseSchedule) -> float:
-    """Posterior std: sigma_k^2 = (1 - abar_{k-1}) / (1 - abar_k) * beta_k."""
-    sched._check_step(k)
-    return float(_reverse_terms(sched)[k - 1, 2])
-
-
 _CHANNEL_SCHEDULE = np.repeat([0, 1], (3, 6))   # 0: position channel, 1: rotation
 
 

@@ -13,13 +13,15 @@ The formula is batch-native over sub-goal voxels: `empty_scene_channels`
 runs it on a batch of empty-scene maps, with no occupancy grid, and
 `generate_gravmap` on one map. An empty scene's raw cost runs from 0 at the
 sub-goal to 2 at the farthest corner, so its bounds are closed-form.
-An obstacle that survives clearing adds just its penalty field, smoothed on
-the box around its voxels grown by the kernel radius, each axis's pass a
-product of whole-axis lines by a band matrix. The cost's min-max
+An obstacle that survives clearing adds just its penalty, held on the box
+around its voxels grown by the kernel radius and +0.0 outside it. It is
+smoothed in box-sized buffers, each axis's pass a product of whole-axis
+lines by a band matrix that skips the all-zero lines. The cost's min-max
 bounds come from the raw cost on that box and two closed-form values for
 the rest of the grid, where the penalty is zero: the farthest corner's and
 the nearest voxel's outside the box. A plain map builds no (S, S, S)
-distance, cost or occupancy temporary: only the two smoothing buffers.
+distance, cost, penalty or float temporary; the full penalty field is built
+only for with_fields.
 
 Every map reads the same memoised lattice, so a set of maps can be held as
 its (B, num_points, 2) cost and grip channels; `assemble_points` joins them
@@ -27,8 +29,10 @@ to the shared xyz to give the (B, num_points, 5) rows of GravMap.points.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -74,7 +78,7 @@ class Workspace:
 
 @dataclass(frozen=True)
 class GravMapParams:
-    map_size: int = 100          # voxels per axis
+    map_size: int = 100          # voxels per axis, at most 256
     offset_range: int = 3        # voxels; train-time sub-goal jitter, per axis
     gripper_radius: float = 3.0  # voxels; desired-openness region around the sub-goal
     downsample: int = 4          # stride for both channels
@@ -93,6 +97,10 @@ class GravMapParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.map_size <= 0 or self.downsample <= 0 or self.num_points <= 0:
             raise ValueError("map_size, downsample and num_points must be positive")
+        # which bounds downsample and num_points too: a 256^3 grid is 16 MB of
+        # occupancy and 128 MB per float64 field
+        if self.map_size > 256:
+            raise ValueError(f"map_size must be at most 256, got {self.map_size}")
         if self.map_size % self.downsample != 0:
             raise ValueError("map_size must be divisible by the downsample stride")
         if self.num_points > (self.map_size // self.downsample) ** 3:
@@ -154,11 +162,6 @@ def _voxel_distance(u, v, w, center) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
-def distance_field(map_size: int, center) -> np.ndarray:
-    """Euclidean distance (in voxels) from every voxel to the center voxel."""
-    return _voxel_distance(*np.ogrid[:map_size, :map_size, :map_size], center)
-
-
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Normalized 1D Gaussian kernel truncated at 3*sigma (odd length)."""
     radius = int(np.floor(3.0 * sigma))
@@ -169,73 +172,97 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _slices(box):
+    """The index box (lo, hi) as a tuple of slices."""
+    return tuple(slice(a, b) for a, b in zip(*box))
+
+
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     """Separable 3D Gaussian filter, kernel truncated at 3*sigma per axis,
     replicate-edge boundary handling. sigma = 0 is the identity.
 
-    Only the support box, the bounding box of the non-zero voxels, is
-    smoothed (see _smooth_box); entries outside it grown by the kernel
+    The tests' entry point to _smooth_box, which synthesis calls directly:
+    the support box, the bounding box of the non-zero voxels, is smoothed
+    and written into a zero field; entries outside it grown by the kernel
     radius come out +0.0."""
-    out = np.array(field, dtype=float)
-    support = [np.flatnonzero(out.any(axis=tuple(a for a in range(3) if a != axis)))
+    field = np.asarray(field, dtype=float)
+    out = np.zeros(field.shape)
+    support = [np.flatnonzero(field.any(axis=tuple(a for a in range(3) if a != axis)))
                for axis in range(3)]
     if all(hit.size for hit in support):
-        return _smooth_box(out, sigma, [hit[0] for hit in support], [hit[-1] + 1 for hit in support])[0]
-    return out if gaussian_kernel_1d(sigma).size == 1 else np.zeros(out.shape)
+        box = [hit[0] for hit in support], [hit[-1] + 1 for hit in support]
+        values, grown = _smooth_box(field[_slices(box)], sigma, box[0], field.shape)
+        out[_slices(grown)] = values
+    return out
 
 
-def _band(kernel: np.ndarray, n: int) -> np.ndarray:
+@functools.cache
+def _band(sigma: float, n: int) -> np.ndarray:
     """(n, n) matrix B with line @ B the replicate-edge correlation of a
-    length-n line with `kernel`: B[j, i] sums, tap by tap, the weights that
-    output i reads from voxel j."""
+    length-n line with gaussian_kernel_1d(sigma): B[j, i] sums, tap by tap,
+    the weights that output i reads from voxel j. Memoised per (sigma, n)
+    and read-only."""
+    kernel = gaussian_kernel_1d(sigma)
     band = np.zeros((n, n))
     out = np.arange(n)
     for tap, weight in enumerate(kernel):
         band[np.clip(out + tap - kernel.size // 2, 0, n - 1), out] += weight
+    band.flags.writeable = False
     return band
 
 
-def _smooth_box(buf: np.ndarray, sigma: float, lo, hi):
-    """Gaussian-smooth the float field `buf`, whose non-zero entries lie in
-    the box [lo, hi), using `buf` as scratch. Returns the smoothed field and
-    the box grown by the kernel radius (clamped to the field); outside that
-    box the field is +0.0.
+def _smooth_box(values: np.ndarray, sigma: float, lo, shape):
+    """Gaussian-smooth a non-negative field of `shape` that holds `values`
+    (float, or bool for a 0/1 penalty) on the box starting at voxel `lo`
+    and is +0.0 outside it. Returns the smoothed field on that box grown by
+    the kernel radius (clamped to the field), and the grown box as (lo, hi)
+    index lists; outside it the smoothed field is +0.0.
 
-    Pass `axis` takes the lines along the whole axis through the box grown
-    along the axes smoothed so far, and writes them back on the box grown
-    along `axis` too. The lines are copied SMOOTH_ROWS at a time into one
-    C-contiguous block and multiplied by the axis's band. Every product has
-    the one shape (SMOOTH_ROWS, n) @ (n, n), so a voxel's bits depend only on
-    its line: not on the box, nor on the BLAS thread count. A strided view,
-    or one product over all of a box's lines, takes other BLAS paths with
-    other bits.
+    Pass `axis` smooths the lines along `axis` of the box grown along the
+    axes smoothed so far, writing them on the box grown along `axis` too.
+    A line whose input is all zero is skipped and written +0.0, which is
+    what a zero line times the non-negative band gives. Every other line's
+    box span is copied into its whole-axis row of one zeroed (SMOOTH_ROWS,
+    n) block, SMOOTH_ROWS lines at a time, and the block is multiplied by
+    the axis's band. Every product has the one shape (SMOOTH_ROWS, n) @
+    (n, n), so a voxel's bits depend only on its line: not on the box, the
+    lines skipped, nor the BLAS thread count. A strided view, a product
+    narrowed to the box span, or one product over all of a box's lines
+    takes other BLAS paths with other bits.
 
-    The passes alternate between `buf` and one zeroed buffer, each writing
-    into the one it does not read. The buffer a pass reads is zero outside
-    the previous pass's box: the zeroed buffer was written only on smaller
-    boxes, and `buf` outside them still holds the input, zero outside
-    [lo, hi)."""
+    The first pass reads `values`; the passes then alternate between two
+    flat buffers of the grown box's size, allocated once per call, so no
+    (S, S, S) field is built."""
     kernel = gaussian_kernel_1d(sigma)
+    lo = list(lo)
+    hi = [a + m for a, m in zip(lo, values.shape)]
     if kernel.size == 1:
-        return buf, (lo, hi)
+        return values.astype(float), (lo, hi)
     radius = kernel.size // 2
-    bands = {n: _band(kernel, n) for n in set(buf.shape)}
-    lo, hi = list(lo), list(hi)
-    src, dst = buf, np.zeros(buf.shape)
+    grown = ([max(a - radius, 0) for a in lo], [min(b + radius, n) for b, n in zip(hi, shape)])
+    # pass 0 and pass 2 write buffer 0, pass 1 buffer 1. Pass 1 needs less,
+    # but at the full size a freed buffer 1 can take the box-sized temporary
+    # of _cost_bounds, where a smaller one left the heap to grow by it.
+    bufs = [np.empty(math.prod(b - a for a, b in zip(*grown))) for _ in range(2)]
+    src = values
     for axis in range(3):
-        n = buf.shape[axis]
-        lines = tuple(slice(None) if a == axis else slice(*ab) for a, ab in enumerate(zip(lo, hi)))
-        ins, outs = (np.moveaxis(f[lines], axis, -1) for f in (src, dst))   # (p, q, n) views
-        lo[axis], hi[axis] = max(lo[axis] - radius, 0), min(hi[axis] + radius, n)
-        ii, jj = np.indices(ins.shape[:2]).reshape(2, -1)
+        n = shape[axis]
+        a, b, ga, gb = lo[axis], hi[axis], grown[0][axis], grown[1][axis]
+        dst_shape = src.shape[:axis] + (gb - ga,) + src.shape[axis + 1:]
+        dst = bufs[axis % 2][:math.prod(dst_shape)].reshape(dst_shape)
+        ins, outs = (np.moveaxis(f, axis, -1) for f in (src, dst))   # (p, q, line) views
+        keep = ins.any(axis=-1)
+        outs[~keep] = 0.0
+        ii, jj = np.nonzero(keep)
+        band = _band(sigma, n)
         block, prod = np.zeros((SMOOTH_ROWS, n)), np.empty((SMOOTH_ROWS, n))
         for k in range(0, ii.size, SMOOTH_ROWS):
             i, j = ii[k:k + SMOOTH_ROWS], jj[k:k + SMOOTH_ROWS]
-            block[:i.size] = ins[i, j]
-            np.matmul(block, bands[n], out=prod)
-            outs[i, j, lo[axis]:hi[axis]] = prod[:i.size, lo[axis]:hi[axis]]
-        src, dst = dst, src
-    return src, (lo, hi)
+            block[:i.size, a:b] = ins[i, j]
+            np.matmul(block, band, out=prod)
+            outs[i, j] = prod[:i.size, ga:gb]
+        src = dst
+    return src, grown
 
 
 def build_gripper_map(dist: np.ndarray, g_open, g_open_init,
@@ -320,21 +347,20 @@ def _sample_lattice(ws: Workspace, params: GravMapParams):
 # ---------------------------------------------------------------------------
 
 def _avoidance(occupancy: np.ndarray, center, params: GravMapParams):
-    """Obstacle penalty field: the occupied voxels at least avoid_clear_frac *
-    map_size from the sub-goal voxel, Gaussian-smoothed; and the box outside
-    which it is +0.0, as (lo, hi) index lists. (None, None) when clearing
-    leaves no voxel."""
+    """Obstacle penalty: the occupied voxels at least avoid_clear_frac *
+    map_size from the sub-goal voxel, Gaussian-smoothed. Returns the penalty
+    on the box outside which it is +0.0, and that box as (lo, hi) index
+    lists; (None, None) when clearing leaves no voxel."""
     # np.nonzero on the 3-D array is ~30x slower than on its flat view
-    occupied = np.flatnonzero(occupancy)
-    ijk = np.unravel_index(occupied, occupancy.shape)
+    ijk = np.unravel_index(np.flatnonzero(occupancy), occupancy.shape)
     keep = _voxel_distance(*ijk, center) >= params.avoid_clear_frac * occupancy.shape[0]
     if not keep.any():
         return None, None
-    m_a = np.zeros(occupancy.shape)
-    m_a.flat[occupied[keep]] = 1.0
-    lo = [int(u[keep].min()) for u in ijk]
-    hi = [int(u[keep].max()) + 1 for u in ijk]
-    return _smooth_box(m_a, params.sigma_avoid, lo, hi)
+    kept = [u[keep] for u in ijk]
+    lo = [int(u.min()) for u in kept]
+    values = np.zeros([int(u.max()) + 1 - a for u, a in zip(kept, lo)], dtype=bool)
+    values[tuple(u - a for u, a in zip(kept, lo))] = True
+    return _smooth_box(values, params.sigma_avoid, lo, occupancy.shape)
 
 
 def _raw_cost(dist: np.ndarray, dmax, penalty) -> np.ndarray:
@@ -362,7 +388,8 @@ def _dmax(map_size: int, centers) -> np.ndarray:
 
 def _cost_bounds(map_size: int, center, m_a, box):
     """(dmax, lo, hi): the largest distance from the sub-goal voxel `center`,
-    and the raw cost's min-max over every voxel.
+    and the raw cost's min-max over every voxel, given the penalty `m_a` on
+    the index box `box` (both None without a penalty).
 
     Without a penalty (m_a None) `center` may be a batch of voxels (..., 3),
     with one dmax each, and the bounds are closed-form: the raw cost 2 d/dmax
@@ -381,8 +408,7 @@ def _cost_bounds(map_size: int, center, m_a, box):
     if m_a is None:
         lo, hi = 0.0, (2.0 if map_size > 1 else 0.0)
     else:
-        inside = tuple(slice(a, b) for a, b in zip(*box))
-        raw = _raw_cost(_voxel_distance(*np.ogrid[inside], center), dmax, m_a[inside])
+        raw = _raw_cost(_voxel_distance(*np.ogrid[_slices(box)], center), dmax, m_a)
         steps = [0]   # distances to voxels outside the box, the nearest one among them
         if all(a <= c < b for c, a, b in zip(center, *box)):
             steps = ([c - a + 1 for c, a in zip(center, box[0]) if a > 0]
@@ -496,15 +522,21 @@ def generate_gravmap(subgoal: SubGoal, occupancy: np.ndarray, current_open,
     m_a, box = _avoidance(occupancy, center, params)
     bounds = _cost_bounds(s, center, m_a, box)
     xyz, vox = _sample_lattice(ws, params)
-    idx = tuple(vox.T)
-    _, cost, grip = _channels(idx, center, subgoal.g_open, current_open, bounds, params,
-                              None if m_a is None else m_a[idx])
+    penalty = None
+    if m_a is not None:   # the sampled voxels' penalty: read inside the box, +0.0 outside
+        rel = vox - box[0]
+        inside = np.all((rel >= 0) & (rel < m_a.shape), axis=1)
+        penalty = np.zeros(len(vox))
+        penalty[inside] = m_a[tuple(rel[inside].T)]
+    _, cost, grip = _channels(tuple(vox.T), center, subgoal.g_open, current_open, bounds, params, penalty)
     gmap = GravMap(points=assemble_points(xyz, np.stack([cost, grip], axis=-1)), workspace=ws)
     if not with_fields:
         return gmap
+    avoid = np.zeros(occupancy.shape)
+    if m_a is not None:
+        avoid[_slices(box)] = m_a
     dist, cost, grip = _channels(tuple(np.ogrid[:s, :s, :s]), center, subgoal.g_open, current_open,
-                                 bounds, params, m_a)
-    avoid = np.zeros(occupancy.shape) if m_a is None else m_a
+                                 bounds, params, None if m_a is None else avoid)
     return gmap, {"center": center, "dist": dist, "avoid": avoid, "cost": cost, "grip": grip}
 
 

@@ -151,12 +151,24 @@ def gaussian_smooth_oracle(field, sigma):
     return out
 
 
+def distance_field(map_size, center):
+    """Euclidean distance (in voxels) from every voxel of a map_size^3 grid
+    to the center voxel."""
+    i, j, k = np.indices((map_size,) * 3)
+    ci, cj, ck = center
+    return np.sqrt((i - ci) ** 2.0 + (j - cj) ** 2.0 + (k - ck) ** 2.0)
+
+
+def posterior_sigma(k, sched):
+    """The reverse step's posterior std, sigma_k^2 = (1 - abar_{k-1}) /
+    (1 - abar_k) * beta_k, for step k of `sched`."""
+    return float(np.sqrt((1.0 - sched.abar(k - 1)) / (1.0 - sched.abar(k)) * sched.beta[k - 1]))
+
+
 def _raw_cost_oracle(occupancy, center, params):
     """A full distance field, occupancy cleared by a full distance mask and
     smoothed over the whole field, and the raw cost 2 d/dmax + avoidance."""
-    i, j, k = np.indices(occupancy.shape)
-    ci, cj, ck = center
-    dist = np.sqrt((i - ci) ** 2.0 + (j - cj) ** 2.0 + (k - ck) ** 2.0)
+    dist = distance_field(occupancy.shape[0], center)
     avoid = occupancy.astype(float)
     avoid[dist < params.avoid_clear_frac * occupancy.shape[0]] = 0.0
     if avoid.any():

@@ -16,8 +16,8 @@ import pytest
 
 from gravkit import cli, diffusion
 from gravkit.demos import SubGoal, TaskKind
-from gravkit.gravmap import (GravMapParams, Workspace, _sample_lattice, assemble_points, generate_gravmap,
-                             world_to_voxel)
+from gravkit.gravmap import (GravMapParams, Workspace, _sample_lattice, assemble_points, gaussian_smooth,
+                             generate_gravmap, world_to_voxel)
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, train
 from gravkit.policy.model import SCHEDULES, STEP_EMBEDDINGS
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
@@ -111,6 +111,29 @@ def obstacle_maps_digest():
 
 def test_obstacle_maps():
     assert obstacle_maps_digest() == OBSTACLE_MAPS_SHA256
+
+
+SEPARATED_CLUSTERS_SHA256 = "27f8bcbf8ef333cf95d585398ddcceab58271e415459e04bd92ccd9c45be12bc"
+
+
+def separated_clusters():
+    """A 100^3 penalty field of three small random clusters so far apart
+    that, at the default sigma, every smoothing pass meets all-zero lines
+    inside the box it smooths."""
+    field = np.zeros((GravMapParams().map_size,) * 3)
+    rng = np.random.default_rng(3)
+    for block in (np.s_[4:9, 5:9, 6:10], np.s_[50:54, 80:85, 20:23], np.s_[90:96, 30:34, 88:92]):
+        field[block] = rng.random(field[block].shape)
+    return field
+
+
+def separated_clusters_digest():
+    """sha256 of separated_clusters smoothed at the default sigma."""
+    return _sha(gaussian_smooth(separated_clusters(), GravMapParams().sigma_avoid).tobytes())
+
+
+def test_separated_clusters():
+    assert separated_clusters_digest() == SEPARATED_CLUSTERS_SHA256
 
 
 def test_full_resolution_fields():
@@ -219,3 +242,9 @@ def test_obstacle_maps_independent_of_blas_threads(threads):
     """The obstacle path's band products give the same bits at any BLAS
     thread count, checked at the default map size (100 voxels per axis)."""
     assert in_interpreter("g.obstacle_maps_digest()", threads) == OBSTACLE_MAPS_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_separated_clusters_independent_of_blas_threads(threads):
+    """So does smoothing that skips all-zero lines inside its box."""
+    assert in_interpreter("g.separated_clusters_digest()", threads) == SEPARATED_CLUSTERS_SHA256

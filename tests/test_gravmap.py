@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from gravkit import gravmap
 from gravkit.demos import CorruptFile, SubGoal
 from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Workspace, augment_offset,
-                             build_gripper_map, distance_field, farthest_point_sampling,
-                             gaussian_smooth, generate_gravmap, gmap_to_json, load_gmap,
-                             save_field_slice_pgm, save_gmap, voxel_center, world_to_voxel)
+                             build_gripper_map, farthest_point_sampling, gaussian_smooth,
+                             generate_gravmap, gmap_to_json, load_gmap, save_field_slice_pgm,
+                             save_gmap, voxel_center, world_to_voxel)
 from gravkit.sim import SceneObject, World, occupancy_grid
 
-from oracles import (cost_bounds_oracle, fps_oracle, fps_rows_oracle, gaussian3d_oracle,
+from oracles import (cost_bounds_oracle, distance_field, fps_oracle, fps_rows_oracle, gaussian3d_oracle,
                      gaussian_smooth_oracle, gravmap_fields_oracle)
+from test_golden import separated_clusters
 
 WS = Workspace()
 SUB = SubGoal(g_pos=[0.5, 0.5, 0.5], g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
@@ -154,6 +155,12 @@ class TestGaussianSmooth:
         assert min(box.shape) ** 2 > gravmap.SMOOTH_ROWS
         box[...] = np.random.default_rng(7).random(box.shape)
         self.assert_same_bytes(field, GravMapParams().sigma_avoid)
+
+    def test_default_size_separated_clusters(self):
+        """At the default 100^3 size and sigma, three clusters far apart
+        leave all-zero lines inside the box in every pass, which the smoother
+        skips."""
+        self.assert_same_bytes(separated_clusters(), GravMapParams().sigma_avoid)
 
     @pytest.mark.parametrize("sigma", [0.0, 2.0])
     def test_all_zero_field(self, sigma):
@@ -354,17 +361,23 @@ def assert_matches_oracle(sub, occ, current, ws, params, mode="infer", seed=None
     return plain.points
 
 
+FULL = (100, 100, 100)
+
+
 @pytest.fixture
 def distance_field_calls(monkeypatch):
-    calls = []
-    real = gravmap.distance_field
+    """The shapes of the distances synthesis forms through its one distance
+    formula; a full-resolution distance field has the shape FULL."""
+    shapes = []
+    real = gravmap._voxel_distance
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(*args):
+        dist = real(*args)
+        shapes.append(dist.shape)
+        return dist
 
-    monkeypatch.setattr(gravmap, "distance_field", counting)
-    return calls
+    monkeypatch.setattr(gravmap, "_voxel_distance", recording)
+    return shapes
 
 
 class TestSampledPointsMatchFields:
@@ -416,11 +429,10 @@ class TestSampledPointsMatchFields:
         occ = empty_occ(100)
         occ[45:56, 45:56, 45:56] = True
         plain = generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
-        assert distance_field_calls == []
         empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
+        assert FULL not in distance_field_calls
         assert plain.points.tobytes() == empty.points.tobytes()
         assert assert_matches_oracle(SUB, occ, 0, WS, GravMapParams()).tobytes() == plain.points.tobytes()
-        assert distance_field_calls == []
 
     @pytest.mark.parametrize("block", [np.s_[80:84, 20:24, 50:54],
                                        np.s_[65, 50, 50]])  # exactly at the cleared radius
@@ -428,7 +440,7 @@ class TestSampledPointsMatchFields:
         occ = empty_occ(100)
         occ[block] = True
         plain = generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")
-        assert distance_field_calls == []
+        assert FULL not in distance_field_calls
         empty = generate_gravmap(SUB, empty_occ(100), 0, WS, GravMapParams(), "infer")
         assert plain.points.tobytes() != empty.points.tobytes()
         assert assert_matches_oracle(SUB, occ, 0, WS, GravMapParams()).tobytes() == plain.points.tobytes()
@@ -449,10 +461,10 @@ class TestSampledPointsMatchFields:
 
     def test_plain_obstacle_map_peak_memory(self):
         """Rasterising one sphere holds the boolean grid and little else, and
-        its plain map the two 100^3 float64 smoothing buffers and little
-        else: a full-size distance, cost or occupancy temporary breaks the
-        bounds. The smoother's O(S^2) arrays (the band, the line indices)
-        have room of 8 (S, S) float64 arrays."""
+        its plain map stays below one 100^3 float64 field: the smoother's
+        buffers span the sphere's box grown by the kernel radius, 65 x 66 x
+        71 voxels here, and any full-size distance, cost, penalty or
+        occupancy temporary breaks the bound."""
         world = World(objects=[SceneObject(center=[0.7, 0.3, 0.6], radius=0.05)])
         occ = occupancy_grid(world, 100, WS)
         generate_gravmap(SUB, occ, 0, WS, GravMapParams(), "infer")   # memoises the lattice
@@ -468,13 +480,14 @@ class TestSampledPointsMatchFields:
                 tracemalloc.stop()
         margin = 64 * 1024   # the sphere's voxel indices, the sampled channels, headers
         assert peaks[0] <= 100**3 + margin
-        assert peaks[1] <= 2 * 8 * 100**3 + 8 * 8 * 100**2 + margin
+        assert peaks[1] < 8 * 100**3
 
     def test_empty_scene_builds_no_field(self, distance_field_calls):
         for mode, seed in (("infer", None), ("train", 4)):
             generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), mode, seed=seed)
+        assert FULL not in distance_field_calls
         generate_gravmap(SUB, empty_occ(100), 1, WS, GravMapParams(), "infer", with_fields=True)
-        assert distance_field_calls == []
+        assert distance_field_calls.count(FULL) == 1
 
     def test_degenerate_single_voxel_map_is_zero_cost(self, caplog):
         params = GravMapParams(map_size=1, downsample=1, num_points=1)
@@ -732,3 +745,11 @@ def test_voxel_center_round_trip():
 def test_integer_params_typed(field, value):
     with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         GravMapParams(**{field: value})
+
+
+def test_map_size_bounded():
+    """map_size is at most 256 voxels per axis, checked before anything is
+    sized from it."""
+    assert GravMapParams(map_size=256).map_size == 256
+    with pytest.raises(ValueError, match=re.escape("map_size must be at most 256, got 257")):
+        GravMapParams(map_size=257, downsample=257, num_points=1)
