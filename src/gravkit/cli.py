@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import sim
-from .demos import EmptyInput, GravkitError, SchemaViolation, SubGoal, TaskKind, load_demos, save_demos
+from .demos import EmptyInput, Fields, GravkitError, SchemaViolation, SubGoal, TaskKind, load_demos, save_demos
 from .gravmap import (GravMapParams, Workspace, generate_gravmap, gmap_to_json,
                       save_field_slice_pgm, save_gmap)
 from .keypose import KeyposeParams, distill_demo
@@ -62,14 +61,14 @@ def _require_seed(seed):
     return seed
 
 
-def _parse_floats(text, n, what):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated values, got {len(parts)}")
-    vals = [float(p) for p in parts]
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"{what} values must be finite, got {text!r}")
-    return vals
+def _parse_floats(text, n, flag):
+    """The n comma-separated numbers of `flag`, read as a vector field of
+    the command line: finite and at most F32_MAX in magnitude, as in files."""
+    try:
+        vals = [float(part) for part in text.split(",")]
+    except ValueError:
+        vals = None   # not numbers: the vector read rejects it, naming the flag
+    return Fields({flag: vals}, "command line").vector(flag, n)
 
 
 def _workspace_from(args) -> Workspace:

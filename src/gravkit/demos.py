@@ -142,63 +142,92 @@ def validate_demo(demo: Demo) -> list[str]:
     return violations
 
 
-def _require(cond, msg, line):
-    if not cond:
-        raise SchemaViolation(msg, line=line)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: int or float, and not a bool (which Python counts as an int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _in_range(value) -> bool:
-    """A JSON number no larger in magnitude than F32_MAX, the range the
-    `.gmap` header holds; squares and products of such numbers stay finite
-    in float64. Compares a huge JSON integer exactly instead of overflowing."""
-    return _is_number(value) and abs(value) <= F32_MAX
+    """A JSON number (int or float, and not a bool, which Python counts as an
+    int) no larger in magnitude than F32_MAX, the range the `.gmap` header
+    holds; squares and products of such numbers stay finite in float64.
+    Compares a huge JSON integer exactly instead of overflowing."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= F32_MAX
 
 
-def _vec(obj, name, size, line):
-    _require(isinstance(obj, (list, tuple)), f"{name} must be an array", line)
-    _require(len(obj) == size, f"{name} must have {size} elements, got {len(obj)}", line)
-    _require(all(_is_number(v) for v in obj), f"{name} must be numeric", line)
-    _require(all(_in_range(v) for v in obj), f"{name} must be finite, of magnitude at most {F32_MAX!r}", line)
-    return np.asarray(obj, dtype=float)
+class Fields:
+    """One JSON object of an input file, read field by field: demo-log
+    records and frames, scene files, and the CLI's comma lists. `path` names
+    the file, `line` the line of a JSON Lines file, and `name` the object's
+    own field path ('' for a whole record). Every error is a SchemaViolation
+    `<path> field '<name>.<key>' <problem>`, prefixed `line N: ` in JSON
+    Lines. Numbers are finite and at most F32_MAX in magnitude (`_in_range`)."""
+
+    def __init__(self, rec, path, line=None, name=""):
+        if not isinstance(rec, dict):
+            raise SchemaViolation(f"{path} field '{name}' must be an object" if name
+                                  else f"{path} record must be an object", line=line)
+        self.rec, self.path, self.line, self.prefix = rec, path, line, f"{name}." if name else ""
+
+    def error(self, key, problem) -> SchemaViolation:
+        return SchemaViolation(f"{self.path} field '{self.prefix}{key}' {problem}", line=self.line)
+
+    def get(self, key):
+        if key not in self.rec:
+            raise self.error(key, "is missing")
+        return self.rec[key]
+
+    def number(self, key) -> float:
+        value = self.get(key)
+        if not _in_range(value):
+            raise self.error(key, f"must be a finite number of magnitude at most {F32_MAX!r}")
+        return float(value)
+
+    def flag(self, key) -> bool:
+        """An optional true/false field, false when absent."""
+        value = self.rec.get(key, False)
+        if not isinstance(value, bool):
+            raise self.error(key, "must be true or false")
+        return value
+
+    def vector(self, key, size) -> np.ndarray:
+        value = self.get(key)
+        if not (isinstance(value, list) and len(value) == size and all(_in_range(v) for v in value)):
+            raise self.error(key, f"must be {size} finite numbers of magnitude at most {F32_MAX!r}")
+        return np.asarray(value, dtype=float)
+
+    def record(self, key) -> Fields:
+        return Fields(self.get(key), self.path, self.line, self.prefix + key)
+
+    def records(self, key) -> list[Fields]:
+        """An array of objects, the i-th read as the record `key[i]`."""
+        items = self.get(key)
+        if not isinstance(items, list):
+            raise self.error(key, "must be an array")
+        return [Fields(item, self.path, self.line, f"{self.prefix}{key}[{i}]") for i, item in enumerate(items)]
 
 
-def _frame_from_record(rec, line):
-    _require(isinstance(rec, dict), "frame must be an object", line)
-    for key in ("t", "pos", "rot6d", "open", "joint_vel", "touch"):
-        _require(key in rec, f"frame missing field '{key}'", line)
-    _require(type(rec["t"]) is int, "t must be an integer", line)   # type(): bool is an int
-    _require(_is_number(rec["open"]) and rec["open"] in (0, 1), "open must be 0 or 1", line)
-    return Frame(
-        t=rec["t"],
-        pose=Pose(_vec(rec["pos"], "pos", 3, line), _vec(rec["rot6d"], "rot6d", 6, line)),
-        open=int(rec["open"]),
-        joint_vel=_vec(rec["joint_vel"], "joint_vel", 3, line),
-        touch=_vec(rec["touch"], "touch", 2, line),
-    )
+def _frame_from_record(fr: Fields) -> Frame:
+    t, open_state = fr.get("t"), fr.get("open")
+    if type(t) is not int:   # type(): bool is an int
+        raise fr.error("t", "must be an integer")
+    if isinstance(open_state, bool) or open_state not in (0, 1):   # 0, 1, 0.0 or 1.0
+        raise fr.error("open", "must be 0 or 1")
+    return Frame(t=t, pose=Pose(fr.vector("pos", 3), fr.vector("rot6d", 6)), open=int(open_state),
+                 joint_vel=fr.vector("joint_vel", 3), touch=fr.vector("touch", 2))
 
 
-def demo_from_record(rec, line=None) -> Demo:
-    _require(isinstance(rec, dict), "record must be an object", line)
-    for key in ("task_kind", "instruction", "frames"):
-        _require(key in rec, f"record missing field '{key}'", line)
+def demo_from_record(rec, path, line=None) -> Demo:
+    """The demo of one record of the log at `path` (at `line`); a field
+    error or a broken invariant raises SchemaViolation naming the file."""
+    fields = Fields(rec, path, line)
     try:
-        kind = TaskKind(rec["task_kind"])
+        kind = TaskKind(fields.get("task_kind"))
     except ValueError:
-        raise SchemaViolation(f"unknown task_kind '{rec['task_kind']}'", line=line) from None
-    _require(isinstance(rec["frames"], list) and rec["frames"], "frames must be a non-empty array", line)
-    demo = Demo(
-        task_kind=kind,
-        instruction=str(rec["instruction"]),
-        frames=[_frame_from_record(fr, line) for fr in rec["frames"]],
-    )
+        raise fields.error("task_kind", f"must be one of {', '.join(k.value for k in TaskKind)}") from None
+    instruction = fields.get("instruction")
+    if not isinstance(instruction, str):
+        raise fields.error("instruction", "must be a string")
+    demo = Demo(task_kind=kind, instruction=instruction,
+                frames=[_frame_from_record(fr) for fr in fields.records("frames")])
     bad = validate_demo(demo)
     if bad:
-        raise SchemaViolation("; ".join(bad), line=line)
+        raise SchemaViolation(f"{path} " + "; ".join(bad), line=line)
     return demo
 
 
@@ -261,11 +290,11 @@ def read_json(path, error, blob: bytes | None = None, lines: bool = False):
 def load_demos(path) -> list[Demo]:
     """Parse a JSONL demo log; every record must pass validate_demo.
 
-    Raises EmptyInput for a log with zero records, SchemaViolation (with the
-    offending line number) for malformed records or bytes that are not
-    UTF-8 or not JSON, IoError for unreadable files.
+    Raises EmptyInput for a log with zero records, SchemaViolation naming
+    the file and line for malformed records or bytes that are not UTF-8 or
+    not JSON, IoError for unreadable files.
     """
-    demos = [demo_from_record(rec, line=lineno)
+    demos = [demo_from_record(rec, path, lineno)
              for lineno, rec in read_json(path, SchemaViolation, lines=True)]
     if not demos:
         raise EmptyInput(f"no demo records in {path}")

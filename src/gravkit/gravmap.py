@@ -138,12 +138,14 @@ class GravMap:
 
 def world_to_voxel(pos, ws: Workspace, map_size: int):
     """Map a world position to voxel indices, clamping out-of-bounds input
-    to the boundary voxel: i = clamp(floor((x - min)/(max - min) * S), 0, S-1)."""
+    to the boundary voxel: i = clamp(floor((x - min)/(max - min) * S), 0, S-1).
+    The clamp runs in float, before the cast, so a coordinate beyond the
+    int64 range clamps to the right side."""
     pos = np.asarray(pos, dtype=float)
     lo = np.asarray(ws.min)
     frac = (pos - lo) / ws.extent
-    idx = np.floor(frac * map_size).astype(int)
-    return tuple(int(v) for v in np.clip(idx, 0, map_size - 1))
+    idx = np.clip(np.floor(frac * map_size), 0, map_size - 1).astype(int)
+    return tuple(int(v) for v in idx)
 
 
 def voxel_center(idx, ws: Workspace, map_size: int):

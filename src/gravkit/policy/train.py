@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..demos import Demo, GravkitError, SubGoal
+from ..demos import Demo, EmptyInput, GravkitError, SubGoal
 from ..diffusion import add_noise
 from ..gravmap import _sample_lattice, assemble_points, empty_scene_channels
 from ..keypose import distill_demo
@@ -87,8 +87,9 @@ def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
         keyposes, _, assignment = distill_demo(demo)
         src_keys = ([0] if keyposes[0] != 0 else []) + keyposes[:-1]
         tgt_keys = keyposes if keyposes[0] != 0 else keyposes[1:]
-        prev = src_keys[0]
-        for pi, (src, tgt) in enumerate(zip(src_keys, tgt_keys)):
+        # each pair's previous keypose is the source before it; the first pair's is its own source
+        prevs = src_keys[:1] + src_keys[:-1]
+        for pi, (prev, src, tgt) in enumerate(zip(prevs, src_keys, tgt_keys)):
             src_fr, tgt_fr = demo.frames[src], demo.frames[tgt]
             sub = assignment[tgt]
             for v in range(MAP_VARIANTS):
@@ -100,9 +101,8 @@ def build_transitions(demos, policy: ToyPolicy, config: TrainConfig):
             targets.append(np.concatenate([normalize_pos(tgt_fr.pose.pos, ws),
                                            tgt_fr.pose.rot6d, [tgt_fr.open]]))
             aux.append(np.concatenate([normalize_pos(sub.g_pos, ws), [sub.g_open]]))
-            prev = src
     if not proprio:
-        raise GravkitError("no training transitions distilled from demos")
+        raise EmptyInput("no training transitions distilled from demos")
     maps = np.empty((len(proprio), MAP_VARIANTS, gp.num_points, 2))
     empty_scene_channels(subgoals, current, ws, gp, "train", seeds,
                          out=maps.reshape(-1, gp.num_points, 2))

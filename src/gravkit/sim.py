@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demos import (F32_MAX, Demo, Frame, Pose, SchemaViolation, SubGoal, TaskKind, _in_range, _vec,
-                    read_json)
+from .demos import Demo, Fields, Frame, Pose, SchemaViolation, SubGoal, TaskKind, read_json
 from .gravmap import Workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
@@ -380,48 +379,20 @@ def save_scene(world: World, path):
         fh.write("\n")
 
 
-def _scene_field(rec, key: str, where: str = ""):
-    """rec[key] of a scene record; SchemaViolation names the field when it
-    is missing."""
-    if not isinstance(rec, dict) or key not in rec:
-        raise SchemaViolation(f"scene missing field '{where}{key}'")
-    return rec[key]
-
-
-def _scene_number(rec, key: str, where: str) -> float:
-    value = _scene_field(rec, key, where)
-    if not _in_range(value):
-        raise SchemaViolation(f"scene field '{where}{key}' must be a finite number "
-                              f"of magnitude at most {F32_MAX!r}")
-    return float(value)
-
-
-def _scene_flag(rec, key: str, where: str) -> bool:
-    """An optional true/false field of a scene record, false when absent."""
-    value = rec.get(key, False)
-    if not isinstance(value, bool):
-        raise SchemaViolation(f"scene field '{where}{key}' must be true or false")
-    return value
-
-
-def _scene_xyz(rec, key: str, where: str) -> np.ndarray:
-    return _vec(_scene_field(rec, key, where), f"scene field '{where}{key}'", 3, None)
-
-
 def load_scene(path) -> World:
-    """Read a scene file; a missing or mistyped field raises SchemaViolation
-    naming it, and so do bytes that are not UTF-8 JSON, naming the file. An
-    unreadable file raises IoError."""
-    rec = read_json(path, SchemaViolation)
-    ws, goal = _scene_field(rec, "workspace"), _scene_field(rec, "goal")
-    objects = _scene_field(rec, "objects")
-    if not isinstance(objects, list):
-        raise SchemaViolation("scene field 'objects' must be an array")
-    objs = [SceneObject(center=_scene_xyz(o, "center", f"objects[{i}]."),
-                        radius=_scene_number(o, "radius", f"objects[{i}]."),
-                        graspable=_scene_flag(o, "graspable", f"objects[{i}]."))
-            for i, o in enumerate(objects)]
-    return World(workspace=Workspace(tuple(_scene_xyz(ws, "min", "workspace.")),
-                                     tuple(_scene_xyz(ws, "max", "workspace."))),
-                 objects=objs, goal_center=_scene_xyz(goal, "center", "goal."),
-                 goal_tol=_scene_number(goal, "tol", "goal."))
+    """Read a scene file; a missing, mistyped or out-of-range field raises
+    SchemaViolation naming the file and the field, and so do bytes that are
+    not UTF-8 JSON. An unreadable file raises IoError."""
+    rec = Fields(read_json(path, SchemaViolation), path)
+    ws, goal, objs = rec.record("workspace"), rec.record("goal"), []
+    for obj in rec.records("objects"):
+        radius = obj.number("radius")
+        if radius <= 0:
+            raise obj.error("radius", "must be positive")
+        objs.append(SceneObject(center=obj.vector("center", 3), radius=radius,
+                                graspable=obj.flag("graspable")))
+    lo, hi = ws.vector("min", 3), ws.vector("max", 3)
+    if not (lo < hi).all():
+        raise rec.error("workspace", "min must be strictly below max on every axis")
+    return World(workspace=Workspace(tuple(lo), tuple(hi)), objects=objs,
+                 goal_center=goal.vector("center", 3), goal_tol=goal.number("tol"))

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from gravkit.cli import _gravmap_params_from, _keypose_params_from, build_parser
+from gravkit.demos import Demo, TaskKind, save_demos
 from gravkit.gravmap import GravMapParams
 from gravkit.keypose import KeyposeParams
 from gravkit.policy import TrainConfig
+from gravkit.sim import scripted_expert
 
 RUN = [sys.executable, "-m", "gravkit.cli"]
 
@@ -165,7 +167,7 @@ class TestDistill:
         bad.write_text(json.dumps(rec) + "\n")
         res = run_cli("distill", "--demos", str(bad), "--out", str(out))
         assert res.returncode == 1
-        assert res.stderr.startswith(f"gravkit: line 1: {field} must be")
+        assert res.stderr.startswith(f"gravkit: line 1: {bad} field 'frames[2].{field}' must be")
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
@@ -180,7 +182,9 @@ class TestDistill:
         bad.write_text(json.dumps(rec) + "\n")
         res = run_cli("distill", "--demos", str(bad), "--out", str(out))
         assert res.returncode == 1
-        assert res.stderr == f"gravkit: line 1: {field} must be finite, of magnitude at most 3.4028234663852886e+38\n"
+        size = len(rec["frames"][2][field])
+        assert res.stderr == (f"gravkit: line 1: {bad} field 'frames[2].{field}' must be {size} finite numbers "
+                              "of magnitude at most 3.4028234663852886e+38\n")
         assert not out.exists()
 
     def test_idempotent(self, demo_file, tmp_path):
@@ -208,10 +212,22 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_malformed_subgoal_exit_1(self, tmp_path):
-        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5", "--out", str(tmp_path / "m.gmap"))
-        assert res.returncode == 1
+        for value in ("0.5,0.5,0.5", "0.5,0.5,x,1"):
+            res = run_cli("synth", "--subgoal", value, "--out", str(tmp_path / "m.gmap"))
+            assert res.returncode == 1
+            assert res.stderr.startswith("gravkit: command line field '--subgoal' must be 4 finite numbers")
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,2", "--out", str(tmp_path / "m.gmap"))
         assert res.returncode == 1
+
+    def test_huge_subgoal_clamps_to_boundary_voxel(self, tmp_path):
+        """A sub-goal far beyond the workspace, and beyond the int64 range in
+        voxels, maps as the boundary one does, with no cast warning."""
+        outs = [tmp_path / "huge.gmap", tmp_path / "edge.gmap"]
+        for value, out in zip(("1e17,0.5,0.5,1", "1,0.5,0.5,1"), outs):
+            res = subprocess.run([sys.executable, "-W", "error", *RUN[1:], "synth", "--subgoal", value,
+                                  "--out", str(out)], capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_train_mode_without_seed_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--mode", "train",
@@ -298,7 +314,7 @@ class TestSynth:
         scene_file.write_text(json.dumps(scene))
         res = run_cli("synth", "--subgoal", "0.2,0.2,0.2,1", "--scene", str(scene_file), "--out", str(out))
         assert res.returncode == 1
-        assert res.stderr.startswith(f"gravkit: scene field '{field}' must be ")
+        assert res.stderr.startswith(f"gravkit: {scene_file} field '{field}' must be ")
         assert res.stderr.count("\n") == 1 and "magnitude at most 3.4028234663852886e+38" in res.stderr
         assert not out.exists()
 
@@ -307,9 +323,9 @@ class TestSynth:
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--workspace=-1e308,0,0,1e308,1,1",
                       "--out", str(out))
         assert res.returncode == 1
-        assert res.stderr.startswith("gravkit: bounds min (-1e+308, 0.0, 0.0) max (1e+308, 1.0, 1.0) "
-                                     "must be finite, of magnitude at most")
-        assert res.stderr.count("\n") == 1 and not out.exists()
+        assert res.stderr == ("gravkit: command line field '--workspace' must be 6 finite numbers "
+                              "of magnitude at most 3.4028234663852886e+38\n")
+        assert not out.exists()
 
     def test_degenerate_workspace_exit_1(self, tmp_path):
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--workspace", "0,0,0,1,1,0",
@@ -328,13 +344,19 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [("--subgoal", "nan,0.5,0.5,1"),
                                              ("--subgoal", "inf,0,0,0"),
-                                             ("--workspace", "0,0,0,inf,1,1")])
+                                             ("--workspace", "0,0,0,inf,1,1"),
+                                             ("--subgoal", "1e300,0.5,0.5,1"),
+                                             ("--workspace", "0,0,0,1,1,-3.5e38")])
     def test_non_finite_float_flag_exit_1(self, tmp_path, flag, value):
+        """The comma lists follow the number rule of input files: finite and
+        at most F32_MAX in magnitude, named as a field of the command line."""
         args = {"--subgoal": "0.5,0.5,0.5,1", flag: value}
         out = tmp_path / "m.gmap"
         res = run_cli("synth", *(a for item in args.items() for a in item), "--out", str(out))
         assert res.returncode == 1
-        assert res.stderr == f"gravkit: {flag} values must be finite, got '{value}'\n"
+        size = 4 if flag == "--subgoal" else 6
+        assert res.stderr == (f"gravkit: command line field '{flag}' must be {size} finite numbers "
+                              "of magnitude at most 3.4028234663852886e+38\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, with_scene", [("--sigma-avoid", "nan", False),
@@ -423,6 +445,22 @@ class TestTrainEval:
         assert named in res.stderr
         assert res.stdout == ""
         assert not model.exists()
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 4])
+    def test_short_demos(self, tmp_path, n_frames):
+        """A one-frame demo distills to no transition: a log of only such
+        demos is invalid input with one `gravkit:` line, not a traceback."""
+        demo = scripted_expert(TaskKind.TOUCH_ONLY, 0)
+        demos = tmp_path / "d.jsonl"
+        save_demos([Demo(demo.task_kind, demo.instruction, demo.frames[:n_frames])] * 2, demos)
+        res = run_cli("train-eval", "--demos", str(demos), "--iters", "5", "--seed", "9",
+                      "--episodes", "1")
+        if n_frames == 1:
+            assert (res.returncode, res.stdout) == (1, "")
+            assert res.stderr == "gravkit: no training transitions distilled from demos\n"
+        else:
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout)["episodes"] == 1
 
     def test_diverging_training_exit_2(self, tiny_demos, tmp_path):
         res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "5",

@@ -4,11 +4,11 @@ Valid `distill` demo logs and `synth --scene` files are mutated (a JSON
 field deleted, retyped, made non-finite or out of f32 range, or replaced by
 arrays nested 10^5 deep, the file truncated or one byte flipped) and handed
 to `cli.main`. Whatever the input, a run must end with a documented exit
-code, write exactly one `gravkit:` line to stderr when it fails, raise no
-traceback and no numpy warning, and write only finite numbers when it
-succeeds. The fixture checkpoint's manifest gets the same mutations, plus
-negative and huge numbers, through `load_policy`, which no CLI command
-calls yet.
+code, write exactly one `gravkit:` line to stderr when it fails, naming the
+input file when the input is invalid (exit 1), raise no traceback and no
+numpy warning, and write only finite numbers when it succeeds. The fixture
+checkpoint's manifest gets the same mutations, plus negative and huge
+numbers, through `load_policy`, which no CLI command calls yet.
 """
 import contextlib
 import copy
@@ -185,7 +185,9 @@ def test_mutated_demo_log(workdir, blob):
     demos, out = workdir / "demos.jsonl", workdir / "subgoals.jsonl"
     demos.write_bytes(blob)
     out.unlink(missing_ok=True)
-    code, _ = run_main(["distill", "--demos", str(demos), "--out", str(out)])
+    code, stderr = run_main(["distill", "--demos", str(demos), "--out", str(out)])
+    if code == 1:
+        assert str(demos) in stderr
     if code == 0:
         assert_finite_json(out.read_text(encoding="utf-8"))
 
@@ -198,8 +200,10 @@ def test_mutated_scene_file(workdir, blob):
     scene.write_bytes(blob)
     for path in (out, mirror):
         path.unlink(missing_ok=True)
-    code, _ = run_main(["synth", "--subgoal", "0.2,0.2,0.2,1", "--scene", str(scene),
-                        "--out", str(out), "--json", str(mirror)])
+    code, stderr = run_main(["synth", "--subgoal", "0.2,0.2,0.2,1", "--scene", str(scene),
+                             "--out", str(out), "--json", str(mirror)])
+    if code == 1:
+        assert str(scene) in stderr
     if code == 0:
         assert len(load_gmap(out)) == 1024   # load_gmap rejects non-finite rows and bounds
         assert_finite_json(mirror.read_text(encoding="utf-8"))

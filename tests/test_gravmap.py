@@ -54,6 +54,12 @@ class TestWorldToVoxel:
     def test_out_of_bounds_clamped(self):
         assert world_to_voxel((-3.0, 0.5, 7.0), WS, 100) == (0, 50, 99)
 
+    @pytest.mark.parametrize("x, expected", [(1e16, 99), (1e17, 99), (1e300, 99), (-1e300, 0)])
+    def test_huge_coordinate_clamps_to_its_side(self, x, expected):
+        """Beyond the int64 range a coordinate still clamps to the boundary
+        voxel on its own side; a RuntimeWarning from the cast fails the test."""
+        assert world_to_voxel((x, 0.5, 0.5), WS, 100) == (expected, 50, 50)
+
     def test_degenerate_workspace(self):
         with pytest.raises(DegenerateWorkspace):
             Workspace((0, 0, 0), (1, 0, 1))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gravkit.demos import CorruptFile, TaskKind
+from gravkit.demos import CorruptFile, Demo, TaskKind
 from gravkit.gravmap import _sample_lattice, assemble_points
 from gravkit.policy.model import CONFIG
 from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, compute_gradients,
@@ -307,6 +307,19 @@ class TestTraining:
         from gravkit.policy import evaluate, run_episode
         assert inspect.signature(evaluate).parameters["max_steps"].default == 25
         assert inspect.signature(run_episode).parameters["max_steps"].default == 25
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 4])
+    def test_short_demo_keeps_other_transitions(self, policy, demo_set, n_frames):
+        """A demo of a few frames adds only its own transitions (a one-frame
+        demo distills to none) and leaves every other demo's rows as they
+        were, bit for bit."""
+        cfg = TrainConfig(iters=10, seed=0, pool_size=8)
+        short = Demo(demo_set[0].task_kind, demo_set[0].instruction, demo_set[0].frames[:n_frames])
+        base = build_transitions(demo_set, policy, cfg)
+        extended = build_transitions(demo_set + [short], policy, cfg)
+        for a, b in zip(base, extended):
+            assert len(b) == len(a) + (n_frames > 1)
+            assert b[:len(a)].tobytes() == a.tobytes()
 
     def test_transitions_per_demo_structure(self, policy):
         demo = scripted_expert(TaskKind.TOUCH_ONLY, 0)

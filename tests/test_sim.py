@@ -315,13 +315,13 @@ class TestSceneIo:
         rec = json.loads(path.read_text())
         mutate(rec)
         path.write_text(json.dumps(rec))      # written as the NaN / Infinity literals
-        with pytest.raises(SchemaViolation, match=rf"'{re.escape(field)}' must be (a )?finite"):
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(f'{path} field {field!r}')} must be (a|3) finite"):
             load_scene(path)
 
     @pytest.mark.parametrize("mutate, named", [
         (lambda rec: rec["objects"][0].update(radius=True), "'objects[0].radius' must be a finite number"),
         (lambda rec: rec["goal"].update(tol=False), "'goal.tol' must be a finite number"),
-        (lambda rec: rec["goal"].update(center=[True, 0.5, 0.5]), "'goal.center' must be numeric"),
+        (lambda rec: rec["goal"].update(center=[True, 0.5, 0.5]), "'goal.center' must be 3 finite numbers"),
         (lambda rec: rec["objects"][0].update(graspable="false"), "'objects[0].graspable' must be true or false"),
         (lambda rec: rec["objects"][0].update(graspable=0), "'objects[0].graspable' must be true or false"),
     ], ids=["radius-true", "tol-false", "center-true", "graspable-string", "graspable-zero"])
@@ -331,7 +331,35 @@ class TestSceneIo:
         rec = json.loads(path.read_text())
         mutate(rec)
         path.write_text(json.dumps(rec))
-        with pytest.raises(SchemaViolation, match=re.escape(named)):
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(f'{path} field {named}')}"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda rec: rec["objects"][0].update(radius=-0.1), "field 'objects[0].radius' must be positive"),
+        (lambda rec: rec["objects"][0].update(radius=0), "field 'objects[0].radius' must be positive"),
+        (lambda rec: rec["workspace"]["max"].__setitem__(0, 0.0),
+         "field 'workspace' min must be strictly below max on every axis"),
+        (lambda rec: rec["goal"].pop("tol"), "field 'goal.tol' is missing"),
+        (lambda rec: rec.update(objects={}), "field 'objects' must be an array"),
+        (lambda rec: rec["objects"].append(3), "field 'objects[1]' must be an object"),
+    ], ids=["radius-negative", "radius-zero", "workspace-flat", "tol-missing", "objects-object",
+            "object-number"])
+    def test_field_error_names_file_and_field(self, tmp_path, mutate, named):
+        """Range failures the constructors would raise unnamed are reported
+        under the field's name, as type and presence errors are."""
+        path = tmp_path / "scene.json"
+        save_scene(simple_world(), path)
+        rec = json.loads(path.read_text())
+        mutate(rec)
+        path.write_text(json.dumps(rec))
+        with pytest.raises(SchemaViolation) as exc:
+            load_scene(path)
+        assert str(exc.value) == f"{path} {named}"
+
+    def test_non_object_scene_names_file(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))} record must be an object$"):
             load_scene(path)
 
     @pytest.mark.parametrize("blob, named", [
