@@ -8,16 +8,15 @@ a fallback seed for stochastic commands.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 
-import numpy as np
-
 from . import sim
 from .demos import EmptyInput, Fields, GravkitError, SchemaViolation, SubGoal, TaskKind, load_demos, save_demos
-from .gravmap import (GravMapParams, Workspace, generate_gravmap, gmap_to_json,
+from .gravmap import (GravMapParams, generate_gravmap, gmap_to_json, read_workspace,
                       save_field_slice_pgm, save_gmap)
 from .keypose import KeyposeParams, distill_demo
 from .policy import TrainConfig, evaluate, save_policy, train
@@ -27,6 +26,11 @@ EXIT_INVALID = 1
 EXIT_RUNTIME = 2
 
 LONG_HORIZON = "long_horizon"
+
+# upper bounds of the count flags that the parameter dataclasses do not own
+MAX_DEMOS = 10_000      # gen-demos --n
+MAX_EPISODES = 10_000   # train-eval --episodes
+MAX_STEPS = 1_000       # train-eval --max-steps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,58 +65,41 @@ def _require_seed(seed):
     return seed
 
 
-def _parse_floats(text, n, flag):
-    """The n comma-separated numbers of `flag`, read as a vector field of
-    the command line: finite and at most F32_MAX in magnitude, as in files."""
+def _command_line(flag, text) -> Fields:
+    """The comma list `text` of `flag` as a field of the command line, read
+    by the number rules of input files: finite and at most F32_MAX in
+    magnitude."""
     try:
         vals = [float(part) for part in text.split(",")]
     except ValueError:
         vals = None   # not numbers: the vector read rejects it, naming the flag
-    return Fields({flag: vals}, "command line").vector(flag, n)
+    return Fields({flag: vals}, "command line")
 
 
-def _workspace_from(args) -> Workspace:
-    if getattr(args, "workspace", None):
-        vals = _parse_floats(args.workspace, 6, "--workspace")
-        return Workspace(tuple(vals[:3]), tuple(vals[3:]))
-    return Workspace()
+def _check_count(flag, value, limit):
+    if value <= 0:
+        raise ValueError(f"{flag} must be positive, got {value}")
+    if value > limit:
+        raise ValueError(f"{flag} must be at most {limit}, got {value}")
 
 
-def _gravmap_params_from(args) -> GravMapParams:
-    return GravMapParams(
-        map_size=args.map_size, offset_range=args.offset_range,
-        gripper_radius=args.gripper_radius, downsample=args.downsample_stride,
-        num_points=args.num_points, sigma_avoid=args.sigma_avoid,
-        avoid_clear_frac=args.avoid_clear_frac, closed_value=args.closed_value,
-    )
+FLAG_NAMES = {"downsample": "--downsample-stride"}   # every other flag is --field-name
 
 
-def _add_gravmap_flags(p):
-    d = GravMapParams()
-    p.add_argument("--map-size", type=int, default=d.map_size)
-    p.add_argument("--offset-range", type=int, default=d.offset_range)
-    p.add_argument("--gripper-radius", type=float, default=d.gripper_radius)
-    p.add_argument("--downsample-stride", type=int, default=d.downsample)
-    p.add_argument("--num-points", type=int, default=d.num_points)
-    p.add_argument("--sigma-avoid", type=float, default=d.sigma_avoid)
-    p.add_argument("--avoid-clear-frac", type=float, default=d.avoid_clear_frac)
-    p.add_argument("--closed-value", type=float, default=d.closed_value, choices=[0.0, -1.0])
-    p.add_argument("--workspace", help="x0,y0,z0,x1,y1,z1 bounds in meters")
+def param_flags(cls) -> dict:
+    """{flag: field} of the parameter dataclass `cls`, in field order."""
+    return {FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")): f for f in dataclasses.fields(cls)}
 
 
-def _keypose_params_from(args) -> KeyposeParams:
-    return KeyposeParams(eps_vel=args.eps_vel, stop_buffer=args.stop_buffer,
-                         touch_threshold=args.touch_threshold, delta=args.delta,
-                         gripper_threshold=args.gripper_threshold)
+def _add_param_flags(p, cls):
+    """One flag per field of `cls`, typed and defaulted by the field's default."""
+    for flag, f in param_flags(cls).items():
+        p.add_argument(flag, dest=f.name, metavar=flag[2:].replace("-", "_").upper(),
+                       type=type(f.default), default=f.default)
 
 
-def _add_keypose_flags(p):
-    d = KeyposeParams()
-    p.add_argument("--eps-vel", type=float, default=d.eps_vel)
-    p.add_argument("--stop-buffer", type=int, default=d.stop_buffer)
-    p.add_argument("--touch-threshold", type=int, default=d.touch_threshold)
-    p.add_argument("--delta", type=float, default=d.delta)
-    p.add_argument("--gripper-threshold", type=int, default=d.gripper_threshold)
+def _params_from(args, cls):
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +107,12 @@ def _add_keypose_flags(p):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_demos(args) -> int:
-    if args.n <= 0:
-        raise ValueError(f"--n must be positive, got {args.n}")
+    _check_count("--n", args.n, MAX_DEMOS)
     seed = _require_seed(args.seed)
-    demos = []
-    for i in range(args.n):
-        if args.task == LONG_HORIZON:
-            demos.append(sim.scripted_long_demo([seed, i]))
-        else:
-            demos.append(sim.scripted_expert(TaskKind(args.task), [seed, i]))
+    if args.task == LONG_HORIZON:
+        demos = [sim.scripted_long_demo([seed, i]) for i in range(args.n)]
+    else:
+        demos = [sim.scripted_expert(TaskKind(args.task), [seed, i]) for i in range(args.n)]
     save_demos(demos, args.out)
     print(f"wrote {len(demos)} demos to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -136,7 +120,7 @@ def cmd_gen_demos(args) -> int:
 
 def cmd_distill(args) -> int:
     demos = load_demos(args.demos)
-    params = _keypose_params_from(args)
+    params = _params_from(args, KeyposeParams)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, demo in enumerate(demos):
             keyposes, subgoals, assignment = distill_demo(demo, params)
@@ -158,10 +142,10 @@ def cmd_distill(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = _require_seed(args.seed) if args.mode == "train" else _fallback_seed(args.seed)
-    vals = _parse_floats(args.subgoal, 4, "--subgoal")
+    vals = _command_line("--subgoal", args.subgoal).vector("--subgoal", 4)
     if vals[3] not in (0.0, 1.0):
         raise ValueError("--subgoal openness must be 0 or 1")
-    params = _gravmap_params_from(args)
+    params = _params_from(args, GravMapParams)
     if args.pgm:
         if not args.slice:
             raise ValueError("--pgm needs --slice AXIS=INDEX")
@@ -171,13 +155,13 @@ def cmd_synth(args) -> int:
         axis, index = "xyz".index(axis_name), int(idx)
         if not 0 <= index < params.map_size:
             raise ValueError(f"slice index {index} outside 0..{params.map_size - 1}")
-    if args.scene:
-        world = sim.load_scene(args.scene)
-        ws = world.workspace if not args.workspace else _workspace_from(args)
-        occ = sim.occupancy_grid(world, params.map_size, ws)
-    else:
-        ws = _workspace_from(args)
-        occ = np.zeros((params.map_size,) * 3, dtype=bool)
+    world = sim.load_scene(args.scene) if args.scene else sim.World()
+    ws = world.workspace
+    if args.workspace:
+        line = _command_line("--workspace", args.workspace)
+        bounds = line.vector("--workspace", 6)
+        ws = read_workspace(line, "--workspace", bounds[:3], bounds[3:])
+    occ = sim.occupancy_grid(world, params.map_size, ws)
     sub = SubGoal(g_pos=vals[:3], g_open=int(vals[3]), g_rot=sim.IDENTITY_ROT6D.copy())
     # full-resolution fields only for the --pgm slice; the map bytes are the same
     result = generate_gravmap(sub, occ, current_open=args.current_open, ws=ws,
@@ -196,31 +180,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_eval(args) -> int:
-    if args.episodes <= 0:
-        raise ValueError("--episodes must be positive")
-    if args.max_steps <= 0:
-        raise ValueError("--max-steps must be positive")
+    _check_count("--episodes", args.episodes, MAX_EPISODES)
+    _check_count("--max-steps", args.max_steps, MAX_STEPS)
     if args.eval_seed is not None and args.eval_seed < 0:
         raise ValueError("--eval-seed must be non-negative")
-    seed = _require_seed(args.seed)
+    config = TrainConfig(iters=args.iters, seed=_require_seed(args.seed), lr=args.lr, batch=args.batch)
     demos = load_demos(args.demos)
-    config = TrainConfig(iters=args.iters, seed=seed, lr=args.lr, batch=args.batch)
-    policy, _ = train(config, demos)
+    try:
+        policy, _ = train(config, demos)
+    except EmptyInput as exc:   # the demos held no transition; only the CLI knows their file
+        raise EmptyInput(f"{exc} in {args.demos}") from None
     if args.out_model:
         save_policy(policy, args.out_model)
         print(f"checkpoint written to {args.out_model}", file=sys.stderr)
     task = TaskKind(args.task)
-    eval_seed = args.eval_seed if args.eval_seed is not None else seed
-    rates = {
-        "guided": evaluate(policy, task, args.episodes, eval_seed, guided=True,
-                           shifted=args.shifted, max_steps=args.max_steps),
-        "unguided": evaluate(policy, task, args.episodes, eval_seed, guided=False,
-                             shifted=args.shifted, max_steps=args.max_steps),
-        "episodes": args.episodes,
-        "task": task.value,
-        "shifted": bool(args.shifted),
-        "final_loss": policy.meta["final_loss"],
-    }
+    eval_seed = args.eval_seed if args.eval_seed is not None else config.seed
+    rates = {mode: evaluate(policy, task, args.episodes, eval_seed, guided=mode == "guided",
+                            shifted=args.shifted, max_steps=args.max_steps)
+             for mode in ("guided", "unguided")}
+    rates.update(episodes=args.episodes, task=task.value, shifted=bool(args.shifted),
+                 final_loss=policy.meta["final_loss"])
     print(json.dumps(rates, separators=(",", ":")))
     return EXIT_OK
 
@@ -239,7 +218,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("distill", help="extract keyposes, sub-goal keyposes and goal assignments")
     p.add_argument("--demos", required=True)
     p.add_argument("--out", required=True)
-    _add_keypose_flags(p)
+    _add_param_flags(p, KeyposeParams)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("synth", help="synthesize a value map for one sub-goal")
@@ -252,7 +231,8 @@ def build_parser() -> _Parser:
     p.add_argument("--json", help="also write a JSON mirror of the map")
     p.add_argument("--slice", help="AXIS=INDEX pre-downsampling cost slice")
     p.add_argument("--pgm", help="PGM path for the --slice export")
-    _add_gravmap_flags(p)
+    _add_param_flags(p, GravMapParams)
+    p.add_argument("--workspace", help="x0,y0,z0,x1,y1,z1 bounds in meters")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-eval", help="train a policy, checkpoint it, evaluate guided and unguided")

@@ -110,35 +110,38 @@ def rot6d_is_degenerate(rot6d, tol=ROT6D_PARALLEL_TOL):
 
 
 def validate_demo(demo: Demo) -> list[str]:
-    """Return every violated invariant, each tagged with its frame index.
+    """Return every violated invariant, each worded as a field of the demo's
+    record: `field 'frames[2].t' <problem>`.
 
     An empty list means the demo is well formed. Violations are returned,
     not raised, so callers can report all of them at once.
     """
-    violations = []
     if len(demo.frames) == 0:
-        return ["demo has no frames"]
+        return ["field 'frames' must hold at least one frame"]
+    violations = []
     prev_t = None
     for i, fr in enumerate(demo.frames):
+        found = []   # (key, problem) pairs of this frame
         if prev_t is not None and fr.t <= prev_t:
-            violations.append(f"frame {i}: time order (t={fr.t} after t={prev_t})")
+            found.append(("t", f"must be above the previous frame's {prev_t}, got {fr.t}"))
         prev_t = fr.t
         if fr.t < 0:
-            violations.append(f"frame {i}: negative frame index")
+            found.append(("t", f"must be non-negative, got {fr.t}"))
         if fr.open not in (0, 1):
-            violations.append(f"frame {i}: open not in {{0,1}}")
+            found.append(("open", "must be 0 or 1"))
         if not np.all(np.isfinite(fr.pose.pos)):
-            violations.append(f"frame {i}: non-finite position")
+            found.append(("pos", "must be finite"))
         if not np.all(np.isfinite(fr.pose.rot6d)):
-            violations.append(f"frame {i}: non-finite rot6d")
+            found.append(("rot6d", "must be finite"))
         elif rot6d_is_degenerate(fr.pose.rot6d):
-            violations.append(f"frame {i}: degenerate rot6d (parallel columns)")
+            found.append(("rot6d", "must not have parallel columns"))
         if not np.all(np.isfinite(fr.joint_vel)):
-            violations.append(f"frame {i}: non-finite joint velocity")
+            found.append(("joint_vel", "must be finite"))
         if not np.all(np.isfinite(fr.touch)):
-            violations.append(f"frame {i}: non-finite touch")
+            found.append(("touch", "must be finite"))
         elif np.any(fr.touch < 0):
-            violations.append(f"frame {i}: negative touch force")
+            found.append(("touch", "must be non-negative"))
+        violations += [f"field 'frames[{i}].{key}' {problem}" for key, problem in found]
     return violations
 
 

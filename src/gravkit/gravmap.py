@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demos import F32_MAX, CorruptFile, GravkitError, SubGoal
+from .demos import F32_MAX, CorruptFile, Fields, GravkitError, SubGoal
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,14 @@ class Workspace:
         return np.asarray(self.max) - np.asarray(self.min)
 
 
+def read_workspace(fields: Fields, key: str, lo, hi) -> Workspace:
+    """The workspace with bounds lo, hi read from field `key` of an input
+    file or the command line; bounds not strictly ordered are its error."""
+    if not (np.asarray(lo) < np.asarray(hi)).all():
+        raise fields.error(key, "min must be strictly below max on every axis")
+    return Workspace(tuple(lo), tuple(hi))
+
+
 @dataclass(frozen=True)
 class GravMapParams:
     map_size: int = 100          # voxels per axis, at most 256
@@ -92,9 +100,11 @@ class GravMapParams:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("gripper_radius", "sigma_avoid", "avoid_clear_frac", "closed_value"):
+        for name in ("gripper_radius", "sigma_avoid", "avoid_clear_frac"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.closed_value not in (0.0, -1.0):
+            raise ValueError(f"closed_value must be 0 or -1, got {self.closed_value}")
         if self.map_size <= 0 or self.downsample <= 0 or self.num_points <= 0:
             raise ValueError("map_size, downsample and num_points must be positive")
         # which bounds downsample and num_points too: a 256^3 grid is 16 MB of

@@ -37,6 +37,8 @@ CONTRAST_N = 8            # anchor map + (n-1) generated negatives
 TEMPERATURE = 0.1         # contrastive softmax temperature
 MAP_VARIANTS = 2          # pre-jittered maps per transition
 FEATURE_NOISE = 0.03      # std of conditioning jitter during training
+MAX_ITERS = 1_000_000     # an 8 MB loss curve
+MAX_BATCH = 1024          # about 0.2 MB of encoder buffers per batch row
 
 
 class TrainingDiverged(GravkitError):
@@ -57,6 +59,9 @@ class TrainConfig:
         for name in ("iters", "batch", "lr"):
             if not getattr(self, name) > 0:   # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, limit in (("iters", MAX_ITERS), ("batch", MAX_BATCH)):
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} must be at most {limit}, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.pool_size < CONTRAST_N - 1:

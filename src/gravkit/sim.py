@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import Demo, Fields, Frame, Pose, SchemaViolation, SubGoal, TaskKind, read_json
-from .gravmap import Workspace, voxel_center
+from .gravmap import Workspace, read_workspace, voxel_center
 
 MAX_SPEED = 0.05       # m per frame
 CONTACT_RADIUS = 0.02  # m; force ramps up inside this shell
@@ -391,8 +391,6 @@ def load_scene(path) -> World:
             raise obj.error("radius", "must be positive")
         objs.append(SceneObject(center=obj.vector("center", 3), radius=radius,
                                 graspable=obj.flag("graspable")))
-    lo, hi = ws.vector("min", 3), ws.vector("max", 3)
-    if not (lo < hi).all():
-        raise rec.error("workspace", "min must be strictly below max on every axis")
-    return World(workspace=Workspace(tuple(lo), tuple(hi)), objects=objs,
+    workspace = read_workspace(rec, "workspace", ws.vector("min", 3), ws.vector("max", 3))
+    return World(workspace=workspace, objects=objs,
                  goal_center=goal.vector("center", 3), goal_tol=goal.number("tol"))

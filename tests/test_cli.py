@@ -1,4 +1,6 @@
+import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -9,13 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravkit.cli import _gravmap_params_from, _keypose_params_from, build_parser
+from gravkit import cli
+from gravkit.cli import MAX_DEMOS, MAX_EPISODES, MAX_STEPS, _params_from, build_parser, param_flags
 from gravkit.demos import Demo, TaskKind, save_demos
 from gravkit.gravmap import GravMapParams
 from gravkit.keypose import KeyposeParams
 from gravkit.policy import TrainConfig
+from gravkit.policy.train import MAX_BATCH, MAX_ITERS
 from gravkit.sim import scripted_expert
 
+train_mod = importlib.import_module("gravkit.policy.train")   # gravkit.policy.train is the function
 RUN = [sys.executable, "-m", "gravkit.cli"]
 
 
@@ -33,12 +38,21 @@ def demo_file(tmp_path_factory):
 
 
 def test_flag_defaults_are_the_dataclass_defaults():
-    parse = build_parser().parse_args
-    args = parse(["synth", "--subgoal", "0.5,0.5,0.5,1", "--out", "m.gmap"])
-    assert _gravmap_params_from(args) == GravMapParams()
-    args = parse(["distill", "--demos", "d.jsonl", "--out", "s.jsonl"])
-    assert _keypose_params_from(args) == KeyposeParams()
-    args = parse(["train-eval", "--demos", "d.jsonl"])
+    """synth and distill have exactly one flag per field of their parameter
+    dataclass, defaulting to the field's default, and a command line with no
+    such flag builds the default parameters."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, required, cls in [("synth", ["--subgoal", "0.5,0.5,0.5,1", "--out", "m.gmap"], GravMapParams),
+                                   ("distill", ["--demos", "d.jsonl", "--out", "s.jsonl"], KeyposeParams)]:
+        actions = commands[command]._actions
+        for flag, field in param_flags(cls).items():
+            [action] = [a for a in actions if a.dest == field.name]
+            assert action.option_strings == [flag]
+            assert action.default == field.default and action.type is type(field.default)
+        assert _params_from(parser.parse_args([command, *required]), cls) == cls()
+    assert param_flags(GravMapParams)["--downsample-stride"].name == "downsample"
+    args = parser.parse_args(["train-eval", "--demos", "d.jsonl"])
     assert TrainConfig(iters=args.iters, lr=args.lr, batch=args.batch) == TrainConfig()
 
 
@@ -150,6 +164,16 @@ class TestDistill:
         res = run_cli("distill", "--demos", str(bad), "--out", str(tmp_path / "s.jsonl"))
         assert res.returncode == 1
         assert "line 1" in res.stderr
+
+    def test_repeated_frame_time_names_field(self, demo_file, tmp_path):
+        rec = json.loads(demo_file.read_text().splitlines()[0])
+        rec["frames"][2]["t"] = rec["frames"][1]["t"]
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "s.jsonl"
+        bad.write_text(json.dumps(rec) + "\n")
+        res = run_cli("distill", "--demos", str(bad), "--out", str(out))
+        assert (res.returncode, res.stderr) == (1, f"gravkit: line 1: {bad} field 'frames[2].t' must be above "
+                                                   "the previous frame's 1, got 1\n")
+        assert not out.exists()
 
     def test_non_finite_eps_vel_exit_1(self, demo_file, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -342,6 +366,28 @@ class TestSynth:
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
 
+    def test_workspace_order_names_flag_as_scene_names_field(self, tmp_path):
+        """An unordered --workspace gets the rule text a scene file's
+        `workspace` field gets, naming the flag."""
+        rule = "min must be strictly below max on every axis\n"
+        out, scene = tmp_path / "m.gmap", tmp_path / "scene.json"
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--workspace", "0,0,0,1,1,0", "--out", str(out))
+        assert (res.returncode, res.stderr) == (1, f"gravkit: command line field '--workspace' {rule}")
+        scene.write_text(json.dumps({"workspace": {"min": [0, 0, 0], "max": [1, 0, 1]}, "objects": [],
+                                     "goal": {"center": [0.2, 0.2, 0.2], "tol": 0.05}}))
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--scene", str(scene), "--out", str(out))
+        assert (res.returncode, res.stderr) == (1, f"gravkit: {scene} field 'workspace' {rule}")
+        assert not out.exists()
+
+    def test_closed_value_other_than_0_or_minus_1_exit_1(self, tmp_path):
+        """The library's rule: GravMapParams refuses it, as the flag does."""
+        with pytest.raises(ValueError, match="closed_value must be 0 or -1, got 0.5"):
+            GravMapParams(closed_value=0.5)
+        out = tmp_path / "m.gmap"
+        res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--closed-value", "0.5", "--out", str(out))
+        assert (res.returncode, res.stderr) == (1, "gravkit: closed_value must be 0 or -1, got 0.5\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--subgoal", "nan,0.5,0.5,1"),
                                              ("--subgoal", "inf,0,0,0"),
                                              ("--workspace", "0,0,0,inf,1,1"),
@@ -457,7 +503,7 @@ class TestTrainEval:
                       "--episodes", "1")
         if n_frames == 1:
             assert (res.returncode, res.stdout) == (1, "")
-            assert res.stderr == "gravkit: no training transitions distilled from demos\n"
+            assert res.stderr == f"gravkit: no training transitions distilled from demos in {demos}\n"
         else:
             assert res.returncode == 0, res.stderr
             assert json.loads(res.stdout)["episodes"] == 1
@@ -471,8 +517,8 @@ class TestTrainEval:
 
 
 class TestSizeBounds:
-    """A map size beyond its documented bound is invalid input, refused
-    before anything is allocated; that bounds the stride and point count
+    """A size beyond its documented bound is invalid input, refused before
+    anything is allocated. The map size bounds the stride and point count
     too."""
 
     @pytest.mark.parametrize("size, stride", [(257, 1), (1000, 10), (1000000, 10000)])
@@ -484,18 +530,40 @@ class TestSizeBounds:
         assert res.stderr == f"gravkit: map_size must be at most 256, got {size}\n"
         assert res.stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("command, flag, limit, value", [
+        ("gen-demos", "--n", MAX_DEMOS, MAX_DEMOS + 1),
+        ("train-eval", "--iters", MAX_ITERS, MAX_ITERS + 1),
+        ("train-eval", "--iters", MAX_ITERS, 10**18),
+        ("train-eval", "--batch", MAX_BATCH, MAX_BATCH + 1),
+        ("train-eval", "--episodes", MAX_EPISODES, MAX_EPISODES + 1),
+        ("train-eval", "--max-steps", MAX_STEPS, MAX_STEPS + 1)])
+    def test_count_over_limit_exit_1(self, tiny_demos, tmp_path, command, flag, limit, value):
+        """The error names the value and the limit, and the TrainConfig field
+        for --iters and --batch."""
+        out = tmp_path / "out"
+        args = {"gen-demos": ["--task", "touch_only", "--out", str(out)],
+                "train-eval": ["--demos", str(tiny_demos), "--out-model", str(out)]}[command]
+        res = run_cli(command, *args, "--seed", "9", flag, str(value))
+        name = flag[2:] if flag in ("--iters", "--batch") else flag
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"gravkit: {name} must be at most {limit}, got {value}\n"
+        assert not out.exists()
+
 
 class TestOutOfMemory:
     """A size that passes the checks but does not fit is a runtime error, not
-    a traceback. numpy refuses these sizes at once, allocating nothing."""
+    a traceback. numpy refuses these sizes at once, allocating nothing. Every
+    size flag is bounded, so the test lifts the --iters bound to reach one."""
 
-    def test_train_eval_iters_exit_2(self, tiny_demos, tmp_path):
+    def test_train_eval_iters_exit_2(self, tiny_demos, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(train_mod, "MAX_ITERS", 10**18)
         model = tmp_path / "m.bin"
-        res = run_cli("train-eval", "--demos", str(tiny_demos), "--iters", "1000000000000000000",
-                      "--seed", "9", "--out-model", str(model))
-        assert res.returncode == 2, res.stderr
-        assert re.fullmatch(r"gravkit: out of memory: Unable to allocate [^\n]+\n", res.stderr), res.stderr
-        assert res.stdout == "" and not model.exists()
+        code = cli.main(["train-eval", "--demos", str(tiny_demos), "--iters", "1000000000000000000",
+                         "--seed", "9", "--out-model", str(model)])
+        res = capsys.readouterr()
+        assert code == 2, res.err
+        assert re.fullmatch(r"gravkit: out of memory: Unable to allocate [^\n]+\n", res.err), res.err
+        assert res.out == "" and not model.exists()
 
 
 NO_SCIPY_SCRIPT = """

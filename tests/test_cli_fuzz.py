@@ -1,4 +1,4 @@
-"""Derandomized fuzzing of the file readers, run in-process.
+"""Derandomized fuzzing of the file readers and the command line, run in-process.
 
 Valid `distill` demo logs and `synth --scene` files are mutated (a JSON
 field deleted, retyped, made non-finite or out of f32 range, or replaced by
@@ -9,12 +9,19 @@ input file when the input is invalid (exit 1), raise no traceback and no
 numpy warning, and write only finite numbers when it succeeds. The fixture
 checkpoint's manifest gets the same mutations, plus negative and huge
 numbers, through `load_policy`, which no CLI command calls yet.
+
+On the command line, every `synth` and `distill` flag that a parameter
+field declares (`cli.param_flags`) is set, one per run, to each value of a
+fixed list and past its bound; the bounded count flags of `gen-demos` and
+`train-eval` are set past theirs. A bad value may also end in argparse's
+one-line usage error.
 """
 import contextlib
 import copy
 import io
 import json
 import math
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -25,9 +32,11 @@ from hypothesis import strategies as st
 
 from gravkit import cli
 from gravkit.demos import CorruptFile, TaskKind, demo_to_record
-from gravkit.gravmap import load_gmap
+from gravkit.gravmap import GravMapParams, load_gmap
+from gravkit.keypose import KeyposeParams
 from gravkit.policy import load_policy
 from gravkit.policy.model import CONFIG
+from gravkit.policy.train import MAX_BATCH, MAX_ITERS
 from gravkit.sim import scripted_expert
 
 RETYPED = [True, False, None, "0.5", [], {}, 1, 0.5]
@@ -145,12 +154,18 @@ def assert_finite_json(text):
 
 
 def run_main(argv):
-    """cli.main in-process: (exit code, stderr). Fails on any warning."""
+    """cli.main in-process: (exit code, stderr). Fails on any warning. A
+    usage error is argparse's one line, `gravkit <command>: error: ...`."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("always")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 1 and re.fullmatch(rf"gravkit {argv[0]}: error: [^\n]+\n", err.getvalue()), err.getvalue()
+            return code, err.getvalue()
     assert [str(w.message) for w in caught] == []
     stderr = err.getvalue()
     assert code in (0, 1, 2)
@@ -230,3 +245,70 @@ def test_mutated_checkpoint_manifest(workdir, text):
         assert policy.param_bytes() == WEIGHTS
         manifest = json.loads(text.decode("utf-8"))
         assert json_text({name: manifest[name] for name in CONFIG}) == json_text(CONFIG)
+
+
+FLAG_VALUES = ["0", "-1", "nan", "inf", "1e300", "many", "1", "256"]
+PAST_BOUND = {"map_size": "257", "downsample": "3", "num_points": str(25**3 + 1), "closed_value": "0.5"}
+SYNTH_ARGV = ["synth", "--subgoal", "0.2,0.2,0.2,1", "--mode", "train", "--seed", "0"]
+DEFAULT_WORK = (100 // 4) ** 3 * 1024   # lattice points times FPS picks of the default map
+
+
+def flag_cases(cls):
+    """(flag, value) for each flag that a field of `cls` declares, each of
+    FLAG_VALUES and, where the field has one, the value past its bound."""
+    return [(flag, value) for flag, field in cli.param_flags(cls).items()
+            for value in FLAG_VALUES + ([PAST_BOUND[field.name]] if field.name in PAST_BOUND else [])]
+
+
+def synth_work(argv):
+    """Lattice points times FPS picks of a synth command line, 0 when its
+    map parameters are invalid, so that it fails before any work."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            params = cli._params_from(cli.build_parser().parse_args(argv), GravMapParams)
+    except (SystemExit, TypeError, ValueError):
+        return 0
+    return (params.map_size // params.downsample) ** 3 * params.num_points
+
+
+# the size guard: no valid value runs a larger lattice or FPS than the default map's
+SYNTH_CASES = [case for case in flag_cases(GravMapParams)
+               if synth_work([*SYNTH_ARGV, "--out", "m.gmap", *case]) <= DEFAULT_WORK]
+
+
+@pytest.mark.parametrize("flag, value", SYNTH_CASES)
+def test_synth_flag_value(workdir, flag, value):
+    scene, out = workdir / "flag-scene.json", workdir / "flag.gmap"
+    scene.write_bytes(encode_scene(SCENE))
+    out.unlink(missing_ok=True)
+    code, _ = run_main([*SYNTH_ARGV, "--scene", str(scene), "--out", str(out), flag, value])
+    assert code in (0, 1)
+    if code == 0:
+        load_gmap(out)   # rejects non-finite rows and bounds
+
+
+@pytest.mark.parametrize("flag, value", flag_cases(KeyposeParams))
+def test_distill_flag_value(workdir, flag, value):
+    demos, out = workdir / "flag-demos.jsonl", workdir / "flag-subgoals.jsonl"
+    demos.write_bytes(encode_demos(DEMO_RECORDS))
+    out.unlink(missing_ok=True)
+    code, _ = run_main(["distill", "--demos", str(demos), "--out", str(out), flag, value])
+    assert code in (0, 1)
+    if code == 0:
+        assert_finite_json(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command, flag, limit", [
+    ("gen-demos", "--n", cli.MAX_DEMOS), ("train-eval", "--iters", MAX_ITERS),
+    ("train-eval", "--batch", MAX_BATCH), ("train-eval", "--episodes", cli.MAX_EPISODES),
+    ("train-eval", "--max-steps", cli.MAX_STEPS)])
+@pytest.mark.parametrize("past", [1, 10**18])
+def test_count_flag_past_bound(workdir, command, flag, limit, past):
+    """Refused before any work, naming the value and the limit."""
+    demos, out = workdir / "count-demos.jsonl", workdir / "count-out"
+    demos.write_bytes(encode_demos(DEMO_RECORDS))
+    args = {"gen-demos": ["--task", "touch_only", "--out", str(out)],
+            "train-eval": ["--demos", str(demos), "--out-model", str(out)]}[command]
+    code, stderr = run_main([command, *args, "--seed", "0", flag, str(limit + past)])
+    assert code == 1 and f"at most {limit}, got {limit + past}" in stderr
+    assert not out.exists()

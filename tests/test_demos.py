@@ -167,8 +167,27 @@ def test_instruction_round_trip_is_byte_stable(tmp_path, instruction):
 def test_validate_flags_time_order():
     demo = synthetic_demo(3)
     demo.frames[1].t, demo.frames[2].t = 2, 1
-    bad = validate_demo(demo)
-    assert any("time order" in v and "frame 2" in v for v in bad)
+    assert validate_demo(demo) == ["field 'frames[2].t' must be above the previous frame's 2, got 1"]
+
+
+def test_validate_returns_every_violation_as_a_field():
+    demo = synthetic_demo(3)
+    demo.frames[0].t = -1
+    demo.frames[2].touch[1] = -0.5
+    assert validate_demo(demo) == ["field 'frames[0].t' must be non-negative, got -1",
+                                   "field 'frames[2].touch' must be non-negative"]
+    assert validate_demo(Demo(TaskKind.TOUCH_ONLY, "x", [])) == ["field 'frames' must hold at least one frame"]
+
+
+def test_broken_invariant_in_a_log_names_file_and_field(tmp_path):
+    """A demo invariant reads like a field error of the record."""
+    rec = demo_to_record(synthetic_demo(3))
+    rec["frames"][2]["t"] = 1
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(SchemaViolation) as exc:
+        load_demos(path)
+    assert str(exc.value) == f"line 1: {path} field 'frames[2].t' must be above the previous frame's 1, got 1"
 
 
 def test_validate_ok_on_well_formed():
