@@ -119,8 +119,8 @@ def cmd_gen_demos(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    demos = load_demos(args.demos)
     params = _params_from(args, KeyposeParams)
+    demos = load_demos(args.demos)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, demo in enumerate(demos):
             keyposes, subgoals, assignment = distill_demo(demo, params)

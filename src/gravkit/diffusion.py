@@ -41,22 +41,13 @@ class NotARotation(GravkitError):
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step coefficients for steps k = 1..K, stored at index k-1.
-    alpha_bar(0) is defined as 1."""
+    alpha_bar of step 0, not stored, is 1."""
 
     kind: str
     steps: int
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
-
-    def abar(self, k: int) -> float:
-        if k == 0:
-            return 1.0
-        return float(self.alpha_bar[k - 1])
-
-    def _check_step(self, k):
-        if not 1 <= k <= self.steps:
-            raise StepOutOfRange(f"step {k} outside 1..{self.steps}")
 
 
 def make_schedule(kind: str = SCALED_LINEAR, steps: int = DEFAULT_STEPS,
@@ -124,31 +115,18 @@ def reverse_coefficients(sched_pos: NoiseSchedule, sched_rot: NoiseSchedule) -> 
 
 
 def _reverse_update(x, k: int, eps_hat, coefs: np.ndarray, stochastic: bool, rng) -> np.ndarray:
-    """x_{k-1} from x_k with the coefficients of `reverse_coefficients`."""
+    """x_{k-1} from x_k with the coefficients of `reverse_coefficients`: the
+    posterior mean, plus posterior-variance noise drawn from `rng` only when
+    stochastic and k > 1."""
     mean_coef, root_alpha, sigma = coefs[k - 1]
     x = (np.asarray(x, dtype=float) - mean_coef * eps_hat) / root_alpha
     if stochastic and k > 1:
-        if rng is None:
-            raise ValueError("stochastic denoise_step needs an rng")
         x = x + sigma * rng.standard_normal(9)
     return x
 
 
-def denoise_step(x, k: int, eps_hat, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
-                 stochastic: bool = True, rng=None) -> np.ndarray:
-    """One reverse update of the pose vector x (9,) from step k to k-1.
-
-    Both channel groups compute the posterior mean from their own schedule;
-    noise with the posterior variance is added only when stochastic and k > 1.
-    """
-    sched_pos._check_step(k)
-    sched_rot._check_step(k)
-    return _reverse_update(x, k, eps_hat, reverse_coefficients(sched_pos, sched_rot),
-                           stochastic, rng)
-
-
 def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
-           seed=None, stochastic: bool = True):
+           seed, stochastic: bool = True):
     """Run the full reverse chain and return (Pose, openness).
 
     `denoiser` is called as denoiser(x, k) with the noisy pose vector x (9,),
@@ -156,9 +134,9 @@ def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
     return (eps_hat, open_prob): the predicted noise (9,) and the openness
     probability. The chain starts from standard normal noise at step K, the
     openness is read from the final (k = 1) prediction and thresholded at
-    0.5, and the final rotation is orthonormalized via Gram-Schmidt. Each
-    step is the update `denoise_step` makes, with the coefficient table
-    built once per chain.
+    0.5, and the final rotation is orthonormalized via Gram-Schmidt. The
+    start and every step's noise come from one generator seeded with `seed`,
+    and the coefficient table is built once per chain.
     """
     coefs = reverse_coefficients(sched_pos, sched_rot)
     rng = np.random.default_rng(seed)

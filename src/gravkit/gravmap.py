@@ -87,11 +87,11 @@ def read_workspace(fields: Fields, key: str, lo, hi) -> Workspace:
 @dataclass(frozen=True)
 class GravMapParams:
     map_size: int = 100          # voxels per axis, at most 256
-    offset_range: int = 3        # voxels; train-time sub-goal jitter, per axis
+    offset_range: int = 3        # voxels, at most map_size; train-time sub-goal jitter, per axis
     gripper_radius: float = 3.0  # voxels; desired-openness region around the sub-goal
     downsample: int = 4          # stride for both channels
     num_points: int = 1024       # points kept by farthest point sampling
-    sigma_avoid: float = 10.0    # voxels; Gaussian smoothing of the obstacle map
+    sigma_avoid: float = 10.0    # voxels, at most map_size; Gaussian smoothing of the obstacle map
     avoid_clear_frac: float = 0.15  # obstacles within this fraction of map_size are cleared
     closed_value: float = 0.0    # encoding of "closed" in the gripper channel (0 or -1)
 
@@ -115,8 +115,13 @@ class GravMapParams:
             raise ValueError("map_size must be divisible by the downsample stride")
         if self.num_points > (self.map_size // self.downsample) ** 3:
             raise ValueError("num_points exceeds the downsampled grid")
-        if self.offset_range < 0 or self.gripper_radius < 0 or self.sigma_avoid < 0:
-            raise ValueError("ranges and radii must be non-negative")
+        for name in ("offset_range", "gripper_radius", "sigma_avoid"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # sigma_avoid sets the smoothing kernel's 2 floor(3 sigma) + 1 taps
+        for name in ("offset_range", "sigma_avoid"):
+            if getattr(self, name) > self.map_size:
+                raise ValueError(f"{name} must be at most {self.map_size}, got {getattr(self, name)}")
 
     def encode_open(self, open_state):
         """1.0 for an open state, closed_value for a closed one; element-wise
@@ -187,25 +192,6 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 def _slices(box):
     """The index box (lo, hi) as a tuple of slices."""
     return tuple(slice(a, b) for a, b in zip(*box))
-
-
-def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable 3D Gaussian filter, kernel truncated at 3*sigma per axis,
-    replicate-edge boundary handling. sigma = 0 is the identity.
-
-    The tests' entry point to _smooth_box, which synthesis calls directly:
-    the support box, the bounding box of the non-zero voxels, is smoothed
-    and written into a zero field; entries outside it grown by the kernel
-    radius come out +0.0."""
-    field = np.asarray(field, dtype=float)
-    out = np.zeros(field.shape)
-    support = [np.flatnonzero(field.any(axis=tuple(a for a in range(3) if a != axis)))
-               for axis in range(3)]
-    if all(hit.size for hit in support):
-        box = [hit[0] for hit in support], [hit[-1] + 1 for hit in support]
-        values, grown = _smooth_box(field[_slices(box)], sigma, box[0], field.shape)
-        out[_slices(grown)] = values
-    return out
 
 
 @functools.cache

@@ -31,9 +31,9 @@ class KeyposeParams:
         for name in ("eps_vel", "delta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if min(self.eps_vel, self.stop_buffer, self.touch_threshold,
-               self.delta, self.gripper_threshold) < 0:
-            raise ValueError("keypose parameters must be non-negative")
+        for name in ("eps_vel", "stop_buffer", "touch_threshold", "delta", "gripper_threshold"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 DEFAULT_KEYPOSE_PARAMS = KeyposeParams()
@@ -81,17 +81,13 @@ def gripper_change(demo: Demo, k: int, params: KeyposeParams = DEFAULT_KEYPOSE_P
     return any(frames[j].open != frames[k].open for j in range(start, k))
 
 
-def discover_subgoal_keyposes(demo: Demo, params: KeyposeParams = DEFAULT_KEYPOSE_PARAMS) -> list[int]:
+def _pick_subgoals(demo: Demo, keyposes: list[int], params: KeyposeParams) -> list[int]:
     """Filter keyposes down to sub-goal keyposes.
 
     Touch-only tasks keep keyposes with a significant touch change;
     grasp-and-place tasks keep keyposes with a gripper change or a touch
     change. The last keypose is always appended.
     """
-    return _pick_subgoals(demo, discover_keyposes(demo, params), params)
-
-
-def _pick_subgoals(demo: Demo, keyposes: list[int], params: KeyposeParams) -> list[int]:
     picked = []
     for k in keyposes:
         if demo.task_kind == TaskKind.TOUCH_ONLY:

@@ -19,12 +19,11 @@ import numpy as np
 from ..demos import CorruptFile, GravkitError, read_json
 from ..diffusion import DEFAULT_STEPS, SCALED_LINEAR, SQUARED_COS, make_schedule
 from ..gravmap import DEFAULT_GRAVMAP_PARAMS, Workspace
-from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views, step_embedding
+from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views
 
 FORMAT_VERSION = 1
 WORKSPACE = Workspace()
 SCHEDULES = (make_schedule(SCALED_LINEAR, DEFAULT_STEPS), make_schedule(SQUARED_COS, DEFAULT_STEPS))
-STEP_EMBEDDINGS = step_embedding(np.arange(1, DEFAULT_STEPS + 1))   # row k-1 embeds step k
 CONFIG = {"steps": DEFAULT_STEPS, "sched_pos": SCHEDULES[0].kind, "sched_rot": SCHEDULES[1].kind,
           "workspace": {"min": list(WORKSPACE.min), "max": list(WORKSPACE.max)},
           "gravmap": asdict(DEFAULT_GRAVMAP_PARAMS)}

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..diffusion import DEFAULT_STEPS
+
 POINT_DIM = 5
 ENC_H1 = 64
 ENC_H2 = 128
@@ -73,6 +75,9 @@ def step_embedding(steps, dim: int = STEP_EMBED_DIM) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = steps[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+STEP_EMBEDDINGS = step_embedding(np.arange(1, DEFAULT_STEPS + 1))   # row k-1 embeds step k
 
 
 def sigmoid(x):
@@ -237,19 +242,19 @@ def denoiser_forward_batch(pose: np.ndarray, steps: np.ndarray, proprio: np.ndar
             sigmoid(_dense(a_h2, params, AUXO)), cache)
 
 
-def chain_denoiser(params: dict, emb_table: np.ndarray, proprio, scene, token):
+def chain_denoiser(params: dict, proprio, scene, token):
     """The denoiser(x, k) -> (eps (9,), open probability) that
     `diffusion.sample` calls for one reverse chain: `denoiser_forward` at
     B = 1 on one input row, filled once with proprio (8,), scene (16,) and
     token (TOKEN_DIM,). Each step writes only the pose and row k-1 of
-    `emb_table`, the step embeddings of steps 1..K."""
+    `STEP_EMBEDDINGS`."""
     row = _input_rows(np.zeros((1, POSE_DIM)), proprio[None, :], scene[None, :],
-                      emb_table[:1], token[None, :])
+                      STEP_EMBEDDINGS[:1], token[None, :])
     pose_cols, emb_cols = row[0, :POSE_DIM], row[0, IN_B - STEP_EMBED_DIM:IN_B]
 
     def denoiser(x, k):
         pose_cols[...] = x
-        emb_cols[...] = emb_table[k - 1]
+        emb_cols[...] = STEP_EMBEDDINGS[k - 1]
         eps, open_p, _ = denoiser_forward(row, params)
         return eps[0], open_p[0, 0]
 

@@ -14,7 +14,7 @@ from .. import diffusion
 from ..demos import Frame, TaskKind
 from ..gravmap import Workspace, generate_gravmap
 from ..sim import Command, check_success, make_world, next_subgoal, occupancy_grid, step
-from .model import SCHEDULES, STEP_EMBEDDINGS, ToyPolicy
+from .model import SCHEDULES, ToyPolicy
 from .nets import TOKEN_DIM, chain_denoiser, encode_gravmap
 
 MOVE_FRAME_CAP = 60   # straight-line frames per predicted keypose
@@ -80,7 +80,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
                 token_cache[key] = token
         else:
             token = zero_token
-        denoiser = chain_denoiser(policy.params, STEP_EMBEDDINGS, proprio_vec(prev_frame, frame, ws),
+        denoiser = chain_denoiser(policy.params, proprio_vec(prev_frame, frame, ws),
                                   scene_feat_from_frame(frame, ws), token)
         pose, open_pred = diffusion.sample(denoiser, *SCHEDULES, seed=int(rng.integers(2**63)))
         target = denormalize_pos(np.clip(pose.pos, -1.0, 1.0), ws)

@@ -159,10 +159,35 @@ def distance_field(map_size, center):
     return np.sqrt((i - ci) ** 2.0 + (j - cj) ** 2.0 + (k - ck) ** 2.0)
 
 
+def abar(sched, k):
+    """alpha_bar of step k of `sched`, 1 at step 0."""
+    return 1.0 if k == 0 else float(sched.alpha_bar[k - 1])
+
+
 def posterior_sigma(k, sched):
     """The reverse step's posterior std, sigma_k^2 = (1 - abar_{k-1}) /
     (1 - abar_k) * beta_k, for step k of `sched`."""
-    return float(np.sqrt((1.0 - sched.abar(k - 1)) / (1.0 - sched.abar(k)) * sched.beta[k - 1]))
+    return float(np.sqrt((1.0 - abar(sched, k - 1)) / (1.0 - abar(sched, k)) * sched.beta[k - 1]))
+
+
+def reverse_chain_oracle(denoiser, sched_pos, sched_rot, seed, stochastic):
+    """The pose vector (9,) that the reverse chain ends at, channel by
+    channel in scalars: from standard normal noise at step K, each step
+    x <- (x - beta_k / sqrt(1 - abar_k) * eps) / sqrt(alpha_k), plus
+    posterior_sigma times fresh noise when stochastic and k > 1, positions
+    on `sched_pos` and rotations on `sched_rot`; the start and the noise
+    drawn from one generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    x = list(rng.standard_normal(9))
+    for k in range(sched_pos.steps, 0, -1):
+        eps = denoiser(np.array(x), k)[0]
+        noise = rng.standard_normal(9) if stochastic and k > 1 else None
+        for c in range(9):
+            s = sched_pos if c < 3 else sched_rot
+            x[c] = (x[c] - s.beta[k - 1] / np.sqrt(1.0 - abar(s, k)) * eps[c]) / np.sqrt(s.alpha[k - 1])
+            if noise is not None:
+                x[c] = x[c] + posterior_sigma(k, s) * noise[c]
+    return np.array(x)
 
 
 def _raw_cost_oracle(occupancy, center, params):

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from gravkit.demos import SubGoal, TaskKind
-from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, add_noise, denoise_step,
-                               make_schedule, matrix_to_rot6d, rot6d_to_matrix, sample)
+from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, make_schedule, matrix_to_rot6d,
+                               rot6d_to_matrix, sample)
 from gravkit.gravmap import GravMapParams, Workspace, farthest_point_sampling, generate_gravmap
-from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
+from gravkit.keypose import discover_keyposes, distill_demo
 from gravkit.losses import W_POS, W_ROT, bce, contrastive, noise_l1, total_loss
 from gravkit.policy import (ToyPolicy, TrainConfig, denoiser_forward_batch, evaluate,
                             load_policy, save_policy, train)
@@ -25,7 +25,7 @@ from gravkit.policy.nets import TOKEN_DIM, sigmoid
 from gravkit.sim import SceneObject, World, occupancy_grid, scripted_expert, scripted_long_demo
 
 from oracles import fps_oracle, gravmap_fields_oracle, subgoal_oracle
-from test_diffusion import _ZeroDenoiser, random_rotation
+from test_diffusion import _ZeroDenoiser, one_step_chain, random_rotation
 
 WS = Workspace()
 PARAMS = GravMapParams()
@@ -103,10 +103,10 @@ def test_criterion_3_distillation_oracle_equivalence():
     for seed in range(100):
         for kind in TaskKind:
             demo = scripted_expert(kind, seed)
-            assert discover_subgoal_keyposes(demo) == subgoal_oracle(demo), (kind, seed)
+            assert distill_demo(demo)[1] == subgoal_oracle(demo), (kind, seed)
     long_demo = scripted_long_demo(0)
     n_key = len(discover_keyposes(long_demo))
-    n_sub = len(discover_subgoal_keyposes(long_demo))
+    n_sub = len(distill_demo(long_demo)[1])
     report(3, n_key == 11 and n_sub == 4,
            f"200 scripted demos match the brute-force scan; long demo: "
            f"{n_key} keyposes -> {n_sub} sub-goals")
@@ -117,11 +117,8 @@ def test_criterion_4_diffusion_identities():
     worst = 0.0
     for kind in (SCALED_LINEAR, SQUARED_COS):
         sched = make_schedule(kind, 1)
-        for _ in range(25):
-            x0 = rng.standard_normal(9)
-            eps = rng.standard_normal(9)
-            x1 = add_noise(x0, 1, eps, sched)
-            out = denoise_step(x1, 1, eps, sched, sched, stochastic=False)
+        for seed in range(25):
+            out, x0 = one_step_chain(sched, sched, seed, rng.standard_normal(9))
             worst = max(worst, float(np.abs(out - x0).max()))
     assert worst <= 1e-12
 

@@ -248,7 +248,8 @@ def test_mutated_checkpoint_manifest(workdir, text):
 
 
 FLAG_VALUES = ["0", "-1", "nan", "inf", "1e300", "many", "1", "256"]
-PAST_BOUND = {"map_size": "257", "downsample": "3", "num_points": str(25**3 + 1), "closed_value": "0.5"}
+PAST_BOUND = {"map_size": "257", "downsample": "3", "num_points": str(25**3 + 1), "closed_value": "0.5",
+              "offset_range": "101", "sigma_avoid": "101"}
 SYNTH_ARGV = ["synth", "--subgoal", "0.2,0.2,0.2,1", "--mode", "train", "--seed", "0"]
 DEFAULT_WORK = (100 // 4) ** 3 * 1024   # lattice points times FPS picks of the default map
 

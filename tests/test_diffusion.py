@@ -3,11 +3,10 @@ import pytest
 
 from gravkit.demos import rot6d_is_degenerate
 from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, DegenerateRotation, InvalidRange,
-                               NotARotation, StepOutOfRange, add_noise, denoise_step,
-                               make_schedule, matrix_to_rot6d, reverse_coefficients,
-                               rot6d_to_matrix, sample)
+                               NotARotation, StepOutOfRange, add_noise, make_schedule,
+                               matrix_to_rot6d, reverse_coefficients, rot6d_to_matrix, sample)
 
-from oracles import posterior_sigma
+from oracles import abar, posterior_sigma, reverse_chain_oracle
 
 
 def random_rotation(rng):
@@ -37,8 +36,10 @@ class TestSchedules:
         assert sched.alpha_bar[-1] < 0.01
 
     def test_both_alpha_bar_boundary_is_one(self):
+        """alpha_bar of step 0 is 1: the posterior std of step 1 is 0."""
         for kind in (SCALED_LINEAR, SQUARED_COS):
-            assert make_schedule(kind, 100).abar(0) == 1.0
+            sched = make_schedule(kind, 100)
+            assert not reverse_coefficients(sched, sched)[0, 2].any()
 
     def test_beta_in_valid_range(self):
         for kind in (SCALED_LINEAR, SQUARED_COS):
@@ -83,7 +84,7 @@ class TestAddNoise:
         rng = np.random.default_rng(0)
         xs = np.array([add_noise(np.zeros(1), k, rng.standard_normal(1), sched)[0]
                        for _ in range(10_000)])
-        assert xs.var() == pytest.approx(1 - sched.abar(k), rel=0.05)
+        assert xs.var() == pytest.approx(1 - abar(sched, k), rel=0.05)
 
     def test_step_array_noises_each_row_at_its_step(self, rng):
         # training's call: a (B,) step array against (B, d) rows
@@ -102,46 +103,48 @@ class TestAddNoise:
             add_noise(np.zeros((2, 3)), np.array([3, -1]), np.zeros((2, 3)), sched)
 
 
+def one_step_chain(sched_pos, sched_rot, seed, eps, stochastic=False):
+    """A K = 1 chain whose denoiser returns the noise `eps`: (the sampled
+    pose vector, x0), x0 being the pose that add_noise takes to the chain's
+    start, the seed's first draw, with that noise. Its rotation is compared
+    after the Gram-Schmidt that `sample` applies."""
+    start = np.random.default_rng(seed).standard_normal(9)
+    groups = ((slice(0, 3), sched_pos), (slice(3, 9), sched_rot))
+    x0 = np.empty(9)
+    for sl, sched in groups:
+        ab = sched.alpha_bar[0]
+        x0[sl] = (start[sl] - np.sqrt(1.0 - ab) * eps[sl]) / np.sqrt(ab)
+        np.testing.assert_allclose(add_noise(x0[sl], 1, eps[sl], sched), start[sl], rtol=0, atol=1e-14)
+    pose, _ = sample(lambda x, k: (eps, 0.9), sched_pos, sched_rot, seed=seed, stochastic=stochastic)
+    want = np.concatenate([x0[:3], matrix_to_rot6d(rot6d_to_matrix(x0[3:]))])
+    return np.concatenate([pose.pos, pose.rot6d]), want
+
+
 class TestDenoiseStep:
+    """The reverse step, through `sample`, the one chain that runs it."""
+
     def test_one_step_inversion_exact(self, rng):
         sp = make_schedule(SCALED_LINEAR, 1)
         sr = make_schedule(SQUARED_COS, 1)
-        x0, eps = rng.standard_normal(9), rng.standard_normal(9)
-        x1 = np.concatenate([add_noise(x0[:3], 1, eps[:3], sp), add_noise(x0[3:], 1, eps[3:], sr)])
-        out = denoise_step(x1, 1, eps, sp, sr, stochastic=False)
-        np.testing.assert_allclose(out[:3], x0[:3], atol=1e-12)
-        np.testing.assert_allclose(out[3:], x0[3:], atol=1e-12)
-
-    def test_zero_eps_divides_by_sqrt_alpha(self, rng):
-        sp = make_schedule(SCALED_LINEAR, 100)
-        sr = make_schedule(SQUARED_COS, 100)
-        x = np.concatenate([rng.standard_normal(3), np.zeros(6)])
-        out = denoise_step(x, 42, np.zeros(9), sp, sr, stochastic=False)
-        np.testing.assert_allclose(out[:3], x[:3] / np.sqrt(sp.alpha[41]), atol=1e-12)
+        out, x0 = one_step_chain(sp, sr, 3, rng.standard_normal(9))
+        np.testing.assert_allclose(out, x0, rtol=0, atol=1e-12)
 
     def test_final_step_adds_no_noise(self, rng):
-        sp = make_schedule(SCALED_LINEAR, 100)
-        sr = make_schedule(SQUARED_COS, 100)
-        x, eps = rng.standard_normal(9), rng.standard_normal(9)
-        a = denoise_step(x, 1, eps, sp, sr, stochastic=True, rng=np.random.default_rng(0))
-        b = denoise_step(x, 1, eps, sp, sr, stochastic=False)
-        np.testing.assert_array_equal(a, b)
+        sp = make_schedule(SCALED_LINEAR, 1)
+        sr = make_schedule(SQUARED_COS, 1)
+        eps = rng.standard_normal(9)
+        a, _ = one_step_chain(sp, sr, 0, eps, stochastic=True)
+        b, _ = one_step_chain(sp, sr, 0, eps, stochastic=False)
+        assert a.tobytes() == b.tobytes()
 
     def test_posterior_sigma_formula(self):
         sched = make_schedule(SCALED_LINEAR, 100)
         k = 13
-        expect = np.sqrt((1 - sched.abar(k - 1)) / (1 - sched.abar(k)) * sched.beta[k - 1])
+        expect = np.sqrt((1 - abar(sched, k - 1)) / (1 - abar(sched, k)) * sched.beta[k - 1])
         assert reverse_coefficients(sched, sched)[k - 1, 2, 0] == pytest.approx(expect, rel=1e-12)
-
-    def test_step_out_of_range(self):
-        sp = make_schedule(SCALED_LINEAR, 10)
-        with pytest.raises(StepOutOfRange):
-            denoise_step(np.zeros(9), 11, np.zeros(9), sp, sp, stochastic=False)
 
     def test_schedules_of_different_length_rejected(self):
         sp, sr = make_schedule(SCALED_LINEAR, 10), make_schedule(SQUARED_COS, 11)
-        with pytest.raises(InvalidRange):
-            denoise_step(np.zeros(9), 1, np.zeros(9), sp, sr, stochastic=False)
         with pytest.raises(InvalidRange):
             sample(_ZeroDenoiser(), sp, sr, seed=0)
 
@@ -155,7 +158,7 @@ class TestDenoiseStep:
         table = reverse_coefficients(sp, sr)
         assert table.shape == (steps, 3, 9)
         for k in range(1, steps + 1):
-            per_sched = [[s.beta[k - 1] / np.sqrt(1.0 - s.abar(k)), np.sqrt(s.alpha[k - 1]),
+            per_sched = [[s.beta[k - 1] / np.sqrt(1.0 - abar(s, k)), np.sqrt(s.alpha[k - 1]),
                           posterior_sigma(k, s)] for s in (sp, sr)]
             want = np.array(per_sched).T[:, [0, 0, 0, 1, 1, 1, 1, 1, 1]]
             assert table[k - 1].tobytes() == want.tobytes()
@@ -181,20 +184,18 @@ class TestSample:
         np.testing.assert_allclose(np.concatenate([r[:, 0], r[:, 1]]), pose.rot6d, atol=1e-9)
         assert open_state == 1
 
-    def test_chain_is_repeated_denoise_step(self):
-        """The chain draws its start and its noise from one seeded generator
-        and applies the update `denoise_step` makes, in the same bits."""
+    @pytest.mark.parametrize("stochastic", [True, False])
+    def test_chain_matches_scalar_oracle(self, stochastic):
+        """The chain ends, in the same bits, where the scalar reverse chain
+        of the oracles does."""
         sp = make_schedule(SCALED_LINEAR, 20)
         sr = make_schedule(SQUARED_COS, 20)
 
         def denoiser(x, k):
             return np.sin(x + k), 0.7
 
-        pose, _ = sample(denoiser, sp, sr, seed=4, stochastic=True)
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(9)
-        for k in range(20, 0, -1):
-            x = denoise_step(x, k, denoiser(x, k)[0], sp, sr, stochastic=True, rng=rng)
+        pose, _ = sample(denoiser, sp, sr, seed=4, stochastic=stochastic)
+        x = reverse_chain_oracle(denoiser, sp, sr, seed=4, stochastic=stochastic)
         assert pose.pos.tobytes() == x[:3].tobytes()
         assert pose.rot6d.tobytes() == matrix_to_rot6d(rot6d_to_matrix(x[3:])).tobytes()
 

@@ -16,10 +16,10 @@ import pytest
 
 from gravkit import cli, diffusion
 from gravkit.demos import SubGoal, TaskKind
-from gravkit.gravmap import (GravMapParams, Workspace, _sample_lattice, assemble_points, gaussian_smooth,
+from gravkit.gravmap import (GravMapParams, Workspace, _sample_lattice, _smooth_box, assemble_points,
                              generate_gravmap, world_to_voxel)
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, train
-from gravkit.policy.model import SCHEDULES, STEP_EMBEDDINGS
+from gravkit.policy.model import SCHEDULES
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import SceneObject, World, occupancy_grid, save_scene, scripted_expert
@@ -116,6 +116,9 @@ def test_obstacle_maps():
 SEPARATED_CLUSTERS_SHA256 = "27f8bcbf8ef333cf95d585398ddcceab58271e415459e04bd92ccd9c45be12bc"
 
 
+CLUSTERS_BOX = np.s_[4:96, 5:85, 6:92]   # the support box of separated_clusters' three clusters
+
+
 def separated_clusters():
     """A 100^3 penalty field of three small random clusters so far apart
     that, at the default sigma, every smoothing pass meets all-zero lines
@@ -127,9 +130,19 @@ def separated_clusters():
     return field
 
 
+def smooth_on_box(field, box, sigma):
+    """`field` Gaussian-smoothed by _smooth_box, given the box (a tuple of
+    slices) outside which the field is zero; +0.0 outside the grown box."""
+    out = np.zeros(field.shape)
+    start = [sl.indices(n)[0] for sl, n in zip(box, field.shape)]
+    values, (lo, hi) = _smooth_box(field[box], sigma, start, field.shape)
+    out[tuple(map(slice, lo, hi))] = values
+    return out
+
+
 def separated_clusters_digest():
     """sha256 of separated_clusters smoothed at the default sigma."""
-    return _sha(gaussian_smooth(separated_clusters(), GravMapParams().sigma_avoid).tobytes())
+    return _sha(smooth_on_box(separated_clusters(), CLUSTERS_BOX, GravMapParams().sigma_avoid).tobytes())
 
 
 def test_separated_clusters():
@@ -180,7 +193,7 @@ def test_sample_with_policy_denoiser(stochastic, pose_hex):
     rng = np.random.default_rng(21)
     rows = (rng.standard_normal(8), rng.standard_normal(16), rng.standard_normal(TOKEN_DIM))
     # the closure run_episode builds for each prediction
-    denoiser = chain_denoiser(policy.params, STEP_EMBEDDINGS, *rows)
+    denoiser = chain_denoiser(policy.params, *rows)
     pose, open_state = diffusion.sample(denoiser, *SCHEDULES, seed=13, stochastic=stochastic)
     assert (pose.pos.tobytes() + pose.rot6d.tobytes()).hex() == pose_hex
     assert open_state == 1

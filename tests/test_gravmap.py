@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -10,14 +11,13 @@ from hypothesis import strategies as st
 from gravkit import gravmap
 from gravkit.demos import CorruptFile, SubGoal
 from gravkit.gravmap import (DegenerateWorkspace, GravMap, GravMapParams, Workspace, augment_offset,
-                             build_gripper_map, farthest_point_sampling, gaussian_smooth,
-                             generate_gravmap, gmap_to_json, load_gmap, save_field_slice_pgm,
-                             save_gmap, voxel_center, world_to_voxel)
+                             build_gripper_map, farthest_point_sampling, generate_gravmap, gmap_to_json,
+                             load_gmap, save_field_slice_pgm, save_gmap, voxel_center, world_to_voxel)
 from gravkit.sim import SceneObject, World, occupancy_grid
 
 from oracles import (cost_bounds_oracle, distance_field, fps_oracle, fps_rows_oracle, gaussian3d_oracle,
                      gaussian_smooth_oracle, gravmap_fields_oracle)
-from test_golden import separated_clusters
+from test_golden import CLUSTERS_BOX, separated_clusters, smooth_on_box
 
 WS = Workspace()
 SUB = SubGoal(g_pos=[0.5, 0.5, 0.5], g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
@@ -26,6 +26,10 @@ SUB = SubGoal(g_pos=[0.5, 0.5, 0.5], g_open=1, g_rot=[1, 0, 0, 0, 1, 0])
 def small_params(map_size=20, num_points=32, **kw):
     return GravMapParams(map_size=map_size, downsample=kw.pop("downsample", 4),
                          num_points=num_points, **kw)
+
+
+# a one-voxel map, with the largest jitter and smoothing sigma it allows
+ONE_VOXEL = {"map_size": 1, "downsample": 1, "num_points": 1, "offset_range": 1, "sigma_avoid": 1.0}
 
 
 def empty_occ(s):
@@ -95,32 +99,37 @@ class TestDistanceField:
         assert d.max() == pytest.approx(171.473, abs=1e-3)
 
 
+WHOLE = np.s_[:, :, :]
+
+
 class TestGaussianSmooth:
+    """_smooth_box, the smoother that synthesis runs, on an explicit box
+    outside which the field is zero."""
+
     def test_constant_field_unchanged(self):
         field = np.full((12, 12, 12), 0.7)
-        out = gaussian_smooth(field, 2.0)
+        out = smooth_on_box(field, WHOLE, 2.0)
         np.testing.assert_allclose(out, field, atol=1e-6)
 
     def test_sigma_zero_identity(self):
         field = np.random.default_rng(0).random((8, 8, 8))
-        np.testing.assert_array_equal(gaussian_smooth(field, 0.0), field)
+        np.testing.assert_array_equal(smooth_on_box(field, WHOLE, 0.0), field)
 
     def test_impulse_matches_direct_convolution(self):
         field = np.zeros((15, 15, 15))
         field[7, 7, 7] = 1.0
-        out = gaussian_smooth(field, 2.0)
+        out = smooth_on_box(field, np.s_[7:8, 7:8, 7:8], 2.0)
         assert out.sum() == pytest.approx(1.0, abs=1e-3)
         np.testing.assert_allclose(out, gaussian3d_oracle(field, 2.0), atol=1e-6)
 
     def test_random_field_with_edges_matches_oracle(self, rng):
         field = rng.random((9, 9, 9))
-        np.testing.assert_allclose(gaussian_smooth(field, 1.0),
+        np.testing.assert_allclose(smooth_on_box(field, WHOLE, 1.0),
                                    gaussian3d_oracle(field, 1.0), atol=1e-6)
 
-
     @staticmethod
-    def assert_same_bytes(field, sigma):
-        out = gaussian_smooth(field, sigma)
+    def assert_same_bytes(field, box, sigma):
+        out = smooth_on_box(field, box, sigma)
         assert out.dtype == np.float64 and out.shape == field.shape
         assert out.tobytes() == gaussian_smooth_oracle(field, sigma).tobytes()
 
@@ -141,37 +150,38 @@ class TestGaussianSmooth:
             e = min(e, n - 2)
             start = {"low": 0, "high": n - e, "interior": int(rng.integers(1, n - e))}[where]
             box.append(slice(start, start + e))
+        box = tuple(box)
         field = np.zeros(shape)
-        block = field[tuple(box)]
+        block = field[box]
         block[...] = rng.random(block.shape) * (rng.random(block.shape) < density)
-        self.assert_same_bytes(field, sigma)
+        self.assert_same_bytes(field, box, sigma)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 10.0])
     @pytest.mark.parametrize("where", [(0, 0, 0), (6, 6, 6), (11, 0, 5), (11, 11, 11)])
     def test_one_voxel(self, where, sigma):
         field = np.zeros((12, 12, 12))
         field[where] = 1.0
-        self.assert_same_bytes(field, sigma)
+        self.assert_same_bytes(field, tuple(slice(i, i + 1) for i in where), sigma)
 
     def test_default_size_box_of_many_blocks(self):
         """At the default 100^3 size and sigma, a box whose every pass has
         more lines than one SMOOTH_ROWS product holds."""
         field = np.zeros((GravMapParams().map_size,) * 3)
-        box = field[40:48, 10:17, 90:99]
-        assert min(box.shape) ** 2 > gravmap.SMOOTH_ROWS
-        box[...] = np.random.default_rng(7).random(box.shape)
-        self.assert_same_bytes(field, GravMapParams().sigma_avoid)
+        box = np.s_[40:48, 10:17, 90:99]
+        assert min(field[box].shape) ** 2 > gravmap.SMOOTH_ROWS
+        field[box] = np.random.default_rng(7).random(field[box].shape)
+        self.assert_same_bytes(field, box, GravMapParams().sigma_avoid)
 
     def test_default_size_separated_clusters(self):
         """At the default 100^3 size and sigma, three clusters far apart
         leave all-zero lines inside the box in every pass, which the smoother
         skips."""
-        self.assert_same_bytes(separated_clusters(), GravMapParams().sigma_avoid)
+        self.assert_same_bytes(separated_clusters(), CLUSTERS_BOX, GravMapParams().sigma_avoid)
 
     @pytest.mark.parametrize("sigma", [0.0, 2.0])
     def test_all_zero_field(self, sigma):
-        self.assert_same_bytes(np.zeros((9, 7, 5)), sigma)
-        assert not gaussian_smooth(np.zeros((9, 7, 5)), sigma).any()
+        self.assert_same_bytes(np.zeros((9, 7, 5)), WHOLE, sigma)
+        assert not smooth_on_box(np.zeros((9, 7, 5)), WHOLE, sigma).any()
 
 
 class TestAvoidanceMap:
@@ -221,7 +231,7 @@ class TestCostMap:
         # one voxel: a constant raw cost without a penalty, and with one that
         # survives a zero clear radius
         for clear_frac in (0.15, 0.0):
-            params = GravMapParams(map_size=1, downsample=1, num_points=1, avoid_clear_frac=clear_frac)
+            params = GravMapParams(**ONE_VOXEL, avoid_clear_frac=clear_frac)
             fields = fields_at((0, 0, 0), np.ones((1, 1, 1), dtype=bool), params)
             assert fields["avoid"].any() == (clear_frac == 0.0)
             assert fields["cost"].tobytes() == np.zeros((1, 1, 1)).tobytes()
@@ -496,7 +506,7 @@ class TestSampledPointsMatchFields:
         assert distance_field_calls.count(FULL) == 1
 
     def test_degenerate_single_voxel_map_is_zero_cost(self, caplog):
-        params = GravMapParams(map_size=1, downsample=1, num_points=1)
+        params = GravMapParams(**ONE_VOXEL)
         with caplog.at_level("WARNING", logger="gravkit.gravmap"):
             plain = assert_matches_oracle(SUB, empty_occ(1), 1, WS, params)
         assert plain[0, 3] == 0.0
@@ -560,7 +570,7 @@ class TestBatchSynthesis:
 
     def test_one_voxel_batch_is_zero_cost(self, caplog):
         """map_size 1: dmax is 0, so every cost is 0, with one warning per batch."""
-        params = GravMapParams(map_size=1, downsample=1, num_points=1)
+        params = GravMapParams(**ONE_VOXEL)
         subs = [SubGoal(g_pos=pos, g_open=g, g_rot=[1, 0, 0, 0, 1, 0])
                 for pos, g in [((0.5, 0.5, 0.5), 1), ((0.0, 1.0, 0.0), 0), ((3.0, -1.0, 0.2), 1)]]
         current = [0, 1, 1]
@@ -619,11 +629,11 @@ class TestCostBounds:
 
     @pytest.mark.parametrize("center", [(0, 0, 0), (5, 6, 7), (11, 3, 11)])
     def test_long_kernel_box_is_the_whole_grid(self, center):
-        """sigma = 15 gives a 91-tap kernel on a 12^3 grid: no voxel is left
-        outside the box."""
+        """sigma = 12, the bound, gives a 73-tap kernel on a 12^3 grid: no
+        voxel is left outside the box."""
         occ = empty_occ(12)
         occ[5:7, 4, 6] = True
-        params = small_params(12, num_points=8, avoid_clear_frac=0.0, sigma_avoid=15.0)
+        params = small_params(12, num_points=8, avoid_clear_frac=0.0, sigma_avoid=12.0)
         self.assert_bounds_match(occ, center, params, 6, True)
 
     VOXEL = st.tuples(*[st.integers(0, 19)] * 3)   # taken modulo the grid size
@@ -649,8 +659,8 @@ class TestCostBounds:
         region = tuple(slice(a, b) for a, b in zip(lo, hi))
         occ = empty_occ(s)
         occ[region] = np.random.default_rng(seed).random(occ[region].shape) < density
-        params = GravMapParams(map_size=s, downsample=1, num_points=1, sigma_avoid=sigma,
-                               avoid_clear_frac=clear_frac)
+        params = GravMapParams(map_size=s, downsample=1, num_points=1, offset_range=min(3, s),
+                               sigma_avoid=min(sigma, s), avoid_clear_frac=clear_frac)
         m_a, box = gravmap._avoidance(occ, center, params)
         bounds = gravmap._cost_bounds(s, center, m_a, box)
         want = cost_bounds_oracle(occ, center, params)
@@ -759,3 +769,20 @@ def test_map_size_bounded():
     assert GravMapParams(map_size=256).map_size == 256
     with pytest.raises(ValueError, match=re.escape("map_size must be at most 256, got 257")):
         GravMapParams(map_size=257, downsample=257, num_points=1)
+
+
+@pytest.mark.parametrize("field, value", [("offset_range", -1), ("gripper_radius", -0.5), ("sigma_avoid", -1.0)])
+def test_negative_param_named(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be non-negative, got {value}")):
+        GravMapParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, limit, value", [("offset_range", 100, 101), ("offset_range", 100, 10**20),
+                                                 ("sigma_avoid", 100, 1e300), ("sigma_avoid", 20, 20.5)])
+def test_voxel_count_params_bounded_by_map_size(field, limit, value):
+    """The jitter and the smoothing sigma are at most map_size voxels; sigma
+    sets the kernel's 2 floor(3 sigma) + 1 taps."""
+    params = small_params(map_size=limit)
+    assert getattr(dataclasses.replace(params, **{field: limit}), field) == limit
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be at most {limit}, got {value}")):
+        dataclasses.replace(params, **{field: value})

@@ -4,8 +4,7 @@ import pytest
 from gravkit import keypose
 from gravkit.demos import TaskKind
 from gravkit.keypose import (KeyposeParams, MissingTerminalSubgoal, assign_goal_actions,
-                             discover_keyposes, discover_subgoal_keyposes, distill_demo,
-                             gripper_change, touch_change)
+                             discover_keyposes, distill_demo, gripper_change, touch_change)
 from gravkit.sim import scripted_expert, scripted_long_demo
 
 from conftest import synthetic_demo
@@ -81,13 +80,13 @@ class TestSubgoalDiscovery:
     def test_touch_only_contact_and_terminal(self):
         demo = scripted_expert(TaskKind.TOUCH_ONLY, 11)
         keyposes = discover_keyposes(demo, PARAMS)
-        subgoals = discover_subgoal_keyposes(demo, PARAMS)
+        subgoals = distill_demo(demo, PARAMS)[1]
         assert len(keyposes) == 4
         assert subgoals == [keyposes[1], keyposes[-1]]
 
     def test_grasp_place_three_subgoals(self):
         demo = scripted_expert(TaskKind.GRASP_PLACE, 11)
-        subgoals = discover_subgoal_keyposes(demo, PARAMS)
+        subgoals = distill_demo(demo, PARAMS)[1]
         assert len(subgoals) == 3
         toggles = [f for f in range(1, len(demo.frames))
                    if demo.frames[f].open != demo.frames[f - 1].open]
@@ -97,7 +96,7 @@ class TestSubgoalDiscovery:
     def test_long_demo_eleven_to_four(self):
         demo = scripted_long_demo(3)
         assert len(discover_keyposes(demo, PARAMS)) == 11
-        assert len(discover_subgoal_keyposes(demo, PARAMS)) == 4
+        assert len(distill_demo(demo, PARAMS)[1]) == 4
 
     def test_grasp_branch_synthetic_toggle_pattern(self):
         # close@40, open@80, stops at 20/60/100: toggles and the terminal
@@ -105,19 +104,19 @@ class TestSubgoalDiscovery:
         demo = synthetic_demo(101, task_kind=TaskKind.GRASP_PLACE,
                               stops=(20, 60, 100), toggles=(40, 80))
         assert discover_keyposes(demo, PARAMS) == [20, 40, 60, 80, 100]
-        assert discover_subgoal_keyposes(demo, PARAMS) == [40, 80, 100]
+        assert distill_demo(demo, PARAMS)[1] == [40, 80, 100]
 
     def test_oracle_equivalence_100_demos_each_kind(self):
         for seed in range(100):
             for kind in TaskKind:
                 demo = scripted_expert(kind, seed)
-                assert discover_subgoal_keyposes(demo, PARAMS) == subgoal_oracle(demo), (kind, seed)
+                assert distill_demo(demo, PARAMS)[1] == subgoal_oracle(demo), (kind, seed)
 
     def test_subset_chain(self):
         for seed in range(20):
             demo = scripted_expert(TaskKind.GRASP_PLACE, seed)
             keyposes = discover_keyposes(demo, PARAMS)
-            subgoals = discover_subgoal_keyposes(demo, PARAMS)
+            subgoals = distill_demo(demo, PARAMS)[1]
             assert set(subgoals) <= set(keyposes)
             assert all(0 <= k < len(demo.frames) for k in keyposes)
             assert keyposes == sorted(set(keyposes))
@@ -125,7 +124,7 @@ class TestSubgoalDiscovery:
 
     def test_determinism(self):
         demo = scripted_expert(TaskKind.GRASP_PLACE, 9)
-        assert discover_subgoal_keyposes(demo, PARAMS) == discover_subgoal_keyposes(demo, PARAMS)
+        assert distill_demo(demo, PARAMS)[1] == distill_demo(demo, PARAMS)[1]
 
     @pytest.mark.parametrize("kind", list(TaskKind))
     def test_distill_discovers_keyposes_once(self, kind, monkeypatch):
@@ -172,7 +171,7 @@ class TestAssignment:
         for seed in range(20):
             demo = scripted_expert(TaskKind.GRASP_PLACE, seed)
             keyposes = discover_keyposes(demo, PARAMS)
-            subgoals = discover_subgoal_keyposes(demo, PARAMS)
+            subgoals = distill_demo(demo, PARAMS)[1]
             assignment = assign_goal_actions(demo, keyposes, subgoals)
             oracle = assignment_oracle(demo, keyposes, subgoals)
             prev = -1
@@ -183,3 +182,9 @@ class TestAssignment:
                 prev = idx
                 np.testing.assert_array_equal(assignment[k].g_pos, demo.frames[idx].pose.pos)
                 assert assignment[k].g_open == demo.frames[idx].open
+
+
+@pytest.mark.parametrize("field", ["eps_vel", "stop_buffer", "touch_threshold", "delta", "gripper_threshold"])
+def test_negative_param_named(field):
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+        KeyposeParams(**{field: -1})

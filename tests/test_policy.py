@@ -485,7 +485,7 @@ class TestChainDenoiserMatchesBatchForward:
             params[name] = 0.3 * rng.standard_normal(HIDDEN)
             params[name][rng.random(HIDDEN) < dead_frac] = -1e6
         proprio, scene, token = (rng.standard_normal(w) for w in (8, 16, TOKEN_DIM))
-        denoiser = chain_denoiser(params, step_embedding(np.arange(1, 101)), proprio, scene, token)
+        denoiser = chain_denoiser(params, proprio, scene, token)
         for k in rng.integers(1, 101, 5):
             pose = rng.standard_normal(9)
             eps, open_p = denoiser(pose, k)
@@ -508,9 +508,8 @@ class TestSamplingReadsNoTrainingOnlyHeads:
                            if not name.startswith("den.aux")}
         assert len(params) - len(sampling_params) == 4
         proprio, scene, token = (rng.standard_normal(w) for w in (8, 16, TOKEN_DIM))
-        emb_table = step_embedding(np.arange(1, 101))
-        full = chain_denoiser(params, emb_table, proprio, scene, token)
-        sampling_only = chain_denoiser(sampling_params, emb_table, proprio, scene, token)
+        full = chain_denoiser(params, proprio, scene, token)
+        sampling_only = chain_denoiser(sampling_params, proprio, scene, token)
         for k in rng.integers(1, 101, 5):
             pose = rng.standard_normal(9)
             (eps, open_p), (want_eps, want_open) = sampling_only(pose, k), full(pose, k)

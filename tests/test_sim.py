@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gravkit.demos import IoError, SchemaViolation, TaskKind, validate_demo
 from gravkit.gravmap import Workspace, voxel_center
-from gravkit.keypose import discover_keyposes, discover_subgoal_keyposes
+from gravkit.keypose import discover_keyposes, distill_demo
 from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED, Command,
                          SceneObject, World, check_success, load_scene, make_world,
                          next_subgoal, occupancy_grid, save_scene, scripted_expert,
@@ -130,15 +130,15 @@ class TestScriptedExperts:
             grasp = scripted_expert(TaskKind.GRASP_PLACE, seed)
             assert validate_demo(touch) == []
             assert validate_demo(grasp) == []
-            assert len(discover_subgoal_keyposes(touch)) == 2
-            assert len(discover_subgoal_keyposes(grasp)) == 3
+            assert len(distill_demo(touch)[1]) == 2
+            assert len(distill_demo(grasp)[1]) == 3
 
     def test_long_demo_structure(self):
         for seed in range(10):
             demo = scripted_long_demo(seed)
             assert validate_demo(demo) == []
             assert len(discover_keyposes(demo)) == 11
-            assert len(discover_subgoal_keyposes(demo)) == 4
+            assert len(distill_demo(demo)[1]) == 4
 
     def test_frames_inside_workspace(self):
         demo = scripted_expert(TaskKind.GRASP_PLACE, 3)
