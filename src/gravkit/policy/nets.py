@@ -9,10 +9,14 @@ predictions are independent of the map by construction.
 This module alone knows the parameter layout. `LAYERS` fixes the names,
 shapes and order of one flat buffer, and `param_views` gives the
 `{name: view}` dict of it that the networks index. The encoder's point MLP
-and both trunks are the same two-layer ReLU MLP, so one forward and one
-backward serve all three, and every weight gradient is written in one
-place. All math is float64 numpy; forwards return caches that the
-corresponding backward functions consume.
+and both trunks are the same two-layer ReLU MLP. The trunks run it
+row-major, one row per sample (`_mlp_forward`). The encoder runs it
+channel-major, one column per point, so each channel's max-pool reads one
+contiguous line; its cache keeps the winning points as rows, so one
+backward (`_mlp_backward`) serves all three, and every weight gradient is
+written in one place. The encoder writes only into an `EncoderWorkspace`,
+which training allocates once per run. All math is float64 numpy; forwards
+return caches that the corresponding backward functions consume.
 """
 from __future__ import annotations
 
@@ -91,22 +95,21 @@ def sigmoid(x):
 # shared layers
 # ---------------------------------------------------------------------------
 
-def _dense(x, params, layer, out=None):
+def _dense(x, params, layer):
     """x @ w + b, then ReLU if the layer feeds one. Bias and ReLU run in
-    place on the matmul output, so a layer allocates one array, or none
-    when given `out`."""
+    place on the matmul output, so a layer allocates one array."""
     w, b, _, _, feeds_relu = layer
-    h = np.matmul(x, params[w], out=out)
+    h = x @ params[w]
     h += params[b]
     if feeds_relu:
         np.maximum(h, 0.0, out=h)
     return h
 
 
-def _mlp_forward(x, params, layer1, layer2, out1=None, out2=None):
+def _mlp_forward(x, params, layer1, layer2):
     """Two ReLU layers; returns both post-ReLU activations."""
-    h1 = _dense(x, params, layer1, out1)
-    return h1, _dense(h1, params, layer2, out2)
+    h1 = _dense(x, params, layer1)
+    return h1, _dense(h1, params, layer2)
 
 
 def _write_grads(grads, layer, x, d_out):
@@ -135,11 +138,20 @@ def _mlp_backward(d_h2, x, h1, h2, params, layer1, layer2, grads):
 
 def _encoder_blocks(m: int, n: int):
     """(first map, end map) of each encoder block: whole maps, about
-    ENC_BLOCK_ROWS rows each, so a block's activations stay in cache.
+    ENC_BLOCK_ROWS points each, so a block's activations stay in cache.
 
-    A one-row product takes BLAS's gemv path, whose bits differ from the
-    same row of a larger product, so a one-row tail joins the block before
-    it; only a one-row input runs as one row."""
+    A block runs channel-major, one column per point, and its products must
+    be the transposes of the row-major products `x @ w`, byte for byte:
+    - A one-column product takes BLAS's gemv path, whose bits differ from the
+      same column of a larger product, so a one-point tail joins the block
+      before it. Only a one-point input runs as one column; its row-major
+      product is a gemv too, and the two agree.
+    - Layer 2's `W2ᵀ @ h1` matches `h1ᵀ @ W2` only when h1 has a multiple of
+      8 columns (OpenBLAS 0.3.31 differs at 145, 290 or 1023 columns, say),
+      so layer 2 runs on `_padded_cols` columns. Layer 1's `W1ᵀ @ xᵀ` matches
+      at any count. The padding columns hold stale finite values, and no
+      real column reads them.
+    """
     per = max(1, ENC_BLOCK_ROWS // n)
     starts = list(range(0, m, per))
     if len(starts) > 1 and (m - starts[-1]) * n == 1:
@@ -147,41 +159,88 @@ def _encoder_blocks(m: int, n: int):
     return list(zip(starts, starts[1:] + [m]))
 
 
-def encoder_forward(maps: np.ndarray, params: dict):
+def _padded_cols(k: int) -> int:
+    """k rounded up to a multiple of 8, except a lone column (a gemv)."""
+    return k if k == 1 else -(-k // 8) * 8
+
+
+class EncoderWorkspace:
+    """Every array `encoder_forward` writes for (m, n, 5) maps: one block's
+    channel-major activations, the max-pool's winners and pooled values, and
+    the winning rows the backward reads. A forward's cache is views of these
+    arrays, valid until the next forward on the same workspace."""
+
+    def __init__(self, m: int, n: int):
+        self.shape = (m, n)
+        self.blocks = _encoder_blocks(m, n)
+        cols = max(_padded_cols((hi - lo) * n) for lo, hi in self.blocks)
+        # zeros: layer 2 reads padding columns that layer 1 never writes
+        self.h1 = np.zeros(ENC_H1 * cols)
+        self.h2 = np.empty(ENC_H2 * cols)
+        self.block_arg = np.empty(ENC_H2 * max(hi - lo for lo, hi in self.blocks), dtype=np.intp)
+        self.arg = np.empty((m, ENC_H2), dtype=np.intp)
+        self.pooled = np.empty((m, ENC_H2))
+        # a map has at most one winning row per channel
+        self.winners = {name: np.empty((m * ENC_H2, width))
+                        for name, width in (("x", POINT_DIM), ("h1", ENC_H1), ("h2", ENC_H2))}
+        self.inverse = np.empty(m * ENC_H2, dtype=np.intp)
+
+
+def encoder_forward(maps: np.ndarray, params: dict, workspace: EncoderWorkspace | None = None):
     """maps: (M, N, 5) -> tokens (M, TOKEN_DIM) plus a backward cache.
 
     5 -> 64 -> 128 per-point MLP, channelwise max over points, 128 -> 120
     linear projection. The point MLP and the max-pool run block by block
-    (`_encoder_blocks`); the cache keeps only the winning rows of x, h1 and
-    h2, in ascending row order, since the backward reads no other row.
+    (`_encoder_blocks`) and channel-major: a block's activations are
+    (channels, points), so each channel's max-pool `argmax` runs along a
+    contiguous line. The cache keeps only the winning rows of x, h1 and h2,
+    in ascending row order and row-major, since the backward reads no other
+    row. Every array the forward writes, cache included, lives in
+    `workspace`, a new one when none is given.
     """
     m, n, d = maps.shape
+    ws = EncoderWorkspace(m, n) if workspace is None else workspace
+    if ws.shape != (m, n):
+        raise ValueError(f"encoder workspace holds {ws.shape} maps, got {(m, n)}")
     x = maps.reshape(m * n, d)
-    blocks = _encoder_blocks(m, n)
-    # one set of block buffers, reused by every block
-    size = max(hi - lo for lo, hi in blocks) * n
-    buf1, buf2 = np.empty((size, ENC_H1)), np.empty((size, ENC_H2))
-    pooled = np.empty((m, ENC_H2))
-    arg = np.empty((m, ENC_H2), dtype=np.intp)
-    winners, inverse, kept = [], [], 0
-    for lo, hi in blocks:
+    w1, w2 = params["enc.w1"].T, params["enc.w2"].T
+    b1, b2 = params["enc.b1"][:, None], params["enc.b2"][:, None]
+    kept = 0
+    for lo, hi in ws.blocks:
         k = (hi - lo) * n
+        cols = _padded_cols(k)
         xb = x[lo * n:hi * n]
-        h1, h2 = _mlp_forward(xb, params, ENC1, ENC2, buf1[:k], buf2[:k])
-        per_map = h2.reshape(hi - lo, n, ENC_H2)
+        h1 = ws.h1[:ENC_H1 * cols].reshape(ENC_H1, cols)
+        h2 = ws.h2[:ENC_H2 * cols].reshape(ENC_H2, cols)
+        h1k, h2k = h1[:, :k], h2[:, :k]
+        np.matmul(w1, xb.T, out=h1k)
+        h1k += b1
+        np.maximum(h1k, 0.0, out=h1k)
+        np.matmul(w2, h1, out=h2)
+        h2k += b2
+        # Layer 2's ReLU runs only on the winning rows. A channel whose
+        # pre-activations are all <= 0 is 0 on every point after the ReLU, so
+        # its winner is point 0, the first of the tied maxima.
+        per_map = h2k.reshape(ENC_H2, hi - lo, n)
+        arg = ws.block_arg[:ENC_H2 * (hi - lo)].reshape(ENC_H2, hi - lo)
         # argmax takes the first point attaining each channel's maximum (ties:
-        # dead channels at 0, duplicate points)
-        per_map.argmax(axis=1, out=arg[lo:hi])
-        pooled[lo:hi] = np.take_along_axis(per_map, arg[lo:hi, None, :], axis=1)[:, 0]
-        rows, blk_inv = np.unique(arg[lo:hi] + (np.arange(hi - lo) * n)[:, None],
+        # duplicate points)
+        per_map.argmax(axis=2, out=arg)
+        best = np.take_along_axis(per_map, arg[:, :, None], axis=2)[:, :, 0]
+        arg[best <= 0] = 0
+        ws.arg[lo:hi] = arg.T
+        rows, blk_inv = np.unique(ws.arg[lo:hi] + (np.arange(hi - lo) * n)[:, None],
                                   return_inverse=True)
-        winners.append((xb[rows], h1[rows], h2[rows]))
-        inverse.append(blk_inv.ravel() + kept)
-        kept += rows.size
-    x_rows, h1_rows, h2_rows = (np.concatenate(a) for a in zip(*winners))
-    tokens = _dense(pooled, params, ENC3)
-    cache = {"x": x_rows, "h1": h1_rows, "h2": h2_rows, "inverse": np.concatenate(inverse),
-             "arg": arg, "pooled": pooled}
+        end = kept + rows.size
+        ws.winners["x"][kept:end] = xb[rows]
+        ws.winners["h1"][kept:end] = h1k.T[rows]
+        h2_rows = np.maximum(h2k.T[rows], 0.0, out=ws.winners["h2"][kept:end])
+        ws.pooled[lo:hi] = h2_rows[blk_inv.reshape(hi - lo, ENC_H2), np.arange(ENC_H2)]
+        ws.inverse[lo * ENC_H2:hi * ENC_H2] = blk_inv.ravel() + kept
+        kept = end
+    tokens = _dense(ws.pooled, params, ENC3)
+    cache = {name: winners[:kept] for name, winners in ws.winners.items()}
+    cache.update(inverse=ws.inverse, arg=ws.arg, pooled=ws.pooled)
     return tokens, cache
 
 

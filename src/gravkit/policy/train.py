@@ -23,8 +23,8 @@ from ..losses import (W_AUX_POS, W_CON, W_POS, W_ROT, NonFiniteLoss, bce, contra
                       total_loss)
 from ..sim import IDENTITY_ROT6D
 from .model import SCHEDULES, ToyPolicy
-from .nets import (PARAM_COUNT, PROPRIO_DIM, SCENE_DIM, denoiser_backward, denoiser_forward_batch,
-                   encoder_backward, encoder_forward, param_views)
+from .nets import (PARAM_COUNT, PROPRIO_DIM, SCENE_DIM, EncoderWorkspace, denoiser_backward,
+                   denoiser_forward_batch, encoder_backward, encoder_forward, param_views)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
 
 
@@ -38,7 +38,7 @@ TEMPERATURE = 0.1         # contrastive softmax temperature
 MAP_VARIANTS = 2          # pre-jittered maps per transition
 FEATURE_NOISE = 0.03      # std of conditioning jitter during training
 MAX_ITERS = 1_000_000     # an 8 MB loss curve
-MAX_BATCH = 1024          # about 0.2 MB of encoder buffers per batch row
+MAX_BATCH = 1024          # about 0.25 MB of encoder buffers per batch row
 
 
 class TrainingDiverged(GravkitError):
@@ -129,7 +129,8 @@ def build_negative_pool(policy: ToyPolicy, config: TrainConfig) -> np.ndarray:
     return empty_scene_channels(subgoals, current, ws, gp, "infer")
 
 
-def compute_gradients(maps, proprio, scene, targets, aux, k, eps, policy: ToyPolicy, out=None):
+def compute_gradients(maps, proprio, scene, targets, aux, k, eps, policy: ToyPolicy, out=None,
+                      workspace: EncoderWorkspace | None = None):
     """Exact reverse-mode gradients of the full objective for one batch.
 
     The batch is B rows of `build_transitions` arrays, diffusion steps k
@@ -142,13 +143,15 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, policy: ToyPol
 
     Returns (grads, loss, terms); grads is one flat buffer laid out like
     `policy.flat` (`nets.param_views` names its parts): `out` when it is
-    given, every entry overwritten, else a new one.
+    given, every entry overwritten, else a new one. `workspace`, built for
+    `maps`' first two dimensions, holds the encoder's arrays; without one
+    the encoder allocates its own.
     """
     sched_pos, sched_rot = SCHEDULES
     params = policy.params
     b = len(proprio)
 
-    tokens, enc_cache = encoder_forward(maps, params)
+    tokens, enc_cache = encoder_forward(maps, params, workspace)
     feat_idx = np.array([0] + list(range(b, tokens.shape[0])))
     features = tokens[feat_idx]
 
@@ -189,21 +192,21 @@ class Adam:
         self.lr = lr
         self.t = 0
         self.m = self.v = None
+        self.g_buf, self.tmp_buf = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
 
     def step(self, params: np.ndarray, grads: np.ndarray):
         """One update of the flat `params`, in place. The arithmetic is the
         textbook form's, operation for operation, run over ADAM_CHUNK-entry
-        slices through two chunk-sized scratch buffers."""
+        slices through the optimizer's two chunk-sized scratch buffers."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
         if self.m is None:
             self.m, self.v = np.zeros_like(params), np.zeros_like(params)
-        g_buf, tmp_buf = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
         for lo in range(0, params.size, ADAM_CHUNK):
             chunk = slice(lo, lo + ADAM_CHUNK)
             arr, grad, m, v = params[chunk], grads[chunk], self.m[chunk], self.v[chunk]
-            g, tmp = g_buf[:arr.size], tmp_buf[:arr.size]
+            g, tmp = self.g_buf[:arr.size], self.tmp_buf[:arr.size]
             np.multiply(arr, WEIGHT_DECAY, out=g)   # g = grad + WEIGHT_DECAY * arr
             g += grad
             np.multiply(g, 1 - ADAM_BETA1, out=tmp)
@@ -238,6 +241,7 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
     grads = np.empty(PARAM_COUNT)
     xyz = _sample_lattice(policy.workspace, policy.gravmap_params)[0]
     rows = np.empty((config.batch + CONTRAST_N - 1, len(xyz), 5))   # the batch's maps, then negatives
+    workspace = EncoderWorkspace(*rows.shape[:2])
     maps, proprio, scene, targets, aux = build_transitions(demos, policy, config)
     pool = build_negative_pool(policy, config)
 
@@ -258,7 +262,7 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
         try:
             with np.errstate(over="raise", invalid="raise"):
                 grads, loss, _ = compute_gradients(rows, p_rows, s_rows, targets[idx], aux[idx], ks, eps,
-                                                   policy, out=grads)
+                                                   policy, out=grads, workspace=workspace)
                 opt.step(policy.flat, grads)
         except (NonFiniteLoss, FloatingPointError) as exc:
             raise TrainingDiverged(it, exc) from exc

@@ -22,7 +22,7 @@ from gravkit.policy import (Adam, ToyPolicy, TrainConfig, TrainingDiverged, comp
                             save_policy, train)
 from gravkit.policy import nets
 from gravkit.policy.nets import (ENC_BLOCK_ROWS as BLOCK, ENC_H1, ENC_H2, HIDDEN, IN_A, IN_B,
-                                 LAYERS, POINT_DIM, TOKEN_DIM,
+                                 LAYERS, POINT_DIM, TOKEN_DIM, EncoderWorkspace,
                                  chain_denoiser, denoiser_backward, encoder_backward,
                                  encoder_forward, sigmoid, step_embedding)
 from gravkit.policy.train import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS, CONTRAST_N,
@@ -234,15 +234,16 @@ class TestTraining:
         assert loaded.workspace == policy.workspace
 
     def test_one_gradient_buffer_per_run(self, demo_set, monkeypatch):
-        """train() hands compute_gradients the one flat buffer it allocated,
-        and every iteration gets that buffer back: no iteration after the
-        first allocates a new one."""
+        """train() hands compute_gradients the one flat buffer and the one
+        encoder workspace it allocated, and every iteration gets that buffer
+        back: no iteration after the first allocates a new one."""
         real = train_mod.compute_gradients
-        given, returned = [], []
+        given, workspaces, returned = [], [], []
 
-        def recording(*args, out=None, **kwargs):
+        def recording(*args, out=None, workspace=None, **kwargs):
             given.append(out)
-            result = real(*args, out=out, **kwargs)
+            workspaces.append(workspace)
+            result = real(*args, out=out, workspace=workspace, **kwargs)
             returned.append(result[0])
             return result
 
@@ -250,6 +251,8 @@ class TestTraining:
         train(TrainConfig(iters=4, seed=3, pool_size=8), demo_set)
         assert len(given) == 4 and given[0] is not None
         assert all(buf is given[0] for buf in given + returned)
+        assert isinstance(workspaces[0], EncoderWorkspace)
+        assert all(ws is workspaces[0] for ws in workspaces)
 
     def test_huge_iteration_count_fails_before_set_up(self, demo_set, monkeypatch):
         """The loss curve is allocated before the training set is built, so a
@@ -351,10 +354,12 @@ class TestEncoderMatchesOracle:
     # Shapes at the edges of the encoder's row blocks (`nets._encoder_blocks`):
     # one-point maps past one block's map count (a one-row tail joins the
     # block before it, a two-row tail stands alone), one-map tails at N = 2
-    # and 3, and maps just longer than a block.
+    # and 3, maps just longer than a block, and blocks of several maps whose
+    # point count is above 256 and not a multiple of 8 (725, 903 and 258
+    # points), where layer 2 runs on padding columns.
     @pytest.mark.parametrize("m, n", [(BLOCK + 1, 1), (BLOCK + 2, 1), (2 * BLOCK + 1, 1),
                                       (BLOCK // 2 + 1, 2), (BLOCK // 3 + 1, 3),
-                                      (2, BLOCK + 1), (3, BLOCK + 2)])
+                                      (2, BLOCK + 1), (3, BLOCK + 2), (5, 145), (9, 129)])
     @settings(derandomize=True, max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), distinct=st.sampled_from([None, 1, 3]),
            dead_frac=st.sampled_from([0.0, 0.3, 1.0]))
@@ -373,6 +378,48 @@ class TestEncoderMatchesOracle:
             if isinstance(value, np.ndarray):
                 assert value.shape[0] != m * n, key
                 assert value.shape[0] <= m * ENC_H2, key
+
+    @pytest.mark.parametrize("m, n", [(15, 1024), (5, 145), (9, 129), (1, 7), (1, 1)])
+    def test_workspace_call_matches_fresh_call(self, m, n):
+        """A forward on a workspace that an earlier forward filled gives the
+        bytes of a forward on a new one: tokens and every cache array."""
+        rng = np.random.default_rng(m + n)
+        params = ToyPolicy.init(seed=2).params
+        workspace = EncoderWorkspace(m, n)
+        encoder_forward(rng.standard_normal((m, n, 5)), params, workspace)
+        maps = rng.standard_normal((m, n, 5))
+        want_tokens, want = encoder_forward(maps, params)
+        tokens, cache = encoder_forward(maps, params, workspace)
+        assert tokens.tobytes() == want_tokens.tobytes()
+        assert cache.keys() == want.keys()
+        for key in want:
+            assert cache[key].shape == want[key].shape, key
+            assert cache[key].tobytes() == want[key].tobytes(), key
+            assert cache[key].flags.c_contiguous, key
+
+    def test_workspace_for_other_maps_refused(self):
+        params = ToyPolicy.init(seed=2).params
+        with pytest.raises(ValueError, match=r"holds \(15, 1024\) maps, got \(14, 1024\)"):
+            encoder_forward(np.zeros((14, 1024, 5)), params, EncoderWorkspace(15, 1024))
+
+    def test_training_batch_allocates_under_1mb(self):
+        """With the run's workspace, a forward on a training batch (15 maps
+        of 1,024 points) allocates nothing that scales with points: block
+        activations, pooling arrays and winning rows all live in the
+        workspace."""
+        rng = np.random.default_rng(4)
+        params = ToyPolicy.init(seed=2).params
+        maps = rng.standard_normal((15, 1024, 5))
+        workspace = EncoderWorkspace(15, 1024)
+        encoder_forward(maps, params, workspace)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            encoder_forward(maps, params, workspace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _check_encoder_against_oracle(m, n, seed, distinct, dead_frac):
@@ -437,6 +484,50 @@ class TestBlasRowBlocks:
             env[var] = str(threads)
         res = subprocess.run([sys.executable, "-c", BLAS_ROW_BLOCKS_SCRIPT,
                               json.dumps([rows, shapes, sizes])],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []
+
+
+# The encoder's channel-major products against the transposes of the
+# row-major products, in a fresh interpreter so the BLAS thread count takes
+# effect. Each count k comes with the column count layer 2 runs on.
+BLAS_CHANNEL_MAJOR_SCRIPT = """
+import json, sys
+import numpy as np
+(d, w1_out, w2_out), counts = json.loads(sys.argv[1])
+rng = np.random.default_rng(0)
+w1, w2 = rng.standard_normal((d, w1_out)), rng.standard_normal((w1_out, w2_out))
+bad = []
+for k, cols in counts:
+    x = rng.standard_normal((k, d))
+    h1 = np.full((w1_out, cols), 7.0)   # padding columns hold stale finite values
+    np.matmul(w1.T, x.T, out=h1[:, :k])
+    if h1[:, :k].tobytes() != (x @ w1).T.tobytes():
+        bad.append(["layer 1", k])
+    np.maximum(h1, 0.0, out=h1)
+    rows = np.ascontiguousarray(h1[:, :k].T)
+    if (w2.T @ h1)[:, :k].tobytes() != (rows @ w2).T.tobytes():
+        bad.append(["layer 2", k])
+print(json.dumps(bad))
+"""
+
+
+class TestBlasChannelMajor:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_channel_major_products_equal_row_major_transposes(self, threads):
+        """The channel-major encoder relies on this BLAS property: `W1ᵀ @ xᵀ`
+        is `(x @ W1)ᵀ` byte for byte, and `W2ᵀ @ h1` on `_padded_cols`
+        columns is `(h1ᵀ @ W2)ᵀ` on the real ones. A failure names the
+        layer and the point count k. 1025 points is the largest block of
+        maps no longer than a block; 7000 stands for one longer map."""
+        counts = [[k, nets._padded_cols(k)]
+                  for k in (1, 2, 7, 145, 290, 1023, BLOCK, BLOCK + 1, 7000)]
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        res = subprocess.run([sys.executable, "-c", BLAS_CHANNEL_MAJOR_SCRIPT,
+                              json.dumps([[POINT_DIM, ENC_H1, ENC_H2], counts])],
                              env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == []
@@ -569,7 +660,9 @@ class TestAdam:
             assert opt.v.tobytes() == ref_v.tobytes()
         assert allocated == [(self.SIZE,), (self.SIZE,)]
 
-    def test_step_allocates_at_most_two_chunks(self):
+    def test_step_allocates_no_scratch(self):
+        """Both chunk buffers come with the optimizer, so a step allocates
+        only array headers and Python scalars."""
         rng = np.random.default_rng(3)
         params, grads = rng.standard_normal(nets.PARAM_COUNT), rng.standard_normal(nets.PARAM_COUNT)
         opt = Adam(1e-3)
@@ -581,8 +674,7 @@ class TestAdam:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4 KiB for the scratch arrays' headers and Python scalars
-        assert peak - before <= 2 * ADAM_CHUNK * 8 + 4096
+        assert peak - before <= 4096
 
 
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "fixture" / "model.bin"
