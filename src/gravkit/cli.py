@@ -146,11 +146,13 @@ def cmd_synth(args) -> int:
     if vals[3] not in (0.0, 1.0):
         raise ValueError("--subgoal openness must be 0 or 1")
     params = _params_from(args, GravMapParams)
+    if args.slice and not args.pgm:
+        raise ValueError("--slice needs --pgm")
     if args.pgm:
         if not args.slice:
             raise ValueError("--pgm needs --slice AXIS=INDEX")
         axis_name, _, idx = args.slice.partition("=")
-        if axis_name not in ("x", "y", "z") or not idx.lstrip("-").isdigit():
+        if axis_name not in ("x", "y", "z") or not idx.removeprefix("-").isdecimal():
             raise ValueError(f"malformed --slice {args.slice!r}, expected e.g. z=50")
         axis, index = "xyz".index(axis_name), int(idx)
         if not 0 <= index < params.map_size:

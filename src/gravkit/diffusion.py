@@ -1,7 +1,9 @@
 """Denoising diffusion machinery for end-effector poses.
 
 Positions and 6D rotations diffuse under separate noise schedules (scaled
-linear and squared cosine by default). The reverse update is the standard
+linear and squared cosine by default), spread over the pose vector's
+channels once by `pose_schedule`; training's forward noise and the reverse
+chain both read that one schedule. The reverse update is the standard
 posterior-mean step with optional posterior-variance noise; the final step
 never adds noise. Rotations are decoded through Gram-Schmidt so the sampled
 output is always a valid rotation matrix.
@@ -18,8 +20,8 @@ SCALED_LINEAR = "scaled_linear"
 SQUARED_COS = "squaredcos"
 
 DEFAULT_STEPS = 100
-DEFAULT_BETA_START = 1e-4
-DEFAULT_BETA_END = 0.02
+BETA_START = 1e-4   # scaled_linear's first and last beta
+BETA_END = 0.02
 
 
 class InvalidRange(GravkitError):
@@ -40,31 +42,27 @@ class NotARotation(GravkitError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step coefficients for steps k = 1..K, stored at index k-1.
-    alpha_bar of step 0, not stored, is 1."""
+    """Per-step coefficients for steps k = 1..K, stored at row k-1: one
+    value per step, or one per channel in (K, C) arrays. alpha_bar of step
+    0, not stored, is 1."""
 
-    kind: str
     steps: int
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
 
 
-def make_schedule(kind: str = SCALED_LINEAR, steps: int = DEFAULT_STEPS,
-                  beta_start: float = DEFAULT_BETA_START,
-                  beta_end: float = DEFAULT_BETA_END) -> NoiseSchedule:
+def make_schedule(kind: str, steps: int) -> NoiseSchedule:
     """Build a noise schedule.
 
-    scaled_linear: beta_k = (sqrt(beta_start) + (k-1)/(K-1) * (sqrt(beta_end)
-    - sqrt(beta_start)))^2. squaredcos: alpha_bar follows the squared-cosine
+    scaled_linear: beta_k = (sqrt(BETA_START) + (k-1)/(K-1) * (sqrt(BETA_END)
+    - sqrt(BETA_START)))^2. squaredcos: alpha_bar follows the squared-cosine
     profile with s = 0.008 and betas clipped at 0.999.
     """
     if steps < 1:
         raise InvalidRange("steps must be >= 1")
     if kind == SCALED_LINEAR:
-        if not 0 < beta_start <= beta_end < 1:
-            raise InvalidRange("need 0 < beta_start <= beta_end < 1")
-        beta = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), steps) ** 2
+        beta = np.linspace(np.sqrt(BETA_START), np.sqrt(BETA_END), steps) ** 2
     elif kind == SQUARED_COS:
         s = 0.008
         k = np.arange(steps + 1, dtype=float)
@@ -73,77 +71,69 @@ def make_schedule(kind: str = SCALED_LINEAR, steps: int = DEFAULT_STEPS,
         beta = np.minimum(1.0 - abar[1:] / abar[:-1], 0.999)
     else:
         raise InvalidRange(f"unknown schedule kind {kind!r}")
+    return _from_beta(beta)
+
+
+def pose_schedule(sched_pos: NoiseSchedule, sched_rot: NoiseSchedule) -> NoiseSchedule:
+    """The pose vector's schedule: (K, 9) arrays whose 3 position channels
+    follow `sched_pos` and whose 6 rotation channels follow `sched_rot`."""
+    if sched_pos.steps != sched_rot.steps:
+        raise InvalidRange("position and rotation schedules must share K")
+    return _from_beta(np.stack([sched_pos.beta, sched_rot.beta], axis=1)[:, np.repeat([0, 1], (3, 6))])
+
+
+def _from_beta(beta: np.ndarray) -> NoiseSchedule:
     alpha = 1.0 - beta
-    return NoiseSchedule(kind=kind, steps=steps, beta=beta, alpha=alpha,
-                         alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(steps=len(beta), beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha, axis=0))
 
 
 def add_noise(x0, k, eps, sched: NoiseSchedule):
     """Forward process: x_k = sqrt(abar_k) * x0 + sqrt(1 - abar_k) * eps.
 
-    `k` is one step for a single pose, or a (B,) array of steps, one per row
-    of (B, d) `x0` and `eps`.
+    `k` is one step for a single row, or a (B,) array of steps, one per row
+    of (B, d) `x0` and `eps`. A per-channel schedule gives each of the d
+    channels its own abar_k.
     """
     k = np.asarray(k)
     if np.any((k < 0) | (k > sched.steps)):
         raise StepOutOfRange(f"step {k} outside 0..{sched.steps}")
-    ab = np.where(k == 0, 1.0, sched.alpha_bar[k - 1])[..., None]
+    ab = np.where((k == 0)[..., None], 1.0, sched.alpha_bar.reshape(sched.steps, -1)[k - 1])
     return np.sqrt(ab) * np.asarray(x0, dtype=float) + np.sqrt(1.0 - ab) * np.asarray(eps, dtype=float)
 
 
-def _reverse_terms(sched: NoiseSchedule) -> np.ndarray:
-    """(K, 3) per-step terms of the reverse update, row k-1 for step k: the
-    mean coefficient beta_k / sqrt(1 - abar_k), sqrt(alpha_k) and the
-    posterior std sigma_k = sqrt((1 - abar_{k-1}) / (1 - abar_k) * beta_k)."""
-    abar_prev = np.concatenate(([1.0], sched.alpha_bar[:-1]))
-    return np.stack([sched.beta / np.sqrt(1.0 - sched.alpha_bar),
-                     np.sqrt(sched.alpha),
-                     np.sqrt((1.0 - abar_prev) / (1.0 - sched.alpha_bar) * sched.beta)], axis=1)
+def reverse_coefficients(sched: NoiseSchedule) -> np.ndarray:
+    """(K, 3, ...) table of the reverse update's terms, row k-1 for step k:
+    the mean coefficient beta_k / sqrt(1 - abar_k), sqrt(alpha_k) and the
+    posterior std sigma_k = sqrt((1 - abar_{k-1}) / (1 - abar_k) * beta_k),
+    each per channel when `sched` is."""
+    abar = sched.alpha_bar
+    abar_prev = np.concatenate((np.ones_like(abar[:1]), abar[:-1]))
+    return np.stack([sched.beta / np.sqrt(1.0 - abar), np.sqrt(sched.alpha),
+                     np.sqrt((1.0 - abar_prev) / (1.0 - abar) * sched.beta)], axis=1)
 
 
-_CHANNEL_SCHEDULE = np.repeat([0, 1], (3, 6))   # 0: position channel, 1: rotation
-
-
-def reverse_coefficients(sched_pos: NoiseSchedule, sched_rot: NoiseSchedule) -> np.ndarray:
-    """(K, 3, 9) table of the reverse update's coefficients: row k-1 holds
-    step k's mean coefficient, sqrt(alpha) and posterior std, each spread
-    over the pose vector's 3 position and 6 rotation channels."""
-    if sched_pos.steps != sched_rot.steps:
-        raise InvalidRange("position and rotation schedules must share K")
-    terms = np.stack([_reverse_terms(sched_pos), _reverse_terms(sched_rot)], axis=-1)
-    return terms[..., _CHANNEL_SCHEDULE]
-
-
-def _reverse_update(x, k: int, eps_hat, coefs: np.ndarray, stochastic: bool, rng) -> np.ndarray:
-    """x_{k-1} from x_k with the coefficients of `reverse_coefficients`: the
-    posterior mean, plus posterior-variance noise drawn from `rng` only when
-    stochastic and k > 1."""
-    mean_coef, root_alpha, sigma = coefs[k - 1]
-    x = (np.asarray(x, dtype=float) - mean_coef * eps_hat) / root_alpha
-    if stochastic and k > 1:
-        x = x + sigma * rng.standard_normal(9)
-    return x
-
-
-def sample(denoiser, sched_pos: NoiseSchedule, sched_rot: NoiseSchedule,
-           seed, stochastic: bool = True):
+def sample(denoiser, coefs: np.ndarray, seed, stochastic: bool = True):
     """Run the full reverse chain and return (Pose, openness).
 
-    `denoiser` is called as denoiser(x, k) with the noisy pose vector x (9,),
-    3 position then 6 rotation channels, at step k, and must
-    return (eps_hat, open_prob): the predicted noise (9,) and the openness
-    probability. The chain starts from standard normal noise at step K, the
-    openness is read from the final (k = 1) prediction and thresholded at
-    0.5, and the final rotation is orthonormalized via Gram-Schmidt. The
-    start and every step's noise come from one generator seeded with `seed`,
-    and the coefficient table is built once per chain.
+    `coefs` is the (K, 3, 9) `reverse_coefficients` table of a
+    `pose_schedule`. `denoiser` is called as denoiser(x, k) with the noisy
+    pose vector x (9,), 3 position then 6 rotation channels, at step k, and
+    must return (eps_hat, open_prob): the predicted noise (9,) and the
+    openness probability. The chain starts from standard normal noise at
+    step K; each step takes the posterior mean, plus posterior-variance
+    noise when stochastic and k > 1. The start and every step's noise come
+    from one generator seeded with `seed`. The openness is read from the
+    final (k = 1) prediction and thresholded at 0.5, and the final rotation
+    is orthonormalized via Gram-Schmidt.
     """
-    coefs = reverse_coefficients(sched_pos, sched_rot)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(9)
-    for k in range(sched_pos.steps, 0, -1):
+    for k in range(len(coefs), 0, -1):
         eps_hat, open_prob = denoiser(x, k)
-        x = _reverse_update(x, k, eps_hat, coefs, stochastic, rng)
+        mean_coef, root_alpha, sigma = coefs[k - 1]
+        x = (x - mean_coef * eps_hat) / root_alpha
+        if stochastic and k > 1:
+            x = x + sigma * rng.standard_normal(x.shape)
     pose = Pose(pos=x[:3], rot6d=matrix_to_rot6d(rot6d_to_matrix(x[3:])))
     return pose, int(open_prob > 0.5)
 

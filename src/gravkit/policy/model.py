@@ -17,14 +17,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..demos import CorruptFile, GravkitError, read_json
-from ..diffusion import DEFAULT_STEPS, SCALED_LINEAR, SQUARED_COS, make_schedule
+from ..diffusion import (DEFAULT_STEPS, SCALED_LINEAR, SQUARED_COS, make_schedule, pose_schedule,
+                         reverse_coefficients)
 from ..gravmap import DEFAULT_GRAVMAP_PARAMS, Workspace
 from .nets import LAYERS, PARAM_COUNT, PARAM_SHAPES, param_views
 
 FORMAT_VERSION = 1
 WORKSPACE = Workspace()
-SCHEDULES = (make_schedule(SCALED_LINEAR, DEFAULT_STEPS), make_schedule(SQUARED_COS, DEFAULT_STEPS))
-CONFIG = {"steps": DEFAULT_STEPS, "sched_pos": SCHEDULES[0].kind, "sched_rot": SCHEDULES[1].kind,
+# the pose's one diffusion schedule, and the reverse chain's table built from it
+SCHEDULE = pose_schedule(make_schedule(SCALED_LINEAR, DEFAULT_STEPS),
+                         make_schedule(SQUARED_COS, DEFAULT_STEPS))
+REVERSE_COEFS = reverse_coefficients(SCHEDULE)
+CONFIG = {"steps": DEFAULT_STEPS, "sched_pos": SCALED_LINEAR, "sched_rot": SQUARED_COS,
           "workspace": {"min": list(WORKSPACE.min), "max": list(WORKSPACE.max)},
           "gravmap": asdict(DEFAULT_GRAVMAP_PARAMS)}
 
@@ -38,7 +42,6 @@ class ToyPolicy:
     # the one configuration, as class constants (no annotation: not fields)
     workspace = WORKSPACE
     gravmap_params = DEFAULT_GRAVMAP_PARAMS
-    steps = DEFAULT_STEPS
 
     def __post_init__(self):
         self.params = param_views(self.flat)

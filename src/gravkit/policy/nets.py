@@ -290,11 +290,12 @@ def denoiser_forward_batch(pose: np.ndarray, steps: np.ndarray, proprio: np.ndar
                            scene: np.ndarray, tokens: np.ndarray, params: dict):
     """Training forward pass: `denoiser_forward` plus the auxiliary heads.
 
-    pose (B, 9), steps (B,), proprio (B, 8), scene (B, 16), tokens (B, 120).
+    pose (B, 9), steps (B,) integers in 1..K, proprio (B, 8), scene (B, 16),
+    tokens (B, 120); each row's step embedding is row k-1 of `STEP_EMBEDDINGS`.
     Returns (eps_pos, eps_rot, open_p, aux_pos, aux_open_p, cache); the
     openness outputs are probabilities.
     """
-    in_a = _input_rows(pose, proprio, scene, step_embedding(steps), tokens)
+    in_a = _input_rows(pose, proprio, scene, STEP_EMBEDDINGS[steps - 1], tokens)
     eps, open_p, cache = denoiser_forward(in_a, params)
     a_h2 = cache["a_h2"]
     return (eps[:, :3], eps[:, 3:], open_p, _dense(a_h2, params, AUXP),

@@ -13,8 +13,8 @@ import numpy as np
 from .. import diffusion
 from ..demos import Frame, TaskKind
 from ..gravmap import Workspace, generate_gravmap
-from ..sim import Command, check_success, make_world, next_subgoal, occupancy_grid, step
-from .model import SCHEDULES, ToyPolicy
+from ..sim import check_success, make_world, next_subgoal, occupancy_grid, step
+from .model import REVERSE_COEFS, ToyPolicy
 from .nets import TOKEN_DIM, chain_denoiser, encode_gravmap
 
 MOVE_FRAME_CAP = 60   # straight-line frames per predicted keypose
@@ -50,16 +50,11 @@ def scene_feat_from_frame(frame: Frame, ws: Workspace) -> np.ndarray:
     ])
 
 
-def _null_frame(world) -> Frame:
-    _, frame = step(world, Command(target=world.gripper_pos.copy(), open=world.gripper_open))
-    return frame
-
-
 def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator,
                 guided: bool = True, shifted: bool = False, max_steps: int = 25) -> bool:
     ws, gp = policy.workspace, policy.gravmap_params
     world = make_world(task_kind, rng, shifted=shifted)
-    frame = _null_frame(world)
+    frame = step(world, world.gripper_pos, world.gripper_open)
     prev_frame = frame
     zero_token = np.zeros(TOKEN_DIM)
     token_cache: dict = {}
@@ -82,7 +77,7 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
             token = zero_token
         denoiser = chain_denoiser(policy.params, proprio_vec(prev_frame, frame, ws),
                                   scene_feat_from_frame(frame, ws), token)
-        pose, open_pred = diffusion.sample(denoiser, *SCHEDULES, seed=int(rng.integers(2**63)))
+        pose, open_pred = diffusion.sample(denoiser, REVERSE_COEFS, seed=int(rng.integers(2**63)))
         target = denormalize_pos(np.clip(pose.pos, -1.0, 1.0), ws)
         # the observation that produced this prediction becomes the "previous
         # keypose" entry of the next history pair, mirroring training
@@ -90,9 +85,9 @@ def run_episode(policy: ToyPolicy, task_kind: TaskKind, rng: np.random.Generator
         for _ in range(MOVE_FRAME_CAP):
             if np.array_equal(world.gripper_pos, target):
                 break
-            _, frame = step(world, Command(target=target, open=world.gripper_open))
+            frame = step(world, target, world.gripper_open)
         for _ in range(SETTLE_FRAMES):
-            _, frame = step(world, Command(target=target, open=open_pred))
+            frame = step(world, target, open_pred)
     return check_success(world, task_kind)
 
 

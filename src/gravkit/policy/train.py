@@ -22,7 +22,7 @@ from ..keypose import distill_demo
 from ..losses import (W_AUX_POS, W_CON, W_POS, W_ROT, NonFiniteLoss, bce, contrastive, noise_l1,
                       total_loss)
 from ..sim import IDENTITY_ROT6D
-from .model import SCHEDULES, ToyPolicy
+from .model import SCHEDULE, ToyPolicy
 from .nets import (PARAM_COUNT, PROPRIO_DIM, SCENE_DIM, EncoderWorkspace, denoiser_backward,
                    denoiser_forward_batch, encoder_backward, encoder_forward, param_views)
 from .rollout import normalize_pos, proprio_vec, scene_feat_from_frame
@@ -147,7 +147,6 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, policy: ToyPol
     `maps`' first two dimensions, holds the encoder's arrays; without one
     the encoder allocates its own.
     """
-    sched_pos, sched_rot = SCHEDULES
     params = policy.params
     b = len(proprio)
 
@@ -155,9 +154,7 @@ def compute_gradients(maps, proprio, scene, targets, aux, k, eps, policy: ToyPol
     feat_idx = np.array([0] + list(range(b, tokens.shape[0])))
     features = tokens[feat_idx]
 
-    xk_pos = add_noise(targets[:, :3], k, eps[:, :3], sched_pos)
-    xk_rot = add_noise(targets[:, 3:9], k, eps[:, 3:], sched_rot)
-    pose = np.concatenate([xk_pos, xk_rot], axis=1)
+    pose = add_noise(targets[:, :9], k, eps, SCHEDULE)
     y_open, aux_pos_t, y_auxo = targets[:, 9:], aux[:, :3], aux[:, 3:]
 
     eps_pos_hat, eps_rot_hat, open_p, aux_pos_hat, auxo_p, den_cache = denoiser_forward_batch(
@@ -247,11 +244,10 @@ def train(config: TrainConfig, demos: list[Demo], policy: ToyPolicy | None = Non
 
     rng = np.random.default_rng([config.seed, 1])
     opt = Adam(config.lr)
-    steps = policy.steps
     for it in range(config.iters):
         idx = rng.integers(len(proprio), size=config.batch)
         variants = rng.integers(MAP_VARIANTS, size=config.batch)
-        ks = rng.integers(1, steps + 1, size=config.batch)
+        ks = rng.integers(1, SCHEDULE.steps + 1, size=config.batch)
         eps = rng.standard_normal((config.batch, 9))
         neg = rng.integers(len(pool), size=CONTRAST_N - 1)
         noise = rng.normal(0.0, FEATURE_NOISE, (config.batch, PROPRIO_DIM + SCENE_DIM))

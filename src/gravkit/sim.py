@@ -75,33 +75,25 @@ class World:
         return self.objects[self.target_idx]
 
 
-@dataclass
-class Command:
-    target: np.ndarray
-    open: int
-
-    def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=float)
-
-
 def _surface_distance(pos, obj: SceneObject) -> float:
     return float(np.linalg.norm(pos - obj.center) - obj.radius)
 
 
-def step(world: World, cmd: Command):
-    """Advance one frame. The world is updated in place and returned with
-    the observed Frame.
+def step(world: World, target, open_state: int) -> Frame:
+    """Advance one frame toward `target` with the gripper commanded to
+    `open_state`. The world is updated in place; returns the observed Frame.
 
     Order of effects: move (speed-capped, clamped to the workspace), carry
     any attached object, apply the commanded gripper state (a closed gripper
     within the grasp radius of a graspable object attaches it, an open one
     detaches), then read the touch force from the nearest object.
     """
+    target = np.asarray(target, dtype=float)
     old = world.gripper_pos
-    delta = cmd.target - old
+    delta = target - old
     dist = float(np.linalg.norm(delta))
     if dist <= MAX_SPEED:
-        new = cmd.target.copy()
+        new = target.copy()
     else:
         new = old + delta * (MAX_SPEED / dist)
     new = np.clip(new, world.workspace.min, world.workspace.max)
@@ -110,15 +102,15 @@ def step(world: World, cmd: Command):
     if world.attached is not None:
         world.objects[world.attached].center = new.copy()
 
-    world.gripper_open = int(cmd.open)
-    if cmd.open == 0 and world.attached is None:
+    world.gripper_open = int(open_state)
+    if open_state == 0 and world.attached is None:
         best, best_d = None, GRASP_RADIUS
         for i, obj in enumerate(world.objects):
             d = max(0.0, _surface_distance(new, obj))
             if obj.graspable and d <= best_d:
                 best, best_d = i, d
         world.attached = best
-    elif cmd.open == 1:
+    elif open_state == 1:
         world.attached = None
 
     force = 0.0
@@ -132,12 +124,12 @@ def step(world: World, cmd: Command):
     frame = Frame(
         t=world.tick,
         pose=Pose(pos=new.copy(), rot6d=IDENTITY_ROT6D.copy()),
-        open=int(cmd.open),
+        open=int(open_state),
         joint_vel=vel,
         touch=np.array([force, force]),
     )
     world.tick += 1
-    return world, frame
+    return frame
 
 
 def check_success(world: World, task_kind: TaskKind) -> bool:
@@ -229,8 +221,7 @@ class _Script:
         self.frames: list[Frame] = []
 
     def _step(self, target, open_state):
-        _, frame = step(self.world, Command(target=np.asarray(target, float), open=open_state))
-        self.frames.append(frame)
+        self.frames.append(step(self.world, target, open_state))
 
     def goto(self, target, open_state, dwell=2, step_len=None, max_frames=400):
         target = np.asarray(target, dtype=float)

@@ -170,6 +170,19 @@ def posterior_sigma(k, sched):
     return float(np.sqrt((1.0 - abar(sched, k - 1)) / (1.0 - abar(sched, k)) * sched.beta[k - 1]))
 
 
+def reverse_table_oracle(sched_pos, sched_rot):
+    """(K, 3, 9) reverse-update terms built per scalar schedule, then spread:
+    each schedule's (K, 3) mean coefficient beta_k / sqrt(1 - abar_k),
+    sqrt(alpha_k) and posterior std, its columns indexed out to the pose's
+    3 position and 6 rotation channels."""
+    def terms(s):
+        abar_prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
+        return np.stack([s.beta / np.sqrt(1.0 - s.alpha_bar), np.sqrt(s.alpha),
+                         np.sqrt((1.0 - abar_prev) / (1.0 - s.alpha_bar) * s.beta)], axis=1)
+
+    return np.stack([terms(sched_pos), terms(sched_rot)], axis=-1)[..., np.repeat([0, 1], (3, 6))]
+
+
 def reverse_chain_oracle(denoiser, sched_pos, sched_rot, seed, stochastic):
     """The pose vector (9,) that the reverse chain ends at, channel by
     channel in scalars: from standard normal noise at step K, each step

@@ -25,7 +25,7 @@ from gravkit.policy.nets import TOKEN_DIM, sigmoid
 from gravkit.sim import SceneObject, World, occupancy_grid, scripted_expert, scripted_long_demo
 
 from oracles import fps_oracle, gravmap_fields_oracle, subgoal_oracle
-from test_diffusion import _ZeroDenoiser, one_step_chain, random_rotation
+from test_diffusion import _ZeroDenoiser, chain_table, one_step_chain, random_rotation
 
 WS = Workspace()
 PARAMS = GravMapParams()
@@ -127,7 +127,7 @@ def test_criterion_4_diffusion_identities():
         assert np.all(np.diff(sched.alpha_bar) < 0.0)
 
     sp, sr = make_schedule(SCALED_LINEAR, 100), make_schedule(SQUARED_COS, 100)
-    pose, _ = sample(_ZeroDenoiser(), sp, sr, seed=5, stochastic=False)
+    pose, _ = sample(_ZeroDenoiser(), chain_table(sp, sr), seed=5, stochastic=False)
     e_k = np.random.default_rng(5).standard_normal(9)
     closed_form = e_k[:3] * np.prod(1.0 / np.sqrt(sp.alpha))
     zero_err = float(np.abs(pose.pos - closed_form).max())

@@ -278,13 +278,20 @@ class TestSynth:
         img = np.frombuffer(blob.split(b"\n255\n", 1)[1], dtype=np.uint8).reshape(100, 100)
         assert divmod(int(np.argmin(img)), 100) == (35, 70)
 
-    @pytest.mark.parametrize("slice_args", [[], ["--slice", "z=500"]])
+    @pytest.mark.parametrize("slice_args", [
+        ["--pgm"], ["--pgm", "--slice", "z=500"], ["--slice", "q=abc"],
+        ["--pgm", "--slice", "z=\u00b2"], ["--pgm", "--slice", "z=--5"],
+    ])
     def test_bad_pgm_slice_exit_1_writes_nothing(self, tmp_path, slice_args):
+        """`--pgm` takes the PGM path, and `--slice` is checked whenever it
+        is given; each error names the flag it is about."""
         out, mirror, pgm = tmp_path / "m.gmap", tmp_path / "m.json", tmp_path / "s.pgm"
+        args = [a for flag in slice_args for a in ((flag, str(pgm)) if flag == "--pgm" else (flag,))]
         res = run_cli("synth", "--subgoal", "0.5,0.5,0.5,1", "--out", str(out),
-                      "--json", str(mirror), "--pgm", str(pgm), *slice_args)
+                      "--json", str(mirror), *args)
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
+        assert "slice" in res.stderr
         assert not out.exists() and not mirror.exists() and not pgm.exists()
 
     def test_scene_occupancy_consumed(self, tmp_path):
@@ -640,7 +647,9 @@ def test_every_definition_is_referenced_in_the_package():
     referenced when it is read, as a name or an attribute, or imported. A
     method counts only when it is read as an attribute, since a bare name
     of its spelling is another binding (a local `abar` is not
-    `NoiseSchedule.abar`)."""
+    `NoiseSchedule.abar`). A module-level constant counts only when it is
+    read as a name or an attribute, and a dataclass field only when it is
+    read as an attribute: an import, a store or a keyword is no read."""
     def names(node, bare=True):
         for n in ast.walk(node):
             if isinstance(n, ast.Name) and bare:
@@ -664,4 +673,21 @@ def test_every_definition_is_referenced_in_the_package():
                 bare = id(d) not in methods
                 if counts[bare][d.name] == Counter(names(d, bare))[d.name]:
                     unreferenced.add(d.name)
+    reads = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+    read_names = {n.id for n in reads if isinstance(n, ast.Name)}
+    read_attrs = {n.attr for n in reads if isinstance(n, ast.Attribute)}
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                unreferenced.update(n.id for t in targets for n in ast.walk(t)
+                                    if isinstance(n, ast.Name) and not n.id.startswith("__")
+                                    and n.id not in read_names | read_attrs)
+        for cls in ast.walk(tree):
+            if (isinstance(cls, ast.ClassDef)
+                    and any(ast.unparse(dec).startswith("dataclass") for dec in cls.decorator_list)):
+                unreferenced.update(f"{cls.name}.{item.target.id}" for item in cls.body
+                                    if isinstance(item, ast.AnnAssign)
+                                    and item.target.id not in read_attrs)
     assert unreferenced == UNREFERENCED_ALLOWED

@@ -4,9 +4,11 @@ import pytest
 from gravkit.demos import rot6d_is_degenerate
 from gravkit.diffusion import (SCALED_LINEAR, SQUARED_COS, DegenerateRotation, InvalidRange,
                                NotARotation, StepOutOfRange, add_noise, make_schedule,
-                               matrix_to_rot6d, reverse_coefficients, rot6d_to_matrix, sample)
+                               matrix_to_rot6d, pose_schedule, reverse_coefficients,
+                               rot6d_to_matrix, sample)
+from gravkit.policy.model import REVERSE_COEFS
 
-from oracles import abar, posterior_sigma, reverse_chain_oracle
+from oracles import abar, posterior_sigma, reverse_chain_oracle, reverse_table_oracle
 
 
 def random_rotation(rng):
@@ -18,6 +20,12 @@ def random_rotation(rng):
     return q
 
 
+def chain_table(sched_pos, sched_rot):
+    """The reverse table `sample` reads, for positions on `sched_pos` and
+    rotations on `sched_rot`."""
+    return reverse_coefficients(pose_schedule(sched_pos, sched_rot))
+
+
 class TestSchedules:
     def test_scaled_linear_first_beta(self):
         sched = make_schedule(SCALED_LINEAR, 100)
@@ -25,7 +33,7 @@ class TestSchedules:
         assert sched.beta[-1] == pytest.approx(0.02, rel=1e-12)
 
     def test_scaled_linear_matches_formula(self):
-        sched = make_schedule(SCALED_LINEAR, 100, 1e-4, 0.02)
+        sched = make_schedule(SCALED_LINEAR, 100)
         for k in (1, 37, 100):
             expect = (np.sqrt(1e-4) + (k - 1) / 99 * (np.sqrt(0.02) - np.sqrt(1e-4))) ** 2
             assert sched.beta[k - 1] == pytest.approx(expect, rel=1e-12)
@@ -39,7 +47,7 @@ class TestSchedules:
         """alpha_bar of step 0 is 1: the posterior std of step 1 is 0."""
         for kind in (SCALED_LINEAR, SQUARED_COS):
             sched = make_schedule(kind, 100)
-            assert not reverse_coefficients(sched, sched)[0, 2].any()
+            assert reverse_coefficients(sched)[0, 2] == 0.0
 
     def test_beta_in_valid_range(self):
         for kind in (SCALED_LINEAR, SQUARED_COS):
@@ -50,8 +58,6 @@ class TestSchedules:
     def test_invalid_ranges(self):
         with pytest.raises(InvalidRange):
             make_schedule(SCALED_LINEAR, 0)
-        with pytest.raises(InvalidRange):
-            make_schedule(SCALED_LINEAR, 10, 0.5, 0.1)
         with pytest.raises(InvalidRange):
             make_schedule("cubic", 10)
 
@@ -95,6 +101,15 @@ class TestAddNoise:
         np.testing.assert_array_equal(add_noise(x0, k, eps, sched), rows)
         np.testing.assert_array_equal(rows[0], x0[0])
 
+        # the pose's per-channel schedule against the two scalar-schedule calls
+        sp, sr = make_schedule(SCALED_LINEAR, 100), make_schedule(SQUARED_COS, 100)
+        pose = pose_schedule(sp, sr)
+        x0, eps = rng.standard_normal((4, 9)), rng.standard_normal((4, 9))
+        for steps in (0, 37, k):
+            want = np.concatenate([add_noise(x0[:, :3], steps, eps[:, :3], sp),
+                                   add_noise(x0[:, 3:], steps, eps[:, 3:], sr)], axis=1)
+            assert add_noise(x0, steps, eps, pose).tobytes() == want.tobytes(), steps
+
     def test_out_of_range_step(self):
         sched = make_schedule(SCALED_LINEAR, 10)
         with pytest.raises(StepOutOfRange):
@@ -115,7 +130,8 @@ def one_step_chain(sched_pos, sched_rot, seed, eps, stochastic=False):
         ab = sched.alpha_bar[0]
         x0[sl] = (start[sl] - np.sqrt(1.0 - ab) * eps[sl]) / np.sqrt(ab)
         np.testing.assert_allclose(add_noise(x0[sl], 1, eps[sl], sched), start[sl], rtol=0, atol=1e-14)
-    pose, _ = sample(lambda x, k: (eps, 0.9), sched_pos, sched_rot, seed=seed, stochastic=stochastic)
+    pose, _ = sample(lambda x, k: (eps, 0.9), chain_table(sched_pos, sched_rot), seed=seed,
+                     stochastic=stochastic)
     want = np.concatenate([x0[:3], matrix_to_rot6d(rot6d_to_matrix(x0[3:]))])
     return np.concatenate([pose.pos, pose.rot6d]), want
 
@@ -141,27 +157,35 @@ class TestDenoiseStep:
         sched = make_schedule(SCALED_LINEAR, 100)
         k = 13
         expect = np.sqrt((1 - abar(sched, k - 1)) / (1 - abar(sched, k)) * sched.beta[k - 1])
-        assert reverse_coefficients(sched, sched)[k - 1, 2, 0] == pytest.approx(expect, rel=1e-12)
+        assert reverse_coefficients(sched)[k - 1, 2] == pytest.approx(expect, rel=1e-12)
 
     def test_schedules_of_different_length_rejected(self):
         sp, sr = make_schedule(SCALED_LINEAR, 10), make_schedule(SQUARED_COS, 11)
         with pytest.raises(InvalidRange):
-            sample(_ZeroDenoiser(), sp, sr, seed=0)
+            pose_schedule(sp, sr)
 
     @pytest.mark.parametrize("kinds", [(SCALED_LINEAR, SQUARED_COS), (SQUARED_COS, SCALED_LINEAR)])
     @pytest.mark.parametrize("steps", [1, 2, 100])
     def test_coefficient_rows_equal_scalar_formulas(self, kinds, steps):
         """Row k-1 of the table holds, byte for byte, what the per-step
         scalar formulas give for step k, spread over 3 position and 6
-        rotation channels."""
+        rotation channels; the whole table is the one built per scalar
+        schedule and then spread."""
         sp, sr = (make_schedule(kind, steps) for kind in kinds)
-        table = reverse_coefficients(sp, sr)
+        table = chain_table(sp, sr)
         assert table.shape == (steps, 3, 9)
+        assert table.tobytes() == reverse_table_oracle(sp, sr).tobytes()
         for k in range(1, steps + 1):
             per_sched = [[s.beta[k - 1] / np.sqrt(1.0 - abar(s, k)), np.sqrt(s.alpha[k - 1]),
                           posterior_sigma(k, s)] for s in (sp, sr)]
             want = np.array(per_sched).T[:, [0, 0, 0, 1, 1, 1, 1, 1, 1]]
             assert table[k - 1].tobytes() == want.tobytes()
+
+    def test_policy_table_equals_two_schedule_spread(self):
+        """The table every episode's chains read is the model's two
+        schedules' terms spread over the pose channels, byte for byte."""
+        want = reverse_table_oracle(make_schedule(SCALED_LINEAR, 100), make_schedule(SQUARED_COS, 100))
+        assert REVERSE_COEFS.tobytes() == want.tobytes()
 
 
 class _ZeroDenoiser:
@@ -173,7 +197,7 @@ class TestSample:
     def test_zero_denoiser_closed_form(self):
         sp = make_schedule(SCALED_LINEAR, 100)
         sr = make_schedule(SQUARED_COS, 100)
-        pose, open_state = sample(_ZeroDenoiser(), sp, sr, seed=7, stochastic=False)
+        pose, open_state = sample(_ZeroDenoiser(), chain_table(sp, sr), seed=7, stochastic=False)
         e_k = np.random.default_rng(7).standard_normal(9)
         scale_pos = np.prod(1.0 / np.sqrt(sp.alpha))
         scale_rot = np.prod(1.0 / np.sqrt(sr.alpha))
@@ -194,7 +218,7 @@ class TestSample:
         def denoiser(x, k):
             return np.sin(x + k), 0.7
 
-        pose, _ = sample(denoiser, sp, sr, seed=4, stochastic=stochastic)
+        pose, _ = sample(denoiser, chain_table(sp, sr), seed=4, stochastic=stochastic)
         x = reverse_chain_oracle(denoiser, sp, sr, seed=4, stochastic=stochastic)
         assert pose.pos.tobytes() == x[:3].tobytes()
         assert pose.rot6d.tobytes() == matrix_to_rot6d(rot6d_to_matrix(x[3:])).tobytes()
@@ -202,8 +226,8 @@ class TestSample:
     def test_identical_seeds_identical_outputs(self):
         sp = make_schedule(SCALED_LINEAR, 50)
         sr = make_schedule(SQUARED_COS, 50)
-        a = sample(_ZeroDenoiser(), sp, sr, seed=3, stochastic=True)
-        b = sample(_ZeroDenoiser(), sp, sr, seed=3, stochastic=True)
+        a = sample(_ZeroDenoiser(), chain_table(sp, sr), seed=3, stochastic=True)
+        b = sample(_ZeroDenoiser(), chain_table(sp, sr), seed=3, stochastic=True)
         np.testing.assert_array_equal(a[0].pos, b[0].pos)
         np.testing.assert_array_equal(a[0].rot6d, b[0].rot6d)
         assert a[1] == b[1]
@@ -212,7 +236,7 @@ class TestSample:
         sp = make_schedule(SCALED_LINEAR, 30)
         sr = make_schedule(SQUARED_COS, 30)
         for seed in range(5):
-            pose, _ = sample(_ZeroDenoiser(), sp, sr, seed=seed, stochastic=True)
+            pose, _ = sample(_ZeroDenoiser(), chain_table(sp, sr), seed=seed, stochastic=True)
             r = rot6d_to_matrix(pose.rot6d)
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)

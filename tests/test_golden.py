@@ -19,7 +19,7 @@ from gravkit.demos import SubGoal, TaskKind
 from gravkit.gravmap import (GravMapParams, Workspace, _sample_lattice, _smooth_box, assemble_points,
                              generate_gravmap, world_to_voxel)
 from gravkit.policy import ToyPolicy, TrainConfig, evaluate, load_policy, train
-from gravkit.policy.model import SCHEDULES
+from gravkit.policy.model import REVERSE_COEFS
 from gravkit.policy.nets import TOKEN_DIM, chain_denoiser
 from gravkit.policy.train import build_negative_pool, build_transitions
 from gravkit.sim import SceneObject, World, occupancy_grid, save_scene, scripted_expert
@@ -194,7 +194,7 @@ def test_sample_with_policy_denoiser(stochastic, pose_hex):
     rows = (rng.standard_normal(8), rng.standard_normal(16), rng.standard_normal(TOKEN_DIM))
     # the closure run_episode builds for each prediction
     denoiser = chain_denoiser(policy.params, *rows)
-    pose, open_state = diffusion.sample(denoiser, *SCHEDULES, seed=13, stochastic=stochastic)
+    pose, open_state = diffusion.sample(denoiser, REVERSE_COEFS, seed=13, stochastic=stochastic)
     assert (pose.pos.tobytes() + pose.rot6d.tobytes()).hex() == pose_hex
     assert open_state == 1
 

@@ -119,11 +119,16 @@ class TestDenoiser:
 
     @pytest.mark.parametrize("steps", [1, 2, 100, 1000])
     def test_step_embedding_table_rows_equal_per_step_calls(self, steps):
-        """Sampling reads a table built in one call; numpy's vectorised sin
-        and cos must give each row the bits of a one-step call."""
+        """Training and sampling read a table built in one call; numpy's
+        vectorised sin and cos must give each row the bits of a one-step
+        call, and each batch of rows the bits of a call on that batch."""
         table = step_embedding(np.arange(1, steps + 1))
         for k in range(1, steps + 1):
             assert table[k - 1].tobytes() == step_embedding([k])[0].tobytes(), k
+        rng = np.random.default_rng(steps)
+        for _ in range(200):
+            ks = rng.integers(1, steps + 1, size=rng.integers(1, 64))
+            assert table[ks - 1].tobytes() == step_embedding(ks).tobytes(), ks
 
 
 class TestGradients:
@@ -230,7 +235,6 @@ class TestTraining:
         for (na, a), (nb, b) in zip(policy.params.items(), loaded.params.items()):
             assert na == nb
             np.testing.assert_array_equal(a, b)
-        assert loaded.steps == policy.steps
         assert loaded.workspace == policy.workspace
 
     def test_one_gradient_buffer_per_run(self, demo_set, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gravkit.demos import IoError, SchemaViolation, TaskKind, validate_demo
 from gravkit.gravmap import Workspace, voxel_center
 from gravkit.keypose import discover_keyposes, distill_demo
-from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED, Command,
+from gravkit.sim import (CONTACT_RADIUS, GRASP_RADIUS, MAX_FORCE, MAX_SPEED,
                          SceneObject, World, check_success, load_scene, make_world,
                          next_subgoal, occupancy_grid, save_scene, scripted_expert,
                          scripted_long_demo, step, target_placed)
@@ -31,72 +31,72 @@ def simple_world(**kw):
 class TestStep:
     def test_hold_position(self):
         w = simple_world()
-        _, frame = step(w, Command(target=w.gripper_pos.copy(), open=1))
+        frame = step(w, w.gripper_pos.copy(), 1)
         np.testing.assert_array_equal(frame.joint_vel, np.zeros(3))
         np.testing.assert_array_equal(frame.pose.pos, [0.5, 0.5, 0.4])
         assert frame.touch[0] == 0.0  # far above the sphere
 
     def test_speed_cap(self):
         w = simple_world()
-        _, frame = step(w, Command(target=[0.5, 0.5, 0.0], open=1))
+        frame = step(w, [0.5, 0.5, 0.0], 1)
         assert np.linalg.norm(frame.joint_vel) == pytest.approx(MAX_SPEED, abs=1e-12)
 
     def test_touch_at_surface(self):
         w = simple_world(gripper_pos=np.array([0.5, 0.5, 0.10]))
-        _, frame = step(w, Command(target=[0.5, 0.5, 0.10], open=1))
+        frame = step(w, [0.5, 0.5, 0.10], 1)
         assert frame.touch[0] == pytest.approx(MAX_FORCE, abs=1e-9)
         w2 = simple_world(gripper_pos=np.array([0.5, 0.5, 0.10 + CONTACT_RADIUS / 2]))
-        _, f2 = step(w2, Command(target=w2.gripper_pos.copy(), open=1))
+        f2 = step(w2, w2.gripper_pos.copy(), 1)
         assert 0.0 < f2.touch[0] < MAX_FORCE
 
     def test_force_formula(self):
         d = 0.005  # surface distance
         w = simple_world(gripper_pos=np.array([0.5, 0.5, 0.105]))
-        _, frame = step(w, Command(target=w.gripper_pos.copy(), open=1))
+        frame = step(w, w.gripper_pos.copy(), 1)
         expect = (CONTACT_RADIUS - d) / CONTACT_RADIUS * MAX_FORCE
         assert frame.touch[0] == pytest.approx(expect, abs=1e-9)
         np.testing.assert_array_equal(frame.touch, frame.touch[::-1])  # two equal fingers
 
     def test_attach_and_carry(self):
         w = simple_world(gripper_pos=np.array([0.5, 0.5, 0.05]))
-        step(w, Command(target=[0.5, 0.5, 0.05], open=0))
+        step(w, [0.5, 0.5, 0.05], 0)
         assert w.attached == 0
-        step(w, Command(target=[0.5, 0.5, 0.2], open=0))
+        step(w, [0.5, 0.5, 0.2], 0)
         np.testing.assert_array_equal(w.objects[0].center, w.gripper_pos)
 
     def test_attach_needs_grasp_radius(self):
         far = 0.05 + GRASP_RADIUS + 0.01
         w = simple_world(gripper_pos=np.array([0.5, 0.5, 0.05 + far]))
-        step(w, Command(target=w.gripper_pos.copy(), open=0))
+        step(w, w.gripper_pos.copy(), 0)
         assert w.attached is None
 
     def test_non_graspable_never_attaches(self):
         w = simple_world(objects=[SceneObject(center=[0.5, 0.5, 0.05], radius=0.05)])
         w.gripper_pos = np.array([0.5, 0.5, 0.05])
-        step(w, Command(target=[0.5, 0.5, 0.05], open=0))
+        step(w, [0.5, 0.5, 0.05], 0)
         assert w.attached is None
 
     def test_open_detaches(self):
         w = simple_world(gripper_pos=np.array([0.5, 0.5, 0.05]))
-        step(w, Command(target=[0.5, 0.5, 0.05], open=0))
-        step(w, Command(target=[0.5, 0.5, 0.3], open=0))
-        step(w, Command(target=[0.5, 0.5, 0.3], open=1))
+        step(w, [0.5, 0.5, 0.05], 0)
+        step(w, [0.5, 0.5, 0.3], 0)
+        step(w, [0.5, 0.5, 0.3], 1)
         assert w.attached is None
         before = w.objects[0].center.copy()
-        step(w, Command(target=[0.1, 0.1, 0.3], open=1))
+        step(w, [0.1, 0.1, 0.3], 1)
         np.testing.assert_array_equal(w.objects[0].center, before)
 
     def test_workspace_clamp(self):
         w = simple_world(gripper_pos=np.array([0.01, 0.5, 0.5]))
         for _ in range(5):
-            step(w, Command(target=[-1.0, 0.5, 0.5], open=1))
+            step(w, [-1.0, 0.5, 0.5], 1)
         assert w.gripper_pos[0] == 0.0
 
     def test_determinism(self):
         a, b = simple_world(), simple_world()
-        for cmd in [Command([0.4, 0.4, 0.1], 1), Command([0.5, 0.5, 0.05], 0)]:
-            _, fa = step(a, Command(cmd.target.copy(), cmd.open))
-            _, fb = step(b, Command(cmd.target.copy(), cmd.open))
+        for target, open_state in [([0.4, 0.4, 0.1], 1), ([0.5, 0.5, 0.05], 0)]:
+            fa = step(a, target, open_state)
+            fb = step(b, target, open_state)
             np.testing.assert_array_equal(fa.pose.pos, fb.pose.pos)
             np.testing.assert_array_equal(fa.touch, fb.touch)
 
